@@ -8,26 +8,27 @@ Subcommands::
     mixent preset list
     mixent preset run fig2a [--out path] [--set key=value] [--validate[=tol]]
 
+A tolerance (``--validate=TOL``, a config file's ``validate=TOL``,
+``validate --tol TOL``) must be a finite number >= 0; 0 fails every check.
+Bare ``--validate`` uses the scheme's own tolerance.
+
 Exit codes: 0 success, 2 invalid specification, 3 oracle deviation above
 tolerance.  CSV files start with the schema comment ``# mixent-csv v1``,
 use 17 significant digits and ``\\n`` line endings, and are byte-identical
-across runs of the same binary.  Set ``MIXENT_THREADS`` to run sweep rows in
-parallel (row order in the file is spec order regardless).
+across runs of the same binary.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import oracle, qlinalg, schemes
-from .oracle import QuadratureGrid, TruncationTailError, fock_space_for
+from .oracle import TruncationTailError, fock_space_for
 from .qlinalg import BipartiteMatrix, DegenerateStateError
 from .states import AtomFieldParams, CatBasis, MicroState, ThermalParams
 
@@ -60,7 +61,7 @@ class SpecError(ValueError):
 
 def _as_int(value, name):
     x = float(value)
-    if x != int(x):
+    if not x.is_integer():
         raise SpecError(f"{name} must be an integer, got {value}")
     return int(x)
 
@@ -76,128 +77,99 @@ def _as_sign(value):
     raise SpecError(f"sign must be + or -, got {value!r}")
 
 
-def _jc_output(v):
-    return schemes.jc_projected(
-        AtomFieldParams(p=v["p"], lam=v["lam"], gt=v["gt"], n=_as_int(v["n"], "n"))
-    )
+# An argument builder turns a parameter dict into the keyword arguments of the
+# scheme's oracle, in the order of its constructor's positional arguments.
 
 
-def _jc_oracle(v, grid):
-    n = _as_int(v["n"], "n")
-    lam = float(v["lam"])
+def _jc_args(v):
+    return {"params": AtomFieldParams(p=v["p"], lam=v["lam"], gt=v["gt"], n=_as_int(v["n"], "n"))}
+
+
+def _cat_args(v):
+    args = {"micro": MicroState(v["r"])} if "r" in v else {}
+    args.update(thermal=ThermalParams(v["V"], v["d"]), basis=CatBasis(v["gamma"]))
+    if "sign" in v:
+        args["sign"] = _as_sign(v["sign"])
+    return args
+
+
+def _jc_oracle(args):
+    params = args["params"]
     try:
-        space = fock_space_for(lam, n)
+        space = fock_space_for(params.lam, params.n)
     except TruncationTailError:
         # The projected block only involves the doublets around n, so it is
         # exact for any truncation containing them; near-unit lam just cannot
         # meet the default tail budget, and the budget is relaxed to what the
         # capped truncation achieves.
-        n_max = max(n + 2, 2000)
-        budget = min(0.999, max(lam**n_max, 1e-300))
+        n_max = max(params.n + 2, 2000)
+        budget = min(0.999, max(params.lam**n_max, 1e-300))
         space = oracle.FockSpace(n_max=n_max, tail_tolerance=budget)
-    params = AtomFieldParams(p=v["p"], lam=lam, gt=v["gt"], n=n)
     return oracle.jc_fock_projected(params, space)
 
 
-def _kerr_args(v):
-    return (
-        MicroState(v["r"]),
-        ThermalParams(v["V"], v["d"]),
-        CatBasis(v["gamma"]),
-    )
-
-
-def _kerr_output(v):
-    return schemes.kerr_micro_thermal_projected(*_kerr_args(v))
-
-
-def _kerr_oracle(v, grid):
-    m, t, b = _kerr_args(v)
-    return oracle.quadrature_projected(
-        "kerr_micro_thermal", thermal=t, basis=b, micro=m, grid=grid
-    )
-
-
-def _bs_output(v):
-    m, t, b = _kerr_args(v)
-    return schemes.bs_scheme_projected(m, t, b, _as_sign(v["sign"]))
-
-
-def _bs_closed(v):
-    m, t, b = _kerr_args(v)
-    return schemes.bs_projected_kernel(m, t, b, _as_sign(v["sign"]))
-
-
-def _bs_oracle(v, grid):
-    m, t, b = _kerr_args(v)
-    return oracle.quadrature_projected(
-        "bs", thermal=t, basis=b, micro=m, sign=_as_sign(v["sign"]), grid=grid
-    )
-
-
-def _tt_output(v):
-    m, t, b = _kerr_args(v)
-    return schemes.tt_scheme_projected(m, t, b, _as_sign(v["sign"]))
-
-
-def _tt_closed(v):
-    m, t, b = _kerr_args(v)
-    return schemes.tt_projected_kernel(m, t, b, _as_sign(v["sign"]))
-
-
-def _tt_oracle(v, grid):
-    m, t, b = _kerr_args(v)
-    return oracle.quadrature_projected(
-        "tt", thermal=t, basis=b, micro=m, sign=_as_sign(v["sign"]), grid=grid
-    )
-
-
-def _direct_output(v):
-    return schemes.direct_kerr_projected(ThermalParams(v["V"], v["d"]), CatBasis(v["gamma"]))
-
-
-def _direct_oracle(v, grid):
-    return oracle.quadrature_projected(
-        "direct_kerr",
-        thermal=ThermalParams(v["V"], v["d"]),
-        basis=CatBasis(v["gamma"]),
-        grid=grid,
-    )
+def _quadrature(scheme):
+    return lambda args: oracle.quadrature_projected(scheme, **args)
 
 
 @dataclass(frozen=True)
 class _SchemeDef:
+    """How the CLI evaluates and validates one scheme.
+
+    ``construct`` and ``closed`` name functions of :mod:`mixent.schemes`,
+    looked up at call time: the constructor, and the closed form that the
+    oracle reproduces (the constructor itself when the oracle reproduces the
+    constructor's matrix).  Both take the builder's arguments positionally,
+    the oracle takes them as keywords.
+    """
+
     params: tuple
-    sweepable: tuple
-    build: callable
-    oracle_matrix: callable
+    args: callable
+    construct: str
+    closed: str
+    oracle: callable
     tolerance: float
-    closed_matrix: callable = None  # falls back to build(...).matrix
+
+    @property
+    def sweepable(self) -> tuple:
+        return tuple(k for k in self.params if k not in ("n", "sign"))
 
 
 SCHEMES = {
-    "jc": _SchemeDef(("p", "lam", "gt", "n"), ("p", "lam", "gt"), _jc_output, _jc_oracle, _JC_TOL),
+    "jc": _SchemeDef(
+        ("p", "lam", "gt", "n"), _jc_args, "jc_projected", "jc_projected", _jc_oracle, _JC_TOL
+    ),
     "kerr_micro_thermal": _SchemeDef(
-        ("r", "V", "d", "gamma"), ("r", "V", "d", "gamma"), _kerr_output, _kerr_oracle, _KERR_TOL
+        ("r", "V", "d", "gamma"),
+        _cat_args,
+        "kerr_micro_thermal_projected",
+        "kerr_micro_thermal_projected",
+        _quadrature("kerr_micro_thermal"),
+        _KERR_TOL,
     ),
     "bs": _SchemeDef(
         ("r", "V", "d", "gamma", "sign"),
-        ("r", "V", "d", "gamma"),
-        _bs_output,
-        _bs_oracle,
+        _cat_args,
+        "bs_scheme_projected",
+        "bs_projected_kernel",
+        _quadrature("bs"),
         _KERR_TOL,
-        _bs_closed,
     ),
     "tt": _SchemeDef(
         ("r", "V", "d", "gamma", "sign"),
-        ("r", "V", "d", "gamma"),
-        _tt_output,
-        _tt_oracle,
+        _cat_args,
+        "tt_scheme_projected",
+        "tt_projected_kernel",
+        _quadrature("tt"),
         _KERR_TOL,
-        _tt_closed,
     ),
     "direct_kerr": _SchemeDef(
-        ("V", "d", "gamma"), ("V", "d", "gamma"), _direct_output, _direct_oracle, _KERR_TOL
+        ("V", "d", "gamma"),
+        _cat_args,
+        "direct_kerr_projected",
+        "direct_kerr_projected",
+        _quadrature("direct_kerr"),
+        _KERR_TOL,
     ),
 }
 
@@ -279,18 +251,34 @@ def _safe_npt(matrix: BipartiteMatrix) -> float:
         return float("nan")
 
 
+def _call(name: str, args: dict):
+    return getattr(schemes, name)(*args.values())
+
+
+def _closed_vs_oracle(sdef: _SchemeDef, args: dict, built=None):
+    """The oracle matrix for ``args`` and the closed form's largest deviation from it.
+
+    ``built`` is the constructor's output for ``args`` if the caller has it;
+    it is reused where the closed form is the constructor's own matrix.
+    """
+    if sdef.closed != sdef.construct:
+        closed = _call(sdef.closed, args)
+    else:
+        closed = (built or _call(sdef.construct, args)).matrix
+    ref = sdef.oracle(args)
+    return ref, qlinalg.max_abs_deviation(closed, ref)
+
+
 def _sweep_row(spec: SweepSpec, sdef: _SchemeDef, value: float):
     values = dict(spec.fixed)
     values[spec.sweep[0]] = value
-    out = sdef.build(values)
+    args = sdef.args(values)
+    out = _call(sdef.construct, args)
     row = [value, out.npt_normalized, out.trace]
-    deviation = None
-    if spec.validate_tol is not None:
-        closed = sdef.closed_matrix(values) if sdef.closed_matrix else out.matrix
-        ref = sdef.oracle_matrix(values, QuadratureGrid())
-        deviation = qlinalg.max_abs_deviation(closed, ref)
-        row.extend([_safe_npt(ref), deviation])
-    return row, deviation
+    if spec.validate_tol is None:
+        return row, None
+    ref, deviation = _closed_vs_oracle(sdef, args, out)
+    return row + [_safe_npt(ref), deviation], deviation
 
 
 def run_sweep(spec: SweepSpec):
@@ -302,23 +290,14 @@ def run_sweep(spec: SweepSpec):
     spec = _check_spec(spec)
     sdef = SCHEMES[spec.scheme]
     name, start, stop, count = spec.sweep
-    xs = np.linspace(float(start), float(stop), int(count))
-
-    threads = int(os.environ.get("MIXENT_THREADS", "1") or "1")
-    worker = lambda x: _sweep_row(spec, sdef, float(x))  # noqa: E731
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, xs))
-    else:
-        results = [worker(x) for x in xs]
-
     header = [name, "npt", "trace"]
     if spec.validate_tol is not None:
         header += ["oracle_npt", "max_dev"]
     lines = [CSV_SCHEMA, ",".join(header)]
     failures = []
-    for i, (row, deviation) in enumerate(results):
-        lines.append(",".join(_fmt(x) for x in row))
+    for i, x in enumerate(np.linspace(float(start), float(stop), int(count))):
+        row, deviation = _sweep_row(spec, sdef, float(x))
+        lines.append(",".join(_fmt(v) for v in row))
         if deviation is not None and deviation > spec.validate_tol:
             failures.append((i, deviation))
     csv_text = "\n".join(lines) + "\n"
@@ -372,18 +351,11 @@ VALIDATION_GRIDS = {
 
 def validate_grid(name: str, tol: float | None = None):
     """Closed form vs oracle over one named grid; returns (max_dev, worst, tol)."""
-    scheme = VALIDATION_GRIDS[name]
-    sdef = SCHEMES[scheme]
+    sdef = SCHEMES[VALIDATION_GRIDS[name]]
     tol = sdef.tolerance if tol is None else tol
-    grid = QuadratureGrid()
     worst_dev, worst_at = -1.0, None
     for values in _grid_points(name):
-        if sdef.closed_matrix:
-            closed = sdef.closed_matrix(values)
-        else:
-            closed = sdef.build(values).matrix
-        ref = sdef.oracle_matrix(values, grid)
-        dev = qlinalg.max_abs_deviation(closed, ref)
+        dev = _closed_vs_oracle(sdef, sdef.args(values))[1]
         if dev > worst_dev:
             worst_dev, worst_at = dev, values
     return worst_dev, worst_at, tol
@@ -458,23 +430,24 @@ def _read_config(path: str) -> dict:
     return options
 
 
-def _parse_validate(value) -> float | None:
+def _parse_tol(value, default=None) -> float | None:
+    """A validation tolerance from the command line or a config file.
+
+    ``None`` (no validation asked for) stays None and "default" (bare
+    ``--validate``) gives ``default``.  Anything else must be a finite number
+    >= 0; 0 fails every check.
+    """
     if value is None:
         return None
     if value == "default":
-        return -1.0  # sentinel: use the scheme default
+        return default
     try:
-        return float(value)
+        tol = float(value)
     except ValueError:
-        raise SpecError(f"--validate expects a tolerance, got {value!r}") from None
-
-
-def _resolve_tol(tol_request, scheme: str) -> float | None:
-    if tol_request is None:
-        return None
-    if tol_request == -1.0:
-        return SCHEMES[scheme].tolerance
-    return tol_request
+        raise SpecError(f"tolerance must be a number, got {value!r}") from None
+    if not 0.0 <= tol < math.inf:
+        raise SpecError(f"tolerance must be finite and >= 0, got {value!r}")
+    return tol
 
 
 def _spec_from_args(args) -> SweepSpec:
@@ -482,15 +455,14 @@ def _spec_from_args(args) -> SweepSpec:
     sweep = None
     out = args.out
     scheme = args.scheme
-    validate = _parse_validate(args.validate)
+    validate = args.validate
     if getattr(args, "config", None):
         config = _read_config(args.config)
         scheme = config.pop("scheme", scheme)
         if "sweep" in config:
             sweep = _parse_sweep(config.pop("sweep"))
         out = config.pop("out", out)
-        if "validate" in config:
-            validate = _parse_validate(config.pop("validate"))
+        validate = config.pop("validate", validate)
         fixed.update(_parse_set(f"{k}={v}" for k, v in config.items()))
     fixed.update(_parse_set(args.set))
     if args.sweep:
@@ -499,8 +471,8 @@ def _spec_from_args(args) -> SweepSpec:
         raise SpecError("no scheme given (use --scheme or a config file)")
     if sweep is None:
         raise SpecError("no sweep given (use --sweep name:start:stop:count)")
-    tol = _resolve_tol(validate, scheme) if scheme in SCHEMES else None
-    return SweepSpec(scheme=scheme, fixed=fixed, sweep=sweep, out=out, validate_tol=tol)
+    spec = _check_spec(SweepSpec(scheme=scheme, fixed=fixed, sweep=sweep, out=out))
+    return replace(spec, validate_tol=_parse_tol(validate, SCHEMES[scheme].tolerance))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -550,7 +522,7 @@ def main(argv=None) -> int:
             return code
 
         if args.command == "validate":
-            return run_validation(args.grid, args.tol)
+            return run_validation(args.grid, _parse_tol(args.tol))
 
         if args.command == "preset":
             if args.preset_command == "list":
@@ -564,23 +536,17 @@ def main(argv=None) -> int:
                     )
                 return 0
             base = PRESETS[args.name]
-            overrides = _parse_set(args.set)
-            fixed = {**base.fixed, **{k: v for k, v in overrides.items() if k != base.sweep[0]}}
-            tol = _resolve_tol(_parse_validate(args.validate), base.scheme)
             spec = replace(
                 base,
-                fixed=fixed,
+                fixed={**base.fixed, **_parse_set(args.set)},
                 out=args.out or f"{args.name}.csv",
-                validate_tol=tol,
+                validate_tol=_parse_tol(args.validate, SCHEMES[base.scheme].tolerance),
             )
             code, _, failures = run_sweep(spec)
             for index, dev in failures[:5]:
                 print(f"validation failure at row {index}: deviation {dev:.3e}", file=sys.stderr)
             return code
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TruncationTailError, DegenerateStateError) as exc:
+    except (ValueError, TruncationTailError, DegenerateStateError) as exc:  # SpecError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except oracle.OracleUnstableError as exc:

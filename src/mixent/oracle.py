@@ -330,7 +330,6 @@ def quadrature_projected(
     micro: MicroState | None = None,
     sign: int | None = None,
     grid: QuadratureGrid | None = None,
-    check: bool = True,
 ) -> BipartiteMatrix:
     """Projected 4x4 matrix of a cross-Kerr scheme by brute-force quadrature.
 
@@ -340,9 +339,9 @@ def quadrature_projected(
     weights 1, 1, +-r, +-r) and ``direct_kerr`` the projection of the
     trace-one evolved state.
 
-    With ``check`` on (the default), the integral is evaluated at the grid
-    order and at twice the order; entries must agree within the grid's
-    doubling tolerance or :class:`OracleUnstableError` is raised.
+    The integral is evaluated at the grid order and at twice the order;
+    entries must agree within the grid's doubling tolerance or
+    :class:`OracleUnstableError` is raised.
     """
     grid = grid or QuadratureGrid()
     if scheme in ("kerr_micro_thermal", "bs", "tt") and micro is None:
@@ -351,16 +350,15 @@ def quadrature_projected(
         if sign not in (1, -1):
             raise ValueError(f"scheme {scheme!r} needs sign=+1 or -1, got {sign!r}")
     fine = _quad_once(scheme, micro, thermal, basis, sign, 2 * grid.order)
-    if check:
-        coarse = _quad_once(scheme, micro, thermal, basis, sign, grid.order)
-        dev = np.abs(coarse - fine)
-        worst = float(dev.max())
-        if worst > grid.doubling_tolerance:
-            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-            raise OracleUnstableError(
-                f"{scheme}: quadrature self-convergence failed at entry ({i},{j}): "
-                f"|order {grid.order} - order {2 * grid.order}| = {worst:.3e} "
-                f"> {grid.doubling_tolerance:.0e} "
-                f"(V={thermal.variance}, d={thermal.displacement}, gamma={basis.gamma})"
-            )
+    coarse = _quad_once(scheme, micro, thermal, basis, sign, grid.order)
+    dev = np.abs(coarse - fine)
+    worst = float(dev.max())
+    if worst > grid.doubling_tolerance:
+        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+        raise OracleUnstableError(
+            f"{scheme}: quadrature self-convergence failed at entry ({i},{j}): "
+            f"|order {grid.order} - order {2 * grid.order}| = {worst:.3e} "
+            f"> {grid.doubling_tolerance:.0e} "
+            f"(V={thermal.variance}, d={thermal.displacement}, gamma={basis.gamma})"
+        )
     return BipartiteMatrix(2, 2, fine)

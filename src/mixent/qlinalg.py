@@ -205,21 +205,20 @@ def min_eigenvalue(m: BipartiteMatrix) -> float:
     return min_eigenpair(m)[0]
 
 
-def npt(m: BipartiteMatrix, normalize: bool = True) -> float:
+def npt(m: BipartiteMatrix) -> float:
     """Negativity of partial transpose, -2 min(0, eps).
 
     ``eps`` is the smallest eigenvalue of the partial transpose on factor B.
-    By default the matrix is first normalized by its trace, which is the
-    convention used for every projected state in this package (the absolute
-    scale carries no information); pass ``normalize=False`` to skip it.
+    The matrix is first normalized by its trace, which is the convention used
+    for every projected state in this package (the absolute scale carries no
+    information).
     """
     pt = partial_transpose(m, "B")
-    if normalize:
-        tr = pt.trace().real
-        # the floor keeps 1/tr finite; anything smaller is not a usable state
-        if not tr > 1e-300:
-            raise DegenerateStateError(f"cannot normalize matrix with trace {tr}")
-        pt = pt.scaled(1.0 / tr)
+    tr = pt.trace().real
+    # the floor keeps 1/tr finite; anything smaller is not a usable state
+    if not tr > 1e-300:
+        raise DegenerateStateError(f"cannot normalize matrix with trace {tr}")
+    pt = pt.scaled(1.0 / tr)
     eps = min_eigenvalue(pt)
     return -2.0 * eps if eps < 0.0 else 0.0
 

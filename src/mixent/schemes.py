@@ -46,7 +46,6 @@ from .states import (
     MicroState,
     ThermalParams,
     scaled_cat_kernels,
-    thermal_cat_kernels,
 )
 
 __all__ = [
@@ -109,7 +108,7 @@ def _exp_or_zero(log_value: float) -> float:
     return math.exp(log_value) if log_value > -745.0 else 0.0
 
 
-def jc_projected(params: AtomFieldParams, shifted_sine_weight: bool = False) -> SchemeOutput:
+def jc_projected(params: AtomFieldParams) -> SchemeOutput:
     """Atom-field state after a resonant exchange interaction, field projected.
 
     With C_k = cos(gt sqrt(k+1)), S_k = sin(gt sqrt(k+1)) and photon weights
@@ -117,12 +116,6 @@ def jc_projected(params: AtomFieldParams, shifted_sine_weight: bool = False) -> 
     a 4x4 matrix whose only off-diagonal entries couple |e,n> and |g,n+1>
     (one exchange quantum).  For n = 0 the |g,n> population from below
     vanishes because S_{-1} = sin(0) = 0.
-
-    ``shifted_sine_weight=True`` swaps the ground-branch weight of the |e,n>
-    population from sin^2(gt sqrt(n+1)) to sin^2(gt sqrt(n+2)).  The default
-    is the form validated elementwise against the full truncated-space
-    simulation (:func:`mixent.oracle.jc_fock_projected`); the shifted variant
-    exists only for comparison with an alternative tabulation of the entries.
     """
     p, lam, gt, n = params.p, params.lam, params.gt, params.n
     q = 1.0 - p
@@ -144,7 +137,7 @@ def jc_projected(params: AtomFieldParams, shifted_sine_weight: bool = False) -> 
     m[3, 3] += p * pw(n + 1) * c(n + 1) ** 2
     # ground branch, weight q
     m[0, 0] += q * pw(n) * c(n - 1) ** 2
-    m[1, 1] += q * pw(n + 1) * (s(n + 1) ** 2 if shifted_sine_weight else s(n) ** 2)
+    m[1, 1] += q * pw(n + 1) * s(n) ** 2
     m[1, 2] += -1j * q * pw(n + 1) * c(n) * s(n)
     m[2, 1] += 1j * q * pw(n + 1) * c(n) * s(n)
     m[2, 2] += q * pw(n + 1) * c(n) ** 2
@@ -165,17 +158,6 @@ def _blocks_from_kernels(k, basis: CatBasis) -> dict:
         (1, -1): np.array([[hi, -s], [s, -lo]]),
         (-1, 1): np.array([[hi, s], [-s, -lo]]),
     }
-
-
-def cat_sandwich_blocks(t: ThermalParams, basis: CatBasis) -> dict:
-    """2x2 cat-basis blocks <s| O |s'> for the four Gaussian sandwich operators.
-
-    Keys are sign pairs (w, w') selecting O = integral of |w a><w' a| against
-    the thermal weight of ``t``: (+1, +1) is the displaced thermal state
-    itself, (-1, -1) its mirror image, and the mixed pairs are the coherence
-    operators created by a parity flip on one side.
-    """
-    return _blocks_from_kernels(thermal_cat_kernels(t, basis), basis)
 
 
 def _assemble_micro_blocks(blocks: dict, r: float) -> np.ndarray:
@@ -199,7 +181,11 @@ def kerr_micro_thermal_projected(
         1/2 [[ B(+,+),  r B(+,-) ],
              [ r B(-,+), B(-,-) ]]
 
-    with the cat-basis blocks of :func:`cat_sandwich_blocks`.  The state is
+    with B(w, w') the 2x2 cat-basis blocks <s| O |s'> of the Gaussian sandwich
+    operators O = integral of |w a><w' a| against the thermal weight of ``t``:
+    B(+,+) is the displaced thermal state itself, B(-,-) its mirror image, and
+    the mixed pairs are the coherence operators created by a parity flip on
+    one side (:func:`mixent.states.thermal_cat_kernels`).  The state is
     separable whenever d = 0 (the coherence operator is then transpose
     invariant) or r = 0, and its NPT vanishes there exactly.  Entries are
     linear in the sandwich kernels, so the NPT is computed from the

@@ -20,6 +20,17 @@ def make_spec(**kw):
     return cli.SweepSpec(**base)
 
 
+VALIDATED_SWEEPS = {
+    "jc": ({"p": 0.7, "lam": 0.9, "n": 3}, ("gt", 0.0, 3.0, 4)),
+    "kerr_micro_thermal": ({"r": 0.6, "V": 7.0, "gamma": 2.0}, ("d", 0.0, 9.0, 4)),
+    # bs and tt at sign -1, r > 0, V > 1: the conditioned state the
+    # constructor returns differs from the kernel the oracle reproduces
+    "bs": ({"r": 0.8, "V": 5.0, "gamma": 1.5, "sign": -1}, ("d", 0.0, 6.0, 4)),
+    "tt": ({"r": 0.8, "V": 5.0, "gamma": 1.5, "sign": -1}, ("d", 0.0, 6.0, 4)),
+    "direct_kerr": ({"V": 20.0, "gamma": 2.0}, ("d", 0.0, 15.0, 4)),
+}
+
+
 class TestSweep:
     def test_row_count_and_schema(self):
         code, text, failures = cli.run_sweep(make_spec())
@@ -65,10 +76,15 @@ class TestSweep:
         assert b"\r" not in data
         assert data.decode().startswith("# mixent-csv v1\n")
 
-    def test_threaded_rows_identical(self, monkeypatch):
-        base = cli.run_sweep(make_spec())[1]
-        monkeypatch.setenv("MIXENT_THREADS", "4")
-        assert cli.run_sweep(make_spec())[1] == base
+    @pytest.mark.parametrize("scheme", sorted(VALIDATED_SWEEPS))
+    def test_validated_sweep_every_scheme(self, scheme):
+        fixed, sweep = VALIDATED_SWEEPS[scheme]
+        tol = cli.SCHEMES[scheme].tolerance
+        spec = make_spec(scheme=scheme, fixed=fixed, sweep=sweep, validate_tol=tol)
+        code, text, failures = cli.run_sweep(spec)
+        assert code == 0 and not failures
+        devs = [float(line.split(",")[4]) for line in text.splitlines()[2:]]
+        assert len(devs) == 4 and max(devs) <= tol
 
 
 class TestSpecValidation:
@@ -157,6 +173,27 @@ class TestMain:
         out = capsys.readouterr().out
         assert "FAIL" in out and "worst case" in out
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exit_2(self, tol, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"scheme=direct_kerr\ngamma=2\nV=10\nsweep=d:0:20:2\nvalidate={tol}\n")
+        for argv in (
+            ["sweep", "--config", str(cfg)],
+            ["sweep", "--scheme", "direct_kerr", "--set", "gamma=2", "--set", "V=10"]
+            + ["--sweep", "d:0:20:2", f"--validate={tol}"],
+            ["preset", "run", "fig5", "--out", str(tmp_path / "fig5.csv"), f"--validate={tol}"],
+            ["validate", "jc-grid", "--tol", tol],
+        ):
+            assert cli.main(argv) == 2, argv
+            assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
+    def test_non_integer_n_exit_2(self, n, capsys):
+        argv = ["sweep", "--scheme", "jc", "--sweep", "gt:0:1:2"]
+        argv += ["--set", "p=1", "--set", "lam=0.5", "--set", f"n={n}"]
+        assert cli.main(argv) == 2
+        assert "n must be an integer" in capsys.readouterr().err
+
 
 class TestPresets:
     def test_all_presets_well_formed(self):
@@ -173,6 +210,12 @@ class TestPresets:
         assert [cli.PRESETS[k].fixed["lam"] for k in ("fig1d", "fig1e", "fig1f")] == [0.0, 0.1, 0.2]
         for name in ("fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b", "fig5"):
             assert cli.PRESETS[name].fixed["gamma"] == 2.0
+
+    def test_preset_override_of_swept_parameter(self, tmp_path, capsys):
+        out = tmp_path / "fig2a.csv"
+        assert cli.main(["preset", "run", "fig2a", "--set", "d=5", "--out", str(out)]) == 2
+        assert "'d' is both fixed and swept" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_preset_run_writes_file(self, tmp_path, monkeypatch):
         out = tmp_path / "fig2a.csv"

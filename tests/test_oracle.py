@@ -134,8 +134,8 @@ class TestQuadratureOracle:
         assert s == pytest.approx(k.s, rel=1e-8)
 
     def test_self_convergence_default_grid(self):
-        # check=True already compares order 80 vs 160; no raise means the
-        # entries moved by less than the doubling tolerance
+        # every call compares order 80 vs 160; no raise means the entries
+        # moved by less than the doubling tolerance
         t = mx.ThermalParams(1000.0, 5.0)
         quadrature_projected("direct_kerr", thermal=t, basis=G2)
 

@@ -64,15 +64,6 @@ class TestJcProjected:
         b = jc_projected(mx.AtomFieldParams(p=1.0, lam=0.0, gt=0.9 + 2 * math.pi, n=0)).matrix
         assert mx.max_abs_deviation(a, b) < 1e-12
 
-    def test_shifted_sine_variant_changes_one_entry(self):
-        params = mx.AtomFieldParams(p=0.3, lam=0.6, gt=1.1, n=2)
-        base = jc_projected(params).matrix.entries
-        shifted = jc_projected(params, shifted_sine_weight=True).matrix.entries
-        diff = np.abs(base - shifted)
-        assert diff[1, 1] > 0.0
-        diff[1, 1] = 0.0
-        assert np.max(diff) == 0.0
-
     def test_zero_probability_projection_is_nan(self):
         out = jc_projected(mx.AtomFieldParams(p=0.0, lam=0.0, gt=0.3, n=3))
         assert math.isnan(out.npt_normalized)
