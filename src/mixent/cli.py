@@ -12,6 +12,18 @@ A tolerance (``--validate=TOL``, a config file's ``validate=TOL``,
 ``validate --tol TOL``) must be a finite number >= 0; 0 fails every check.
 Bare ``--validate`` uses the scheme's own tolerance.
 
+A config file (``sweep --config PATH``) holds flat ``key=value`` lines: the
+keys ``scheme``, ``sweep``, ``out`` and ``validate`` plus scheme parameters.
+Each command-line flag overrides the file's key of the same name.
+
+A row whose conditioning outcome has zero probability (``bs`` or ``tt`` with
+sign -, e.g. r=1, V=1, d=0) has no state: it is written with ``npt`` and
+``trace`` both ``nan`` and the sweep goes on.  A ``jc`` projection with zero
+probability is written the same way except that its trace, the projection
+probability, is 0.  Under ``--validate`` such rows still carry the oracle
+columns, from the unnormalized kernel.  The library constructors raise
+:class:`~mixent.qlinalg.DegenerateStateError` for these points instead.
+
 Exit codes: 0 success, 2 invalid specification, 3 oracle deviation above
 tolerance.  CSV files start with the schema comment ``# mixent-csv v1``,
 use 17 significant digits and ``\\n`` line endings, and are byte-identical
@@ -273,8 +285,14 @@ def _sweep_row(spec: SweepSpec, sdef: _SchemeDef, value: float):
     values = dict(spec.fixed)
     values[spec.sweep[0]] = value
     args = sdef.args(values)
-    out = _call(sdef.construct, args)
-    row = [value, out.npt_normalized, out.trace]
+    try:
+        out = _call(sdef.construct, args)
+        row = [value, out.npt_normalized, out.trace]
+    except DegenerateStateError:
+        # a zero-probability conditioning outcome: no state to report, but
+        # the kernel the oracle checks is still defined
+        out = None
+        row = [value, math.nan, math.nan]
     if spec.validate_tol is None:
         return row, None
     ref, deviation = _closed_vs_oracle(sdef, args, out)
@@ -451,27 +469,21 @@ def _parse_tol(value, default=None) -> float | None:
 
 
 def _spec_from_args(args) -> SweepSpec:
-    fixed = {}
-    sweep = None
-    out = args.out
-    scheme = args.scheme
-    validate = args.validate
-    if getattr(args, "config", None):
-        config = _read_config(args.config)
-        scheme = config.pop("scheme", scheme)
-        if "sweep" in config:
-            sweep = _parse_sweep(config.pop("sweep"))
-        out = config.pop("out", out)
-        validate = config.pop("validate", validate)
-        fixed.update(_parse_set(f"{k}={v}" for k, v in config.items()))
+    config = _read_config(args.config) if args.config else {}
+    options = {}
+    for key in ("scheme", "sweep", "out", "validate"):
+        from_file = config.pop(key, None)
+        flag = getattr(args, key)
+        options[key] = from_file if flag is None else flag  # the flag wins
+    fixed = _parse_set(f"{k}={v}" for k, v in config.items())
     fixed.update(_parse_set(args.set))
-    if args.sweep:
-        sweep = _parse_sweep(args.sweep)
+    scheme, validate = options["scheme"], options["validate"]
     if scheme is None:
         raise SpecError("no scheme given (use --scheme or a config file)")
-    if sweep is None:
+    if options["sweep"] is None:
         raise SpecError("no sweep given (use --sweep name:start:stop:count)")
-    spec = _check_spec(SweepSpec(scheme=scheme, fixed=fixed, sweep=sweep, out=out))
+    sweep = _parse_sweep(options["sweep"])
+    spec = _check_spec(SweepSpec(scheme=scheme, fixed=fixed, sweep=sweep, out=options["out"]))
     return replace(spec, validate_tol=_parse_tol(validate, SCHEMES[scheme].tolerance))
 
 

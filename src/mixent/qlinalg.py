@@ -3,11 +3,12 @@
 Partial transposition, a cyclic Jacobi eigensolver for Hermitian matrices,
 negativity of partial transpose (NPT) and purity utilities.  Everything here
 is a pure function of its inputs; :class:`BipartiteMatrix` instances are
-immutable after construction and safe to share across parallel workers.
+immutable after construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,26 @@ def partial_transpose(m: BipartiteMatrix, which: str = "B") -> BipartiteMatrix:
     return BipartiteMatrix(da, db, out.reshape(da * db, da * db))
 
 
-def _frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt((np.abs(a) ** 2).sum()))
+def _pairwise_sum(values: list) -> float:
+    """Sum of floats in numpy's pairwise order, so that it rounds as ``np.sum`` does."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    acc = values[:8]
+    cut = n - n % 8
+    for i in range(8, cut, 8):
+        for j in range(8):
+            acc[j] += values[i + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for x in values[cut:]:
+        total += x
+    return total
 
 
 def hermitian_eigensystem(
@@ -126,59 +145,71 @@ def hermitian_eigensystem(
     Jacobi rotation for the phase-stripped 2x2 block.  Convergence: the
     off-diagonal Frobenius norm falls below ``tol`` times the input norm.
 
+    The rotations run on Python complex scalars and round as numpy array
+    arithmetic does, operation for operation: the phase is g * (1/|g|), as
+    numpy divides a complex by a real; hypot comes from libm, as in np.hypot
+    (math.hypot rounds differently); the norms are summed in numpy's pairwise
+    order.  The rounding is pinned because the NPT of a separable state must
+    stay an exact zero, where a LAPACK solver returns roundoff of either sign.
+    One exception: numpy's vectorized complex-by-complex product fuses its
+    multiply-adds on CPUs with FMA, so where rotations mix genuinely complex
+    entries the last bit can differ from a numpy-slice solver.  Real matrices
+    and every matrix the constructors of :mod:`mixent.schemes` build are not
+    affected.
+
     Returns eigenvalues in ascending order and the matching eigenvectors as
     columns of a unitary matrix.
     """
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise InvalidShapeError(f"expected a square matrix, got shape {a.shape}")
-    v = np.eye(n, dtype=np.complex128)
-    scale = _frobenius(a)
+    arr = np.array(matrix, dtype=np.complex128)
+    n = arr.shape[0]
+    if arr.ndim != 2 or arr.shape != (n, n):
+        raise InvalidShapeError(f"expected a square matrix, got shape {arr.shape}")
+    a = arr.tolist()
+    scale = math.sqrt(_pairwise_sum([h * h for row in a for h in map(abs, row)]))
     if scale == 0.0 or n == 1:
-        w = np.diag(a).real.copy()
-        return w, v
+        return arr.diagonal().real.copy(), np.eye(n, dtype=np.complex128)
 
+    v = np.eye(n, dtype=np.complex128).tolist()
     threshold = tol * scale
     for _ in range(max_sweeps):
-        absq = np.abs(a) ** 2
-        np.fill_diagonal(absq, 0.0)
-        off = float(np.sqrt(absq.sum()))
-        if off <= threshold:
-            w = np.diag(a).real.copy()
+        absq = [h * h for row in a for h in map(abs, row)]
+        absq[:: n + 1] = [0.0] * n
+        if math.sqrt(_pairwise_sum(absq)) <= threshold:
+            w = np.array([row[i].real for i, row in enumerate(a)])
             order = np.argsort(w, kind="stable")
-            return w[order], v[:, order]
+            return w[order], np.array(v)[:, order]
         for p in range(n - 1):
             for q in range(p + 1, n):
-                g = a[p, q]
+                g = a[p][q]
                 h = abs(g)
                 if h == 0.0:
                     continue
-                phase = g / h
-                theta = (a[p, p].real - a[q, q].real) / (2.0 * h)
+                # g / h as numpy computes it (Smith's division by h + 0j)
+                inv = 1.0 / h
+                phase = complex((g.real + g.imag * 0.0) * inv, (g.imag - g.real * 0.0) * inv)
+                theta = (a[p][p].real - a[q][q].real) / (2.0 * h)
                 if theta == 0.0:
                     t = 1.0
                 else:
-                    t = -np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    # abs(complex) is libm hypot, as np.hypot; math.hypot rounds differently
+                    t = (-1.0 if theta > 0.0 else 1.0) / (abs(theta) + abs(complex(1.0, theta)))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # column block of U at (p, q)
-                upp, upq = c, s
-                uqp, uqq = -s * np.conj(phase), c * np.conj(phase)
-                col_p = a[:, p] * upp + a[:, q] * uqp
-                col_q = a[:, p] * upq + a[:, q] * uqq
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = np.conj(upp) * a[p, :] + np.conj(uqp) * a[q, :]
-                row_q = np.conj(upq) * a[p, :] + np.conj(uqq) * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
+                # column block of U at (p, q): [[c, s], [uqp, uqq]]
+                uqp = -s * phase.conjugate()
+                uqq = c * phase.conjugate()
+                for row in a:
+                    row[p], row[q] = row[p] * c + row[q] * uqp, row[p] * s + row[q] * uqq
+                row_p, row_q = a[p], a[q]
+                cqp, cqq = uqp.conjugate(), uqq.conjugate()
+                for k in range(n):
+                    row_p[k], row_q[k] = c * row_p[k] + cqp * row_q[k], s * row_p[k] + cqq * row_q[k]
                 # the rotation zeroes (p, q) analytically; kill the roundoff
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                col_p = v[:, p] * upp + v[:, q] * uqp
-                col_q = v[:, p] * upq + v[:, q] * uqq
-                v[:, p], v[:, q] = col_p, col_q
+                row_p[q] = row_q[p] = 0j
+                row_p[p] = complex(row_p[p].real)
+                row_q[q] = complex(row_q[q].real)
+                for row in v:
+                    row[p], row[q] = row[p] * c + row[q] * uqp, row[p] * s + row[q] * uqq
     raise ArithmeticError("Jacobi eigensolver did not converge")
 
 

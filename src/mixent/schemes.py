@@ -217,6 +217,37 @@ def _bs_gaussian_log(a: float, b: float, v_eff: float, d_eff: float) -> float:
     )
 
 
+def _bs_table():
+    """Signed contraction of the nine beam-splitter exponentials, per entry and term.
+
+    The sixteen coherent components (i1, i2, i3, i4) of an entry give Gaussian
+    integrals at a = u1 e[i1] + u3 e[i3], b = u2 e[i2] + u4 e[i4] with
+    e = (gamma, -gamma), so (a, b) takes one of nine values in
+    {-2 gamma, 0, 2 gamma}^2.  For each output entry (s1, s2, s1', s2') and
+    each term of ``_BS_TERMS`` the table lists, in component order, the
+    sixteen indices 3 i_a + i_b into the nine exponentials followed by their
+    negatives (+9 where the cat signs multiply to -1).
+    """
+    csign = ((1.0, 1.0), (1.0, -1.0))  # cat coefficients of (|gamma>, |-gamma>)
+    e = (1, -1)
+    table = []
+    for s1, s2, s1p, s2p in product(range(2), repeat=4):
+        terms = []
+        for u1, u2, u3, u4 in _BS_TERMS:
+            indices = []
+            for i1, i2, i3, i4 in product(range(2), repeat=4):
+                coeff = csign[s1][i1] * csign[s1p][i2] * csign[s2][i3] * csign[s2p][i4]
+                ia = (u1 * e[i1] + u3 * e[i3]) // 2 + 1
+                ib = (u2 * e[i2] + u4 * e[i4]) // 2 + 1
+                indices.append(3 * ia + ib + (9 if coeff < 0.0 else 0))
+            terms.append(tuple(indices))
+        table.append(((s1, s2, s1p, s2p), tuple(terms)))
+    return tuple(table)
+
+
+_BS_TABLE = _bs_table()
+
+
 def _bs_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int):
     """Cat-projected beam-splitter kernel, returned as (normalized 4x4, log scale).
 
@@ -226,34 +257,35 @@ def _bs_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: in
     the sixteen coherent components of the four projectors.  All exponentials
     are shifted by the largest exponent so the entries stay representable at
     any displacement; the shift comes back as the log scale.
+
+    Only nine distinct exponentials occur; they are evaluated once and summed
+    through ``_BS_TABLE`` one component at a time, then term by term, in the
+    order of the direct sixteen-component loop and with zero-weight terms
+    skipped.  That keeps every entry's rounding, so the structurally zero NPT
+    of a separable state stays exactly zero; a reordered sum (``einsum``,
+    ``np.sum``, ``math.fsum``) turns some of those zeros into roundoff.
     """
     g = basis.gamma
     v_eff = (t.variance + 1.0) / 2.0
     d_eff = t.displacement / math.sqrt(2.0)
     norms = (basis.n_plus, basis.n_minus)
     weights = (1.0, 1.0, sign * m.r, sign * m.r)
-    eps = (g, -g)
-    csign = ((1.0, 1.0), (1.0, -1.0))  # cat coefficients of (|gamma>, |-gamma>)
+    shifts = (-2.0 * g, 0.0, 2.0 * g)
 
-    log_shift = max(
-        _bs_gaussian_log(a, b, v_eff, d_eff)
-        for a in (-2.0 * g, 0.0, 2.0 * g)
-        for b in (-2.0 * g, 0.0, 2.0 * g)
-    ) - 2.0 * g * g
+    logs = [_bs_gaussian_log(a, b, v_eff, d_eff) for a in shifts for b in shifts]
+    log_shift = max(logs) - 2.0 * g * g
+    exps = [_exp_or_zero(x - 2.0 * g * g - log_shift) for x in logs]
+    signed = exps + [-x for x in exps]  # -x is exactly (-1.0) * x
 
     out = np.zeros((4, 4), dtype=np.complex128)
-    for s1, s2, s1p, s2p in product(range(2), repeat=4):
+    for (s1, s2, s1p, s2p), terms in _BS_TABLE:
         total = 0.0
-        for w_t, (u1, u2, u3, u4) in zip(weights, _BS_TERMS):
+        for w_t, indices in zip(weights, terms):
             if w_t == 0.0:
                 continue
             acc = 0.0
-            for i1, i2, i3, i4 in product(range(2), repeat=4):
-                a = u1 * eps[i1] + u3 * eps[i3]
-                b = u2 * eps[i2] + u4 * eps[i4]
-                coeff = csign[s1][i1] * csign[s1p][i2] * csign[s2][i3] * csign[s2p][i4]
-                log_val = _bs_gaussian_log(a, b, v_eff, d_eff) - 2.0 * g * g - log_shift
-                acc += coeff * _exp_or_zero(log_val)
+            for k in indices:
+                acc += signed[k]
             total += w_t * acc
         out[2 * s1 + s2, 2 * s1p + s2p] = (
             norms[s1] * norms[s1p] * norms[s2] * norms[s2p] * total

@@ -1,11 +1,16 @@
 """CLI: sweeps, CSV format, presets, validation, exit codes."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixent import cli
+from mixent.qlinalg import DegenerateStateError
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "presets.json"
 
 
 def make_spec(**kw):
@@ -68,6 +73,31 @@ class TestSweep:
         _, text, _ = cli.run_sweep(spec)
         rows = [line.split(",") for line in text.splitlines()[2:]]
         assert [float(r[1]) for r in rows] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("scheme", ["bs", "tt"])
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_zero_probability_row_is_nan_and_sweep_goes_on(self, scheme, validate, capsys):
+        # sign -1, r = 1 has zero probability at V = 1, d = 0 (the first row)
+        argv = ["sweep", "--scheme", scheme, "--set", "sign=-", "--set", "r=1"]
+        argv += ["--set", "gamma=2", "--set", "d=0", "--sweep", "V:1:2:3"]
+        assert cli.main(argv + (["--validate"] if validate else [])) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 3
+        assert rows[0][1:3] == ["nan", "nan"]
+        assert all(math.isfinite(float(x)) for row in rows[1:] for x in row)
+        if validate:
+            # the oracle columns come from the kernel, which is defined there
+            assert rows[0][3] == "nan" and float(rows[0][4]) <= 1e-8
+        # the library call still raises
+        args = cli._cat_args({"r": 1.0, "V": 1.0, "d": 0.0, "gamma": 2.0, "sign": -1})
+        with pytest.raises(DegenerateStateError):
+            cli._call(cli.SCHEMES[scheme].construct, args)
+
+    def test_zero_probability_jc_row(self, capsys):
+        argv = ["sweep", "--scheme", "jc", "--set", "p=0", "--set", "lam=0", "--set", "n=3"]
+        assert cli.main(argv + ["--sweep", "gt:0:1:2", "--validate"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [row[1:4] for row in rows] == [["nan", "0", "nan"]] * 2
 
     def test_file_output_newlines(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -164,6 +194,29 @@ class TestMain:
         assert code == 0
         assert len(out.splitlines()) == 5  # override wins
 
+    def test_scheme_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("scheme=direct_kerr\nV=10\ngamma=2\nsweep=d:0:20:3\n")
+        argv = ["sweep", "--config", str(cfg), "--scheme", "kerr_micro_thermal", "--set", "r=1"]
+        assert cli.main(argv) == 0
+        spec = cli.SweepSpec("kerr_micro_thermal", {"V": 10.0, "gamma": 2.0, "r": 1.0}, ("d", 0.0, 20.0, 3))
+        assert capsys.readouterr().out == cli.run_sweep(spec)[1]
+
+    def test_out_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        from_file, from_flag = tmp_path / "cfg.csv", tmp_path / "flag.csv"
+        cfg.write_text(f"scheme=direct_kerr\nV=10\ngamma=2\nsweep=d:0:20:3\nout={from_file}\n")
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(from_flag)]) == 0
+        assert from_flag.read_text().startswith("# mixent-csv v1\n")
+        assert not from_file.exists()
+
+    def test_validate_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("scheme=direct_kerr\nV=10\ngamma=2\nsweep=d:0:20:3\nvalidate=0\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 3  # tolerance 0 fails every row
+        assert cli.main(["sweep", "--config", str(cfg), "--validate"]) == 0
+        assert cli.main(["sweep", "--config", str(cfg), "--validate=1e-3"]) == 0
+
     def test_validate_jc_grid(self, capsys):
         assert cli.main(["validate", "jc-grid"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -258,3 +311,25 @@ class TestPresets:
         # once the curve has risen past half maximum it does not fall back to zero
         risen = np.flatnonzero(npts > 0.5 * npts.max())[0]
         assert np.all(npts[risen:] > 0.0)
+
+    def test_presets_match_reference(self):
+        # the benchmark gate's rules: |dnpt| <= 1e-12, exact zeros stay exact,
+        # NaN parity, trace within 1e-12 relative
+        reference = json.loads(REFERENCE.read_text())["presets"]
+        assert sorted(reference) == sorted(cli.PRESETS)
+        for name, spec in cli.PRESETS.items():
+            code, text, _ = cli.run_sweep(spec)
+            assert code == 0
+            rows = [[float(x) for x in line.split(",")] for line in text.splitlines()[2:]]
+            assert len(rows) == len(reference[name]), name
+            for (x, npt, trace), (rx, rnpt, rtrace) in zip(rows, reference[name]):
+                at = (name, x)
+                assert abs(x - rx) <= 1e-12 * max(1.0, abs(rx)), at
+                assert math.isnan(npt) == math.isnan(rnpt), at
+                if rnpt == 0.0:
+                    assert npt == 0.0, at
+                elif not math.isnan(rnpt):
+                    assert abs(npt - rnpt) <= 1e-12, at
+                assert math.isnan(trace) == math.isnan(rtrace), at
+                if not math.isnan(rtrace):
+                    assert abs(trace - rtrace) <= 1e-12 * abs(rtrace), at

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
+from mixent import qlinalg, schemes
 from mixent.qlinalg import (
     DegenerateStateError,
     HermiticityError,
@@ -128,6 +129,135 @@ class TestEigensolver:
         w, v = mx.hermitian_eigensystem(h)
         assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(h))) < 1e-10
         assert np.max(np.abs(v.conj().T @ v - np.eye(24))) < 1e-12
+
+
+def reference_jacobi(matrix, tol=qlinalg.JACOBI_TOL, max_sweeps=60):
+    """The cyclic Jacobi on numpy row and column slices that the scalar solver replaced."""
+    a = np.array(matrix, dtype=np.complex128)
+    n = a.shape[0]
+    v = np.eye(n, dtype=np.complex128)
+    scale = float(np.sqrt((np.abs(a) ** 2).sum()))
+    if scale == 0.0 or n == 1:
+        return np.diag(a).real.copy(), v
+    for _ in range(max_sweeps):
+        absq = np.abs(a) ** 2
+        np.fill_diagonal(absq, 0.0)
+        if float(np.sqrt(absq.sum())) <= tol * scale:
+            w = np.diag(a).real.copy()
+            order = np.argsort(w, kind="stable")
+            return w[order], v[:, order]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = a[p, q]
+                h = abs(g)
+                if h == 0.0:
+                    continue
+                phase = g / h
+                theta = (a[p, p].real - a[q, q].real) / (2.0 * h)
+                t = 1.0 if theta == 0.0 else -np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                uqp, uqq = -s * np.conj(phase), c * np.conj(phase)
+                a[:, p], a[:, q] = a[:, p] * c + a[:, q] * uqp, a[:, p] * s + a[:, q] * uqq
+                a[p, :], a[q, :] = (
+                    c * a[p, :] + np.conj(uqp) * a[q, :],
+                    s * a[p, :] + np.conj(uqq) * a[q, :],
+                )
+                a[p, q] = a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                v[:, p], v[:, q] = v[:, p] * c + v[:, q] * uqp, v[:, p] * s + v[:, q] * uqq
+    raise ArithmeticError("did not converge")
+
+
+def scheme_npt_sources(rng, count):
+    """Trace-normalized partial transposes of the states the constructors build."""
+    for i in range(count):
+        v = 10.0 ** rng.uniform(0.0, 4.0)
+        thermal = mx.ThermalParams(v, rng.choice([0.0, rng.uniform(0.0, 3.0 * v**0.5)]))
+        basis = mx.CatBasis(10.0 ** rng.uniform(-0.5, 0.7))
+        micro = mx.MicroState(rng.choice([0.0, 1.0, rng.uniform()]))
+        kind = i % 5
+        if kind == 0:
+            params = mx.AtomFieldParams(
+                p=rng.uniform(), lam=rng.uniform(0.0, 0.999), gt=rng.uniform(0.0, 7.0),
+                n=int(rng.integers(0, 6)),
+            )
+            out = schemes.jc_projected(params)
+        elif kind == 1:
+            out = schemes.kerr_micro_thermal_projected(micro, thermal, basis)
+        elif kind == 2:
+            out = schemes.bs_scheme_projected(micro, thermal, basis, 1)
+        elif kind == 3:
+            out = schemes.tt_scheme_projected(micro, thermal, basis, 1)
+        else:
+            out = schemes.direct_kerr_projected(thermal, basis)
+        pt = mx.partial_transpose(out.matrix, "B")
+        tr = pt.trace().real
+        if tr > 1e-300:
+            yield qlinalg._symmetrized_entries(pt.scaled(1.0 / tr))
+
+
+class TestScalarJacobiBits:
+    """The scalar solver keeps the numpy-slice solver's rounding."""
+
+    @staticmethod
+    def assert_same_bits(h):
+        w, v = mx.hermitian_eigensystem(h)
+        rw, rv = reference_jacobi(h)
+        assert w.tobytes() == rw.tobytes() and v.tobytes() == rv.tobytes()
+
+    def test_pairwise_sum_rounds_as_numpy(self):
+        rng = np.random.default_rng(40)
+        for n in range(0, 600):
+            x = rng.random(n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
+            assert qlinalg._pairwise_sum(x.tolist()) == x.sum(), n
+
+    def test_real_symmetric(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4, 5, 8, 12):
+            for _ in range(40 if n == 4 else 5):
+                a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-20.0, 20.0)
+                a = a * (rng.random((n, n)) < 0.7)  # with exact zeros
+                self.assert_same_bits((a + a.T) / 2)
+
+    def test_scheme_matrices(self):
+        rng = np.random.default_rng(42)
+        sources = list(scheme_npt_sources(rng, 300))
+        assert len(sources) > 250
+        for h in sources:
+            self.assert_same_bits(h)
+
+
+class TestComplexEigensystem:
+    """Accuracy on genuinely complex Hermitian 4x4 matrices, against LAPACK."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(43)
+        for i in range(400):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            if i % 4 == 1:
+                a = a * (rng.random((4, 4)) < 0.5)  # exact zeros
+            elif i % 4 == 2:
+                a = 1j * a.real  # purely imaginary off the diagonal
+            elif i % 4 == 3:
+                a = a * 10.0 ** rng.uniform(-100.0, 100.0)
+            yield (a + a.conj().T) / 2
+
+    def test_eigenvalues_match_eigvalsh(self):
+        for h in self.matrices():
+            w, _ = mx.hermitian_eigensystem(h)
+            norm = np.linalg.norm(h)
+            assert np.max(np.abs(w - np.linalg.eigvalsh(h))) <= 1e-12 * norm
+            assert np.all(np.diff(w) >= 0.0)
+
+    def test_eigenvectors(self):
+        for h in self.matrices():
+            w, v = mx.hermitian_eigensystem(h)
+            norm = np.linalg.norm(h)
+            assert np.max(np.abs(h @ v - v * w)) <= 1e-12 * norm
+            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-12
 
 
 class TestNpt:

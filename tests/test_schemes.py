@@ -1,11 +1,13 @@
 """Closed-form projected states: structure, zeros, pure-state limits."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 import mixent as mx
+from mixent import schemes
 from mixent.qlinalg import DegenerateStateError
 from mixent.schemes import (
     bs_projected_kernel,
@@ -169,6 +171,95 @@ class TestBeamSplitterScheme:
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             bs_scheme_projected(mx.MicroState(0.5), mx.ThermalParams(2.0, 0.0), G2, 0)
+
+
+def reference_bs_kernel(m, t, basis, sign):
+    """The direct beam-splitter kernel: one Gaussian integral per coherent component.
+
+    This is the sixteen-component loop that ``_bs_kernel_scaled`` replaced;
+    the table-driven kernel must reproduce it bit for bit.
+    """
+    g = basis.gamma
+    v_eff = (t.variance + 1.0) / 2.0
+    d_eff = t.displacement / math.sqrt(2.0)
+    norms = (basis.n_plus, basis.n_minus)
+    weights = (1.0, 1.0, sign * m.r, sign * m.r)
+    eps = (g, -g)
+    csign = ((1.0, 1.0), (1.0, -1.0))
+    log_shift = max(
+        schemes._bs_gaussian_log(a, b, v_eff, d_eff)
+        for a in (-2.0 * g, 0.0, 2.0 * g)
+        for b in (-2.0 * g, 0.0, 2.0 * g)
+    ) - 2.0 * g * g
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for s1, s2, s1p, s2p in product(range(2), repeat=4):
+        total = 0.0
+        for w_t, (u1, u2, u3, u4) in zip(weights, schemes._BS_TERMS):
+            if w_t == 0.0:
+                continue
+            acc = 0.0
+            for i1, i2, i3, i4 in product(range(2), repeat=4):
+                a = u1 * eps[i1] + u3 * eps[i3]
+                b = u2 * eps[i2] + u4 * eps[i4]
+                coeff = csign[s1][i1] * csign[s1p][i2] * csign[s2][i3] * csign[s2p][i4]
+                log_val = schemes._bs_gaussian_log(a, b, v_eff, d_eff) - 2.0 * g * g - log_shift
+                acc += coeff * schemes._exp_or_zero(log_val)
+            total += w_t * acc
+        out[2 * s1 + s2, 2 * s1p + s2p] = norms[s1] * norms[s1p] * norms[s2] * norms[s2p] * total
+    return out, log_shift
+
+
+class TestBeamSplitterKernelBits:
+    """The nine-exponential kernel against the direct loop, bit for bit."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(31)
+        corners = [
+            (0.0, 1.0, 0.0),  # r = 0, V = 1, d = 0
+            (1.0, 1.0, 0.0),  # the zero-probability point of sign -1
+            (1.0, 1000.0, 0.0),
+            (0.0, 50.0, 3.0),
+            (1.0, 2.0, 80.0),  # d^2 / V far past exp underflow
+            (0.3, 1.0, 500.0),
+        ]
+        for r, v, d in corners:
+            for gamma in (0.4, 2.0, 4.5):
+                for sign in (1, -1):
+                    yield r, v, d, gamma, sign
+        for _ in range(240):
+            r = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            v = float(rng.choice([1.0, 10.0 ** rng.uniform(0.0, 6.0)]))
+            d = float(rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 3.5)]))
+            gamma = float(10.0 ** rng.uniform(-0.5, 0.7))
+            yield r, v, d, gamma, int(rng.choice([1, -1]))
+
+    def test_matches_direct_loop_bit_for_bit(self):
+        covered = dict.fromkeys(("r=0", "r=1", "sign+", "sign-", "d=0", "V=1", "underflow"), 0)
+        count = 0
+        for r, v, d, gamma, sign in self.draws():
+            args = (mx.MicroState(r), mx.ThermalParams(v, d), mx.CatBasis(gamma), sign)
+            out, log_shift = schemes._bs_kernel_scaled(*args)
+            ref, ref_shift = reference_bs_kernel(*args)
+            # byte equality: np.array_equal, and the signs of zeros too
+            assert out.tobytes() == ref.tobytes(), (r, v, d, gamma, sign)
+            assert log_shift == ref_shift
+            count += 1
+            shifts = (-2.0 * gamma, 0.0, 2.0 * gamma)
+            logs = [
+                schemes._bs_gaussian_log(a, b, (v + 1.0) / 2.0, d / math.sqrt(2.0))
+                for a in shifts
+                for b in shifts
+            ]
+            covered["r=0"] += r == 0.0
+            covered["r=1"] += r == 1.0
+            covered["sign+"] += sign == 1
+            covered["sign-"] += sign == -1
+            covered["d=0"] += d == 0.0
+            covered["V=1"] += v == 1.0
+            covered["underflow"] += min(logs) - max(logs) < -745.0
+        assert count >= 200
+        assert min(covered.values()) >= 10, covered
 
 
 class TestTwoThermalScheme:
