@@ -7,9 +7,7 @@ quadrature) that cross-validate every closed form.
 """
 
 from .oracle import (
-    FockSpace,
     OracleUnstableError,
-    ProjectionRangeError,
     QuadratureGrid,
     TruncationTailError,
     fock_space_for,

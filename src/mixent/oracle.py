@@ -3,9 +3,12 @@
 Two routes, deliberately different from the constructors in
 :mod:`mixent.schemes`:
 
-* :func:`jc_fock_projected` evolves the full atom (x) truncated-Fock product
-  state with the exact blockwise propagator and extracts the projected 4x4
-  submatrix, never touching the closed-form entries.
+* :func:`jc_fock_projected` builds the atom (x) thermal-field product state
+  on Fock levels 0..n+2, evolves it literally as U rho U^dagger with the
+  dense :func:`jc_propagator` and slices out the projected 4x4 block, never
+  touching the closed-form entries.  The propagator is block diagonal over
+  the doublets {|e,k>, |g,k+1>}, so the block is exact for any truncation
+  that holds level n+2 and no thermal tail budget is needed.
 * :func:`quadrature_projected` evaluates every matrix element of the four
   cross-Kerr schemes by two-dimensional Gauss-Hermite quadrature over the
   thermal coherent-state weight, using nothing but coherent-overlap values at
@@ -36,9 +39,7 @@ from .qlinalg import BipartiteMatrix
 from .states import AtomFieldParams, CatBasis, MicroState, ThermalParams
 
 __all__ = [
-    "FockSpace",
     "OracleUnstableError",
-    "ProjectionRangeError",
     "QuadratureGrid",
     "TruncationTailError",
     "fock_space_for",
@@ -55,82 +56,60 @@ class TruncationTailError(ValueError):
     """Thermal weight beyond the Fock truncation exceeds the allowed tail."""
 
 
-class ProjectionRangeError(ValueError):
-    """Projection indices do not fit inside the truncated space."""
-
-
 class OracleUnstableError(RuntimeError):
     """Doubling the quadrature order moved a validated entry too much."""
 
 
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncated number basis {|0>, ..., |n_max>} with a tail budget.
+# Thermal probability weight allowed above an explicit Fock truncation, and
+# the largest truncation fock_space_for will choose.
+TAIL_TOLERANCE = 1e-12
+N_MAX_CAP = 2000
 
-    ``tail_tolerance`` bounds the thermal probability weight allowed above
-    ``n_max``; consumers check it against the lambda they are given.
+
+def fock_space_for(lam: float, n: int = 0) -> int:
+    """Smallest n_max >= n + 2 whose thermal tail lam^(n_max+1) is within budget.
+
+    The test is the one :func:`thermal_fock_matrix` applies, so the truncation
+    returned here always passes it.
     """
-
-    n_max: int
-    tail_tolerance: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if not 0.0 < self.tail_tolerance < 1.0:
-            raise ValueError("tail_tolerance must lie in (0, 1)")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-    def thermal_tail(self, lam: float) -> float:
-        """Probability weight of the thermal state above n_max: lam^(n_max+1)."""
-        return lam ** (self.n_max + 1)
-
-
-def fock_space_for(
-    lam: float, n: int = 0, tail_tolerance: float = 1e-12, n_cap: int = 2000
-) -> FockSpace:
-    """Smallest truncation meeting the tail budget, capped at ``n_cap``."""
-    n_need = n + 2
-    if lam > 0.0:
-        n_tail = math.ceil(math.log(tail_tolerance) / math.log(lam)) - 1
-        n_need = max(n_need, n_tail)
-    if n_need > n_cap:
+    n_max = n + 2
+    while n_max <= N_MAX_CAP and lam ** (n_max + 1) > TAIL_TOLERANCE:
+        n_max += 1
+    if n_max > N_MAX_CAP:
         raise TruncationTailError(
-            f"lam={lam} needs n_max={n_need} > cap {n_cap} for tail {tail_tolerance}"
+            f"lam={lam}, n={n} needs n_max > cap {N_MAX_CAP} for tail {TAIL_TOLERANCE:.0e}"
         )
-    return FockSpace(n_max=max(n_need, 1), tail_tolerance=tail_tolerance)
+    return n_max
 
 
 def _thermal_weights(lam: float, n_max: int) -> np.ndarray:
     return (1.0 - lam) * lam ** np.arange(n_max + 1, dtype=float)
 
 
-def thermal_fock_matrix(lam: float, space: FockSpace) -> BipartiteMatrix:
-    """Truncated thermal state diag((1-lam) lam^k) as a (1, dim) bipartite matrix."""
+def thermal_fock_matrix(lam: float, n_max: int) -> BipartiteMatrix:
+    """Thermal state diag((1-lam) lam^k), k = 0..n_max, as a (1, n_max+1) bipartite matrix."""
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must lie in [0, 1), got {lam}")
-    if space.thermal_tail(lam) > space.tail_tolerance:
-        raise TruncationTailError(
-            f"tail {space.thermal_tail(lam):.3e} exceeds budget {space.tail_tolerance:.0e}"
-        )
-    return BipartiteMatrix(1, space.dim, np.diag(_thermal_weights(lam, space.n_max)))
+    tail = lam ** (n_max + 1)
+    if tail > TAIL_TOLERANCE:
+        raise TruncationTailError(f"tail {tail:.3e} exceeds budget {TAIL_TOLERANCE:.0e}")
+    return BipartiteMatrix(1, n_max + 1, np.diag(_thermal_weights(lam, n_max)))
 
 
-def jc_propagator(params: AtomFieldParams, space: FockSpace) -> np.ndarray:
-    """Dense exchange-interaction propagator on atom (x) truncated Fock space.
+def jc_propagator(params: AtomFieldParams, n_max: int) -> np.ndarray:
+    """Dense exchange-interaction propagator on atom (x) Fock levels 0..n_max.
 
-    Index layout: row = atom * dim + k with atom 0 = ground, 1 = excited.
+    Index layout: row = atom * (n_max+1) + k with atom 0 = ground, 1 = excited.
     The propagator is block diagonal over the doublets {|e,k>, |g,k+1>},
     rotating each by the angle gt sqrt(k+1); |g,0> is stationary and the top
-    excited level is frozen so the construction stays exactly unitary.
+    excited level |e,n_max> is frozen so the construction stays exactly
+    unitary.  Every doublet below the top level is therefore evolved exactly,
+    whatever n_max is.
     """
-    dim = space.dim
+    dim = n_max + 1
     gt = params.gt
     u = np.eye(2 * dim, dtype=np.complex128)
-    for k in range(space.n_max):
+    for k in range(n_max):
         theta = gt * math.sqrt(k + 1.0)
         c, s = math.cos(theta), math.sin(theta)
         ie = dim + k  # |e, k>
@@ -142,43 +121,25 @@ def jc_propagator(params: AtomFieldParams, space: FockSpace) -> np.ndarray:
     return u
 
 
-def jc_fock_projected(params: AtomFieldParams, space: FockSpace) -> BipartiteMatrix:
-    """Evolve the atom-thermal product state exactly, project the field.
+def jc_fock_projected(params: AtomFieldParams) -> BipartiteMatrix:
+    """Evolve the atom-thermal product state as U rho U^dagger, project the field.
 
-    The initial state is diagonal and the propagator block diagonal, so the
-    evolved state decomposes into independent 2x2 doublet blocks; they are
-    rotated exactly and the submatrix on field levels {n, n+1} is returned in
-    the basis {|g,n>, |e,n>, |g,n+1>, |e,n+1>}.  Truncation never touches the
-    returned block (only doublets n-1, n, n+1 contribute), but the thermal
-    tail is still checked against the space's budget.
+    The initial state diag(1-p, p) (x) diag(P_0, ..., P_{n+2}), with photon
+    weights P_k = (1-lam) lam^k, lives on Fock levels 0..n+2; it is evolved
+    with the dense :func:`jc_propagator` and the submatrix on field levels
+    {n, n+1} is returned in the basis {|g,n>, |e,n>, |g,n+1>, |e,n+1>}.
+    That block only involves the doublets n-1, n and n+1, which the
+    truncation holds whole, so it is exact for every lam < 1: no thermal tail
+    budget applies.
     """
-    lam, p, n = params.lam, params.p, params.n
-    q = 1.0 - p
-    if space.thermal_tail(lam) > space.tail_tolerance:
-        raise TruncationTailError(
-            f"tail {space.thermal_tail(lam):.3e} exceeds budget {space.tail_tolerance:.0e}"
-        )
-    if n + 2 > space.n_max:
-        raise ProjectionRangeError(
-            f"projection onto {{{n}, {n + 1}}} needs n_max >= {n + 2}, got {space.n_max}"
-        )
-    pk = _thermal_weights(lam, space.n_max)
-    thetas = params.gt * np.sqrt(np.arange(1, space.n_max + 1, dtype=float))
-    c, s = np.cos(thetas), np.sin(thetas)
-    w_e = p * pk[:-1]  # weight of |e,k> entering doublet k
-    w_g = q * pk[1:]  # weight of |g,k+1> entering doublet k
-    pop_e = np.concatenate([c * c * w_e + s * s * w_g, [p * pk[-1]]])
-    pop_g = np.concatenate([[q * pk[0]], s * s * w_e + c * c * w_g])
-    coh = 1j * c * s * (w_e - w_g)  # coefficient of |e,k><g,k+1|
-
-    out = np.zeros((4, 4), dtype=np.complex128)
-    out[0, 0] = pop_g[n]
-    out[1, 1] = pop_e[n]
-    out[2, 2] = pop_g[n + 1]
-    out[3, 3] = pop_e[n + 1]
-    out[1, 2] = coh[n]
-    out[2, 1] = np.conj(coh[n])
-    return BipartiteMatrix(2, 2, out)
+    n_max = params.n + 2
+    dim = n_max + 1
+    field = np.diag(_thermal_weights(params.lam, n_max))
+    rho0 = np.kron(np.diag([1.0 - params.p, params.p]), field)
+    u = jc_propagator(params, n_max)
+    rho1 = u @ rho0 @ u.conj().T
+    idx = [params.n, dim + params.n, params.n + 1, dim + params.n + 1]
+    return BipartiteMatrix(2, 2, rho1[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)

@@ -191,3 +191,29 @@ def test_criterion_9_preset_determinism(tmp_path):
     assert cli.main(["preset", "run", "fig2a", "--out", str(second)]) == 0
     identical = first.read_bytes() == second.read_bytes()
     report("criterion-9 preset fig2a byte-identical", identical, f"{first.stat().st_size} bytes")
+
+
+def test_criterion_10_purity_ladder():
+    # the paper's claim: entanglement survives as the purity of the mixed
+    # inputs goes to zero; d has to scale with V, since at fixed d the NPT
+    # decays with V
+    ok = True
+    details = []
+    for lam in (0.9, 0.999, 0.999999):
+        grid = [
+            mx.AtomFieldParams(p=1.0, lam=lam, gt=float(gt), n=0)
+            for gt in np.linspace(0.0, 2.0 * math.pi, 2001)
+        ]
+        values = [jc_projected(params).npt_normalized for params in grid]
+        best, at = max(values), grid[int(np.argmax(values))]
+        dev = mx.max_abs_deviation(jc_projected(at).matrix, mx.jc_fock_projected(at))
+        ok &= best >= 0.995 and dev <= 1e-10
+        details.append(f"jc purity {mx.field_purity(lam):.1e}: {best:.5f}")
+    for v in (1e3, 1e6, 1e9, 1e12, 1e15):
+        best = max(
+            direct_kerr_projected(mx.ThermalParams(v, float(d)), G2).npt_normalized
+            for d in np.linspace(1.9 * v, 2.2 * v, 61)
+        )
+        ok &= best >= 0.9999
+        details.append(f"direct purity {1.0 / v:.0e}: {best:.5f}")
+    report("criterion-10 NPT at vanishing purity", ok, "; ".join(details))

@@ -240,6 +240,15 @@ class TestMain:
             assert cli.main(argv) == 2, argv
             assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
+    def test_validated_jc_sweep_at_lam_one_tenth(self, capsys):
+        # at lam = 10^-k the thermal tail of a budgeted truncation lands on
+        # the budget itself; the oracle must need no budget
+        argv = ["sweep", "--scheme", "jc", "--set", "p=0.5", "--set", "lam=0.1", "--set", "n=0"]
+        assert cli.main(argv + ["--sweep", "gt:0:1:3", "--validate"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 3
+        assert all(float(row[4]) <= 1e-10 for row in rows)
+
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
     def test_non_integer_n_exit_2(self, n, capsys):
         argv = ["sweep", "--scheme", "jc", "--sweep", "gt:0:1:2"]
@@ -288,6 +297,14 @@ class TestPresets:
                 assert value <= 1e-10, gt
             else:
                 assert value > 0.0, gt
+
+    @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f"])
+    def test_validated_fig1(self, name, tmp_path):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["preset", "run", name, "--out", str(out), "--validate"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 401
+        assert all(float(row[4]) <= 1e-10 for row in rows)
 
     def test_fig3a_rises_with_mixture(self, tmp_path):
         out = tmp_path / "fig3a.csv"

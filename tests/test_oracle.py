@@ -8,7 +8,6 @@ import pytest
 import mixent as mx
 from mixent.oracle import (
     OracleUnstableError,
-    ProjectionRangeError,
     TruncationTailError,
     _sandwich_block,
     fock_space_for,
@@ -24,35 +23,46 @@ G2 = mx.CatBasis(2.0)
 
 class TestFockSpace:
     def test_adaptive_choice_meets_tail(self):
-        space = fock_space_for(0.9, n=0)
-        assert space.thermal_tail(0.9) <= 1e-12
-        assert fock_space_for(0.0, n=5).n_max >= 7
+        n_max = fock_space_for(0.9, n=0)
+        assert 0.9 ** (n_max + 1) <= 1e-12 < 0.9**n_max
+        assert fock_space_for(0.0, n=5) >= 7
+
+    def test_choice_passes_thermal_matrix_check(self):
+        # at lam = 10^-k the exact tail of one candidate truncation equals the
+        # 1e-12 budget, and its floating-point value rounds just above it
+        for lam in (1e-4, 1e-3, 0.01, 0.1, 0.2, 0.5, 0.9):
+            thermal_fock_matrix(lam, fock_space_for(lam))
 
     def test_cap_rejects_hot_fields(self):
         with pytest.raises(TruncationTailError):
             fock_space_for(0.999, n=0)
 
-    def test_looser_budget_fits(self):
-        space = fock_space_for(0.99, n=0, tail_tolerance=1e-8)
-        assert space.n_max <= 2000
-        assert space.thermal_tail(0.99) <= 1e-8
-
     def test_thermal_matrix_purity(self):
         for lam in (0.0, 0.5, 0.9):
-            space = fock_space_for(lam)
-            m = thermal_fock_matrix(lam, space)
+            m = thermal_fock_matrix(lam, fock_space_for(lam))
             assert mx.purity(m) == pytest.approx((1 - lam) / (1 + lam), abs=1e-10)
 
     def test_thermal_matrix_tail_guard(self):
         with pytest.raises(TruncationTailError):
-            thermal_fock_matrix(0.9, mx.FockSpace(n_max=10))
+            thermal_fock_matrix(0.9, 10)
+
+
+def dense_evolution(params, n_max):
+    """U rho0 U^dagger on Fock levels 0..n_max, projected onto field levels {n, n+1}."""
+    dim = n_max + 1
+    weights = (1 - params.lam) * params.lam ** np.arange(dim)
+    rho0 = np.kron(np.diag([1 - params.p, params.p]), np.diag(weights))
+    u = jc_propagator(params, n_max)
+    rho1 = u @ rho0 @ u.conj().T
+    idx = [params.n, dim + params.n, params.n + 1, dim + params.n + 1]
+    return rho1[np.ix_(idx, idx)]
 
 
 class TestJcFockOracle:
     def test_vacuum_single_doublet(self):
         # pure excited atom, zero-temperature field: support is {|e,0>, |g,1>}
         params = mx.AtomFieldParams(p=1.0, lam=0.0, gt=0.83, n=0)
-        out = jc_fock_projected(params, fock_space_for(0.0, 0)).entries
+        out = jc_fock_projected(params).entries
         support = np.zeros((4, 4), dtype=bool)
         support[1:3, 1:3] = True
         assert np.all(out[~support] == 0.0)
@@ -61,48 +71,51 @@ class TestJcFockOracle:
 
     def test_no_interaction_diagonal_product(self):
         params = mx.AtomFieldParams(p=0.7, lam=0.5, gt=0.0, n=2)
-        out = jc_fock_projected(params, fock_space_for(0.5, 2)).entries
+        out = jc_fock_projected(params).entries
         w = lambda k: 0.5 * 0.5**k  # noqa: E731
         expected = np.diag([0.3 * w(2), 0.7 * w(2), 0.3 * w(3), 0.7 * w(3)])
         assert np.max(np.abs(out - expected)) < 1e-15
 
-    def test_projection_range_guard(self):
-        params = mx.AtomFieldParams(p=1.0, lam=0.0, gt=1.0, n=5)
-        with pytest.raises(ProjectionRangeError):
-            jc_fock_projected(params, mx.FockSpace(n_max=6))
-
-    def test_tail_guard(self):
-        params = mx.AtomFieldParams(p=1.0, lam=0.9, gt=1.0, n=0)
-        with pytest.raises(TruncationTailError):
-            jc_fock_projected(params, mx.FockSpace(n_max=20))
-
     def test_propagator_unitary(self):
         params = mx.AtomFieldParams(p=1.0, lam=0.5, gt=1.37, n=0)
-        space = mx.FockSpace(n_max=120)
-        u = jc_propagator(params, space)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * space.dim))) <= 1e-12
+        n_max = 120
+        u = jc_propagator(params, n_max)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * (n_max + 1)))) <= 1e-12
 
     def test_excitation_conservation(self):
         params = mx.AtomFieldParams(p=1.0, lam=0.5, gt=2.1, n=0)
-        space = mx.FockSpace(n_max=60)
-        u = jc_propagator(params, space)
-        numbers = np.arange(space.dim, dtype=float)
-        excitation = np.diag(np.kron([0.0, 1.0], np.ones(space.dim)) + np.kron([1.0, 1.0], numbers))
+        n_max = 60
+        u = jc_propagator(params, n_max)
+        numbers = np.arange(n_max + 1, dtype=float)
+        ones = np.ones(n_max + 1)
+        excitation = np.diag(np.kron([0.0, 1.0], ones) + np.kron([1.0, 1.0], numbers))
         assert np.max(np.abs(u.conj().T @ excitation @ u - excitation)) <= 1e-12
 
-    def test_blockwise_matches_dense_evolution(self):
-        # the vectorized doublet evolution must equal literal U rho U^dagger
-        params = mx.AtomFieldParams(p=0.35, lam=0.65, gt=1.9, n=3)
-        space = mx.FockSpace(n_max=80, tail_tolerance=1e-12)
-        dim = space.dim
-        weights = (1 - 0.65) * 0.65 ** np.arange(dim)
-        rho0 = np.kron(np.diag([0.65, 0.35]), np.diag(weights))
-        u = jc_propagator(params, space)
-        rho1 = u @ rho0 @ u.conj().T
-        idx = [params.n, dim + params.n, params.n + 1, dim + params.n + 1]
-        dense = rho1[np.ix_(idx, idx)]
-        fast = jc_fock_projected(params, space).entries
-        assert np.max(np.abs(dense - fast)) < 1e-14
+    def test_equals_evolution_on_larger_truncation(self):
+        # the block only involves doublets n-1, n, n+1: levels above n+2
+        # must not change it
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            params = mx.AtomFieldParams(
+                p=rng.uniform(),
+                lam=rng.uniform(0.0, 0.999),
+                gt=rng.uniform(0.0, 7.0),
+                n=int(rng.integers(0, 12)),
+            )
+            wide = dense_evolution(params, params.n + 40)
+            assert np.max(np.abs(jc_fock_projected(params).entries - wide)) <= 1e-15
+
+    def test_matches_closed_form_near_infinite_temperature(self):
+        # lam -> 1 is the paper's zero-purity limit; no truncation budget
+        # could hold the thermal tail there, and none is needed
+        rng = np.random.default_rng(12)
+        lams = np.concatenate([1.0 - 10.0 ** -rng.uniform(0.0, 6.0, 300), [0.999999]])
+        for lam in lams:
+            params = mx.AtomFieldParams(
+                p=rng.uniform(), lam=lam, gt=rng.uniform(0.0, 7.0), n=int(rng.integers(0, 12))
+            )
+            closed = mx.jc_projected(params).matrix
+            assert mx.max_abs_deviation(closed, jc_fock_projected(params)) <= 1e-10
 
 
 class TestQuadratureOracle:
