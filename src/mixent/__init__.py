@@ -8,7 +8,6 @@ quadrature) that cross-validate every closed form.
 
 from .oracle import (
     OracleUnstableError,
-    QuadratureGrid,
     TruncationTailError,
     fock_space_for,
     jc_fock_projected,

@@ -24,10 +24,10 @@ probability, is 0.  Under ``--validate`` such rows still carry the oracle
 columns, from the unnormalized kernel.  The library constructors raise
 :class:`~mixent.qlinalg.DegenerateStateError` for these points instead.
 
-Exit codes: 0 success, 2 invalid specification, 3 oracle deviation above
-tolerance.  CSV files start with the schema comment ``# mixent-csv v1``,
-use 17 significant digits and ``\\n`` line endings, and are byte-identical
-across runs of the same binary.
+Exit codes: 0 success, 2 invalid specification or unwritable ``--out``, 3
+oracle deviation above tolerance.  CSV files start with the schema comment
+``# mixent-csv v1``, use 17 significant digits and ``\\n`` line endings, and
+are byte-identical across runs of the same binary.
 """
 
 from __future__ import annotations
@@ -227,6 +227,8 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
         )
     if count < 2:
         raise SpecError(f"sweep count must be >= 2, got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SpecError(f"sweep bounds must be finite, got {start} .. {stop}")
     if not start < stop:
         raise SpecError(f"sweep needs start < stop, got {start} .. {stop}")
     given = set(spec.fixed) | {name}
@@ -292,7 +294,8 @@ def run_sweep(spec: SweepSpec):
     """Execute a sweep; returns (exit_code, csv_text, failures).
 
     ``failures`` lists (row_index, deviation) for validated rows above
-    tolerance; the CSV is complete either way.
+    tolerance; the CSV is complete either way.  An ``out`` path that cannot
+    be written raises :class:`SpecError`.
     """
     spec = _check_spec(spec)
     sdef = SCHEMES[spec.scheme]
@@ -309,8 +312,11 @@ def run_sweep(spec: SweepSpec):
             failures.append((i, deviation))
     csv_text = "\n".join(lines) + "\n"
     if spec.out:
-        with open(spec.out, "w", newline="\n") as fh:
-            fh.write(csv_text)
+        try:
+            with open(spec.out, "w", newline="\n") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {spec.out}: {exc.strerror or exc}") from None
     return (3 if failures else 0), csv_text, failures
 
 

@@ -20,17 +20,18 @@ exp(-|alpha|^2).  Nodes are therefore centered at u d/(u+1) and scaled by
 1/sqrt(u+1) -- the precision of the *product* -- which keeps every factor of
 the integrand resolved for any V; scaling by the thermal width alone misses
 the overlap peaks entirely once V >> 1.  In these coordinates each integrand
-term reduces to exp(2 zeta x) with |zeta| <= 2 gamma, for which the default
-order 80 is accurate to far below the validation tolerances.
+term reduces to exp(2 zeta x) with |zeta| <= 2 gamma, for which
+``QUADRATURE_ORDER`` = 80 points per axis are accurate to far below the
+validation tolerances.  The four single-mode sandwich blocks of one node set
+are evaluated together, from one pair of cat projections at +-alpha.
 
-Every quadrature result is re-evaluated at twice the order; a disagreement
-above the grid tolerance raises :class:`OracleUnstableError`.
+Every quadrature result is re-evaluated at twice the order; entries that move
+by more than ``DOUBLING_TOLERANCE`` raise :class:`OracleUnstableError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +41,6 @@ from .states import AtomFieldParams, CatBasis, MicroState, ThermalParams
 
 __all__ = [
     "OracleUnstableError",
-    "QuadratureGrid",
     "TruncationTailError",
     "fock_space_for",
     "jc_fock_projected",
@@ -64,6 +64,11 @@ class OracleUnstableError(RuntimeError):
 # the largest truncation fock_space_for will choose.
 TAIL_TOLERANCE = 1e-12
 N_MAX_CAP = 2000
+
+# Gauss-Hermite points per real axis, and the largest entry change allowed
+# when the order is doubled.
+QUADRATURE_ORDER = 80
+DOUBLING_TOLERANCE = 1e-10
 
 
 def fock_space_for(lam: float, n: int = 0) -> int:
@@ -142,20 +147,6 @@ def jc_fock_projected(params: AtomFieldParams) -> BipartiteMatrix:
     return BipartiteMatrix(2, 2, rho1[np.ix_(idx, idx)])
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Gauss-Hermite points per real axis plus the order-doubling budget."""
-
-    order: int = 80
-    doubling_tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.order <= 320:
-            raise ValueError(f"order must lie in [1, 320], got {self.order}")
-        if self.doubling_tolerance <= 0.0:
-            raise ValueError("doubling_tolerance must be positive")
-
-
 @lru_cache(maxsize=32)
 def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.hermite.hermgauss(order)
@@ -189,16 +180,16 @@ def _thermal_nodes(variance: float, displacement: float, order: int):
     return alpha.ravel(), np.exp(logw2.ravel())
 
 
-@lru_cache(maxsize=512)
-def _sandwich_block(
-    variance: float, displacement: float, gamma: float, order: int, w: int, wp: int
-) -> np.ndarray:
-    """Quadrature value of the 2x2 cat block <s| integral[P |w a><w' a|] |s'>."""
+@lru_cache(maxsize=128)
+def _sandwich_block(variance: float, displacement: float, gamma: float, order: int) -> dict:
+    """Quadrature values of the 2x2 cat blocks <s| integral[P |w a><w' a|] |s'>.
+
+    All four blocks, keyed by (w, w'), from one pair of projections at +-alpha.
+    """
     alpha, weight = _thermal_nodes(variance, displacement, order)
     basis = CatBasis(gamma)
-    left = np.vstack(basis.coherent_projection(w * alpha))  # rows: <+|, <-|
-    right = np.vstack(basis.coherent_projection(wp * alpha))
-    return (left * weight) @ right.conj().T
+    proj = {w: np.vstack(basis.coherent_projection(w * alpha)) for w in (1, -1)}
+    return {(w, wp): (proj[w] * weight) @ proj[wp].conj().T for w in (1, -1) for wp in (1, -1)}
 
 
 @lru_cache(maxsize=256)
@@ -228,12 +219,12 @@ def _bs_term_matrices(
 
 def _quad_kerr_micro_thermal(micro, thermal, basis, order):
     r = micro.r
-    v, d, g = thermal.variance, thermal.displacement, basis.gamma
+    b = _sandwich_block(thermal.variance, thermal.displacement, basis.gamma, order)
     out = np.zeros((4, 4), dtype=np.complex128)
-    out[:2, :2] = _sandwich_block(v, d, g, order, 1, 1)
-    out[2:, 2:] = _sandwich_block(v, d, g, order, -1, -1)
-    out[:2, 2:] = r * _sandwich_block(v, d, g, order, 1, -1)
-    out[2:, :2] = r * _sandwich_block(v, d, g, order, -1, 1)
+    out[:2, :2] = b[1, 1]
+    out[2:, 2:] = b[-1, -1]
+    out[:2, 2:] = r * b[1, -1]
+    out[2:, :2] = r * b[-1, 1]
     return 0.5 * out
 
 
@@ -244,15 +235,11 @@ def _quad_bs(micro, thermal, basis, sign, order):
 
 
 def _quad_tt(micro, thermal, basis, sign, order):
-    v, d, g = thermal.variance, thermal.displacement, basis.gamma
-    b_th = _sandwich_block(v, d, g, order, 1, 1)
-    b_th_m = _sandwich_block(v, d, g, order, -1, -1)
-    b_sig = _sandwich_block(v, d, g, order, 1, -1)
-    b_sig_m = _sandwich_block(v, d, g, order, -1, 1)
+    b = _sandwich_block(thermal.variance, thermal.displacement, basis.gamma, order)
     return (
-        np.kron(b_th, b_th)
-        + np.kron(b_th_m, b_th_m)
-        + sign * micro.r * (np.kron(b_sig, b_sig) + np.kron(b_sig_m, b_sig_m))
+        np.kron(b[1, 1], b[1, 1])
+        + np.kron(b[-1, -1], b[-1, -1])
+        + sign * micro.r * (np.kron(b[1, -1], b[1, -1]) + np.kron(b[-1, 1], b[-1, 1]))
     )
 
 
@@ -260,14 +247,12 @@ def _quad_direct_kerr(thermal, basis, order):
     # U|a>|b> spreads into the four parity combinations (+,+), (-,+), (+,-)
     # with weight 1/2 and (-,-) with weight -1/2; the projected state is the
     # signed sum of tensor products of single-mode sandwich blocks.
-    v, d, g = thermal.variance, thermal.displacement, basis.gamma
+    b = _sandwich_block(thermal.variance, thermal.displacement, basis.gamma, order)
     signs = {(1, 1): 0.5, (-1, 1): 0.5, (1, -1): 0.5, (-1, -1): -0.5}
     out = np.zeros((4, 4), dtype=np.complex128)
     for (w1, w2), s_ket in signs.items():
         for (w1p, w2p), s_bra in signs.items():
-            block1 = _sandwich_block(v, d, g, order, w1, w1p)
-            block2 = _sandwich_block(v, d, g, order, w2, w2p)
-            out += s_ket * s_bra * np.kron(block1, block2)
+            out += s_ket * s_bra * np.kron(b[w1, w1p], b[w2, w2p])
     return out
 
 
@@ -290,7 +275,6 @@ def quadrature_projected(
     basis: CatBasis,
     micro: MicroState | None = None,
     sign: int | None = None,
-    grid: QuadratureGrid | None = None,
 ) -> BipartiteMatrix:
     """Projected 4x4 matrix of a cross-Kerr scheme by brute-force quadrature.
 
@@ -300,26 +284,26 @@ def quadrature_projected(
     weights 1, 1, +-r, +-r) and ``direct_kerr`` the projection of the
     trace-one evolved state.
 
-    The integral is evaluated at the grid order and at twice the order;
-    entries must agree within the grid's doubling tolerance or
+    The integral is evaluated at ``QUADRATURE_ORDER`` and at twice that
+    order; entries must agree within ``DOUBLING_TOLERANCE`` or
     :class:`OracleUnstableError` is raised.
     """
-    grid = grid or QuadratureGrid()
+    order = QUADRATURE_ORDER
     if scheme in ("kerr_micro_thermal", "bs", "tt") and micro is None:
         raise ValueError(f"scheme {scheme!r} needs the micro-state parameters")
     if scheme in ("bs", "tt"):
         if sign not in (1, -1):
             raise ValueError(f"scheme {scheme!r} needs sign=+1 or -1, got {sign!r}")
-    fine = _quad_once(scheme, micro, thermal, basis, sign, 2 * grid.order)
-    coarse = _quad_once(scheme, micro, thermal, basis, sign, grid.order)
+    fine = _quad_once(scheme, micro, thermal, basis, sign, 2 * order)
+    coarse = _quad_once(scheme, micro, thermal, basis, sign, order)
     dev = np.abs(coarse - fine)
     worst = float(dev.max())
-    if worst > grid.doubling_tolerance:
+    if worst > DOUBLING_TOLERANCE:
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise OracleUnstableError(
             f"{scheme}: quadrature self-convergence failed at entry ({i},{j}): "
-            f"|order {grid.order} - order {2 * grid.order}| = {worst:.3e} "
-            f"> {grid.doubling_tolerance:.0e} "
+            f"|order {order} - order {2 * order}| = {worst:.3e} "
+            f"> {DOUBLING_TOLERANCE:.0e} "
             f"(V={thermal.variance}, d={thermal.displacement}, gamma={basis.gamma})"
         )
     return BipartiteMatrix(2, 2, fine)

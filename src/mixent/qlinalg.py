@@ -213,22 +213,21 @@ def hermitian_eigensystem(
     raise ArithmeticError("Jacobi eigensolver did not converge")
 
 
-def _symmetrized_entries(m: BipartiteMatrix) -> np.ndarray:
-    a = m.entries
+def _symmetrized_entries(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NumericInputError("matrix has non-finite entries")
-    defect = m.hermiticity_defect()
+    adjoint = a.conj().T
+    defect = float(np.max(np.abs(a - adjoint)))
     if defect >= HERMITICITY_TOL:
         raise HermiticityError(
             f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
         )
-    return (a + a.conj().T) / 2.0
+    return (a + adjoint) / 2.0
 
 
 def min_eigenpair(m: BipartiteMatrix) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and its eigenvector, after silent symmetrization."""
-    sym = _symmetrized_entries(m)
-    w, v = hermitian_eigensystem(sym)
+    w, v = hermitian_eigensystem(_symmetrized_entries(m.entries))
     return float(w[0]), v[:, 0]
 
 
@@ -244,19 +243,19 @@ def npt(m: BipartiteMatrix) -> float:
     for every projected state in this package (the absolute scale carries no
     information).
     """
-    pt = partial_transpose(m, "B")
-    tr = pt.trace().real
+    pt = partial_transpose(m, "B").entries
+    tr = np.trace(pt).real
     # the floor keeps 1/tr finite; anything smaller is not a usable state
     if not tr > 1e-300:
         raise DegenerateStateError(f"cannot normalize matrix with trace {tr}")
-    pt = pt.scaled(1.0 / tr)
-    eps = min_eigenvalue(pt)
+    w, _ = hermitian_eigensystem(_symmetrized_entries(pt * (1.0 / tr)))
+    eps = float(w[0])
     return -2.0 * eps if eps < 0.0 else 0.0
 
 
 def purity(m: BipartiteMatrix) -> float:
     """Tr[(m / Tr m)^2] of a Hermitian matrix with positive trace."""
-    a = _symmetrized_entries(m)
+    a = _symmetrized_entries(m.entries)
     tr = float(np.trace(a).real)
     if not tr > 1e-300:
         raise DegenerateStateError(f"purity needs a positive trace, got {tr}")

@@ -33,7 +33,7 @@ vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -73,7 +73,7 @@ _DEGENERATE_PROB = 1e-12
 
 @dataclass(frozen=True)
 class SchemeOutput:
-    """A projected 4x4 state, its normalized NPT, and the input echo.
+    """A projected 4x4 state and the NPT of its trace-normalized version.
 
     ``npt_normalized`` is the NPT of the trace-normalized state.  Being
     invariant under a common positive rescaling, it is computed from a
@@ -87,21 +87,20 @@ class SchemeOutput:
 
     matrix: BipartiteMatrix
     npt_normalized: float
-    parameters: dict = field(default_factory=dict)
 
     @property
     def trace(self) -> float:
         return self.matrix.trace().real
 
 
-def _finish(matrix: np.ndarray, parameters: dict, npt_source: np.ndarray | None = None) -> SchemeOutput:
-    m = BipartiteMatrix(2, 2, matrix)
-    source = m if npt_source is None else BipartiteMatrix(2, 2, npt_source)
+def _output(normalized: np.ndarray, log_scale: float, denom: float) -> SchemeOutput:
+    """The state normalized * exp(log_scale) / denom, with the NPT of ``normalized``."""
+    matrix = BipartiteMatrix(2, 2, normalized * (_exp_or_zero(log_scale) / denom))
     try:
-        value = qlinalg.npt(source)
+        value = qlinalg.npt(BipartiteMatrix(2, 2, normalized))
     except DegenerateStateError:
         value = float("nan")
-    return SchemeOutput(matrix=m, npt_normalized=value, parameters=parameters)
+    return SchemeOutput(matrix=matrix, npt_normalized=value)
 
 
 def _exp_or_zero(log_value: float) -> float:
@@ -117,7 +116,7 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
     (one exchange quantum).  For n = 0 the |g,n> population from below
     vanishes because S_{-1} = sin(0) = 0.
     """
-    p, lam, gt, n = params.p, params.lam, params.gt, params.n
+    p, gt, n = params.p, params.gt, params.n
     q = 1.0 - p
 
     def c(k: int) -> float:
@@ -142,7 +141,7 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
     m[2, 1] += 1j * q * pw(n + 1) * c(n) * s(n)
     m[2, 2] += q * pw(n + 1) * c(n) ** 2
     m[3, 3] += q * pw(n + 2) * s(n + 1) ** 2
-    return _finish(m, {"p": p, "lam": lam, "gt": gt, "n": n})
+    return _output(m, 0.0, 1.0)
 
 
 def _blocks_from_kernels(k, basis: CatBasis) -> dict:
@@ -193,9 +192,7 @@ def kerr_micro_thermal_projected(
     """
     hat, log_c = scaled_cat_kernels(t, basis)
     normalized = _assemble_micro_blocks(_blocks_from_kernels(hat, basis), m.r)
-    out = normalized * _exp_or_zero(log_c)
-    params = {"r": m.r, "V": t.variance, "d": t.displacement, "gamma": basis.gamma}
-    return _finish(out, params, npt_source=normalized)
+    return _output(normalized, log_c, 1.0)
 
 
 # Mode sandwich sign patterns (u1, u2, u3, u4) of the four beam-splitter
@@ -308,6 +305,23 @@ def _sigma_trace(t: ThermalParams) -> float:
     return (math.exp(ex) if ex > -745.0 else 0.0) / t.variance
 
 
+def _conditioned(kernel, power: int, m, t, basis, sign) -> SchemeOutput:
+    """Conditioned state of a cat-pair scheme whose kernel has trace 2 +- 2 r sigma^power.
+
+    sigma = exp(-2 d^2/V)/V is the trace of one mode's parity-flip sandwich
+    operator (:func:`_sigma_trace`).  An outcome whose probability falls below
+    the degeneracy floor raises :class:`~mixent.qlinalg.DegenerateStateError`.
+    """
+    sign = _check_sign(sign)
+    denom = 2.0 + sign * 2.0 * m.r * _sigma_trace(t) ** power
+    if denom < _DEGENERATE_PROB:
+        raise DegenerateStateError(
+            "conditioning outcome has vanishing probability for these parameters"
+        )
+    normalized, log_scale = kernel(m, t, basis, sign)
+    return _output(normalized, log_scale, denom)
+
+
 def bs_scheme_projected(
     m: MicroState, t: ThermalParams, basis: CatBasis, sign: int
 ) -> SchemeOutput:
@@ -317,23 +331,7 @@ def bs_scheme_projected(
     with the minus sign has zero probability at (V=1, d=0, r=1) and raises
     :class:`~mixent.qlinalg.DegenerateStateError` there.
     """
-    sign = _check_sign(sign)
-    denom = 2.0 + sign * 2.0 * m.r * _sigma_trace(t)
-    if denom < _DEGENERATE_PROB:
-        raise DegenerateStateError(
-            "conditioning outcome has vanishing probability for these parameters"
-        )
-    normalized, log_shift = _bs_kernel_scaled(m, t, basis, sign)
-    params = {
-        "r": m.r,
-        "V": t.variance,
-        "d": t.displacement,
-        "gamma": basis.gamma,
-        "sign": sign,
-    }
-    return _finish(
-        normalized * (_exp_or_zero(log_shift) / denom), params, npt_source=normalized
-    )
+    return _conditioned(_bs_kernel_scaled, 1, m, t, basis, sign)
 
 
 def _tt_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int):
@@ -370,23 +368,7 @@ def tt_scheme_projected(
     The conditional state before projection has trace 2 +- 2 r (exp(-2 d^2/V)/V)^2,
     the squared single-mode factor appearing once per thermal mode.
     """
-    sign = _check_sign(sign)
-    denom = 2.0 + sign * 2.0 * m.r * _sigma_trace(t) ** 2
-    if denom < _DEGENERATE_PROB:
-        raise DegenerateStateError(
-            "conditioning outcome has vanishing probability for these parameters"
-        )
-    normalized, log_scale = _tt_kernel_scaled(m, t, basis, sign)
-    params = {
-        "r": m.r,
-        "V": t.variance,
-        "d": t.displacement,
-        "gamma": basis.gamma,
-        "sign": sign,
-    }
-    return _finish(
-        normalized * (_exp_or_zero(log_scale) / denom), params, npt_source=normalized
-    )
+    return _conditioned(_tt_kernel_scaled, 2, m, t, basis, sign)
 
 
 def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
@@ -425,10 +407,7 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
             basis.n_minus**2,
         ]
     )
-    normalized = (d @ p @ d).astype(np.complex128)
-    out = normalized * _exp_or_zero(2.0 * log_c)
-    params = {"V": t.variance, "d": t.displacement, "gamma": basis.gamma}
-    return _finish(out, params, npt_source=normalized)
+    return _output((d @ p @ d).astype(np.complex128), 2.0 * log_c, 1.0)
 
 
 def _check_sign(sign: int) -> int:

@@ -133,6 +133,8 @@ class TestSpecValidation:
             cli.run_sweep(make_spec(sweep=("d", 0.0, 1.0, 1)))
         with pytest.raises(cli.SpecError):
             cli.run_sweep(make_spec(sweep=("d", 1.0, 1.0, 4)))
+        with pytest.raises(cli.SpecError, match="sweep bounds must be finite"):
+            cli.run_sweep(make_spec(sweep=("d", 0.0, math.inf, 3)))
 
     def test_missing_and_unknown_parameters(self):
         with pytest.raises(cli.SpecError):
@@ -248,6 +250,19 @@ class TestMain:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
         assert len(rows) == 3
         assert all(float(row[4]) <= 1e-10 for row in rows)
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent" / "x.csv"
+        sweep = ["sweep", "--scheme", "direct_kerr", "--set", "gamma=2", "--set", "V=10"]
+        for argv, path in (
+            (sweep + ["--sweep", "d:0:20:3", "--out", str(missing)], missing),
+            (["preset", "run", "fig2a", "--out", str(tmp_path)], tmp_path),
+        ):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+        assert not missing.parent.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
     def test_non_integer_n_exit_2(self, n, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
+from mixent import oracle
 from mixent.oracle import (
     OracleUnstableError,
     TruncationTailError,
@@ -118,6 +119,31 @@ class TestJcFockOracle:
             assert mx.max_abs_deviation(closed, jc_fock_projected(params)) <= 1e-10
 
 
+def reference_sandwich_block(variance, displacement, gamma, order, w, wp):
+    """One 2x2 block <s| integral[P |w a><w' a|] |s'>, its projections computed alone."""
+    alpha, weight = oracle._thermal_nodes(variance, displacement, order)
+    basis = mx.CatBasis(gamma)
+    left = np.vstack(basis.coherent_projection(w * alpha))  # rows: <+|, <-|
+    right = np.vstack(basis.coherent_projection(wp * alpha))
+    return (left * weight) @ right.conj().T
+
+
+class TestSandwichBlocks:
+    def test_four_blocks_match_single_blocks_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        points = [(1.0, rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-0.5, 0.7)) for _ in range(4)]
+        for _ in range(16):
+            v = 10.0 ** rng.uniform(0.0, 4.0)
+            points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
+        for v, d, g in points:
+            for order in (80, 160):
+                blocks = _sandwich_block(v, d, g, order)
+                assert sorted(blocks) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+                for (w, wp), block in blocks.items():
+                    ref = reference_sandwich_block(v, d, g, order, w, wp)
+                    assert block.tobytes() == ref.tobytes(), (v, d, g, order, w, wp)
+
+
 class TestQuadratureOracle:
     def test_coherent_limit_is_exact(self):
         # V = 1 collapses the integral to a point evaluation
@@ -130,14 +156,14 @@ class TestQuadratureOracle:
     def test_parity_flip_block_symmetric_at_zero_displacement(self):
         # the coherence operator at d = 0 equals its own transpose, the root
         # of the zero-displacement separability
-        block = _sandwich_block(10.0, 0.0, 2.0, 80, 1, -1)
+        block = _sandwich_block(10.0, 0.0, 2.0, 80)[1, -1]
         assert np.max(np.abs(block - block.T)) < 1e-14
         assert np.max(np.abs(block.imag)) < 1e-14
 
     def test_kernel_reconstruction(self):
         v, d, g = 10.0, 5.0, 2.0
         basis = mx.CatBasis(g)
-        block = _sandwich_block(v, d, g, 160, 1, 1)
+        block = _sandwich_block(v, d, g, 160)[1, 1]
         hi = block[0, 0].real / basis.n_plus**2
         lo = block[1, 1].real / basis.n_minus**2
         s = block[0, 1].real / (basis.n_plus * basis.n_minus)
@@ -163,12 +189,11 @@ class TestQuadratureOracle:
                 closed = mx.direct_kerr_projected(t, basis).matrix
                 assert mx.max_abs_deviation(closed, q) <= 1e-12
 
-    def test_unstable_grid_detected(self):
+    def test_unstable_grid_detected(self, monkeypatch):
+        monkeypatch.setattr(oracle, "QUADRATURE_ORDER", 1)
         t = mx.ThermalParams(1000.0, 1.0)
         with pytest.raises(OracleUnstableError):
-            quadrature_projected(
-                "direct_kerr", thermal=t, basis=G2, grid=mx.QuadratureGrid(order=1)
-            )
+            quadrature_projected("direct_kerr", thermal=t, basis=G2)
 
     def test_missing_parameters_rejected(self):
         t = mx.ThermalParams(2.0, 0.0)

@@ -195,7 +195,7 @@ def scheme_npt_sources(rng, count):
         pt = mx.partial_transpose(out.matrix, "B")
         tr = pt.trace().real
         if tr > 1e-300:
-            yield qlinalg._symmetrized_entries(pt.scaled(1.0 / tr))
+            yield qlinalg._symmetrized_entries(pt.scaled(1.0 / tr).entries)
 
 
 class TestScalarJacobiBits:

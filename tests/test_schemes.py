@@ -71,10 +71,6 @@ class TestJcProjected:
         assert math.isnan(out.npt_normalized)
         assert np.max(np.abs(out.matrix.entries)) == 0.0
 
-    def test_parameter_echo(self):
-        out = jc_projected(mx.AtomFieldParams(p=1.0, lam=0.5, gt=0.7, n=1))
-        assert out.parameters == {"p": 1.0, "lam": 0.5, "gt": 0.7, "n": 1}
-
 
 class TestKerrMicroThermal:
     def test_zero_displacement_separable(self):
@@ -350,3 +346,57 @@ class TestSchemeOutputInvariants:
                 p=rng.uniform(0, 1), lam=rng.uniform(0, 0.95), gt=rng.uniform(0, 6), n=int(rng.integers(0, 6))
             )
             assert_state_invariants(jc_projected(params))
+
+    # Seeded draws over the whole cat-scheme domain: V in [1, 1e4] (log-uniform),
+    # d in [0, 5 sqrt(V)], gamma in [10^-0.5, 10^0.7], r in [0, 1].
+    DOMAIN_DRAWS = 1000
+
+    @classmethod
+    def domain_draws(cls, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(cls.DOMAIN_DRAWS):
+            v = 10.0 ** rng.uniform(0.0, 4.0)
+            d = rng.uniform(0.0, 5.0 * math.sqrt(v))
+            basis = mx.CatBasis(10.0 ** rng.uniform(-0.5, 0.7))
+            yield mx.MicroState(rng.uniform(0.0, 1.0)), v, d, basis
+
+    @staticmethod
+    def npt_in_range(out):
+        value = out.npt_normalized
+        assert 0.0 <= value <= 1.0 + 4.0 * np.finfo(float).eps, value
+        return value
+
+    def test_npt_even_in_displacement_over_domain(self):
+        for micro, v, d, basis in self.domain_draws(41):
+            at = (micro.r, v, d, basis.gamma)
+            pair = [mx.ThermalParams(v, d), mx.ThermalParams(v, -d)]
+            a, b = (self.npt_in_range(kerr_micro_thermal_projected(micro, t, basis)) for t in pair)
+            assert a == b, at
+            a, b = (self.npt_in_range(direct_kerr_projected(t, basis)) for t in pair)
+            assert a == b, at
+            for sign in (1, -1):
+                a, b = (self.npt_in_range(tt_scheme_projected(micro, t, basis, sign)) for t in pair)
+                assert a == b, (sign, at)
+                a, b = (self.npt_in_range(bs_scheme_projected(micro, t, basis, sign)) for t in pair)
+                assert abs(a - b) <= 2e-15, (sign, at)
+
+    def test_npt_exactly_zero_at_zero_displacement(self):
+        for micro, v, _, basis in self.domain_draws(42):
+            t = mx.ThermalParams(v, 0.0)
+            at = (micro.r, v, basis.gamma)
+            assert self.npt_in_range(kerr_micro_thermal_projected(micro, t, basis)) == 0.0, at
+            assert self.npt_in_range(direct_kerr_projected(t, basis)) == 0.0, at
+            for sign in (1, -1):
+                assert self.npt_in_range(tt_scheme_projected(micro, t, basis, sign)) == 0.0, at
+
+    def test_npt_vanishes_without_micro_coherence(self):
+        # r = 0 makes the state separable, but its NPT is not always an exact
+        # zero: near V = 1 with large d gamma roundoff leaves up to 2.4e-16
+        zero = mx.MicroState(0.0)
+        for _, v, d, basis in self.domain_draws(43):
+            t = mx.ThermalParams(v, d)
+            at = (v, d, basis.gamma)
+            assert self.npt_in_range(kerr_micro_thermal_projected(zero, t, basis)) <= 1e-15, at
+            for sign in (1, -1):
+                assert self.npt_in_range(bs_scheme_projected(zero, t, basis, sign)) <= 1e-15, at
+                assert self.npt_in_range(tt_scheme_projected(zero, t, basis, sign)) <= 1e-15, at
