@@ -26,6 +26,7 @@ from .qlinalg import (
     min_eigenpair,
     min_eigenvalue,
     npt,
+    npt_stack,
     partial_transpose,
     purity,
 )

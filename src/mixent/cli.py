@@ -24,6 +24,11 @@ probability, is 0.  Under ``--validate`` such rows still carry the oracle
 columns, from the unnormalized kernel.  The library constructors raise
 :class:`~mixent.qlinalg.DegenerateStateError` for these points instead.
 
+A sweep runs in blocks of ``SWEEP_BLOCK`` rows: it computes the states of a
+block row by row and scores them with one stacked NPT
+(:func:`mixent.qlinalg.npt_stack`).  The ``--out`` path is opened before the
+first row, and a run that ends in an error leaves no file there.
+
 Exit codes: 0 success, 2 invalid specification or unwritable ``--out``, 3
 oracle deviation above tolerance.  CSV files start with the schema comment
 ``# mixent-csv v1``, use 17 significant digits and ``\\n`` line endings, and
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -112,17 +118,17 @@ def _quadrature(scheme):
 class _SchemeDef:
     """How the CLI evaluates and validates one scheme.
 
-    ``construct`` and ``closed`` name functions of :mod:`mixent.schemes`,
-    looked up at call time: the constructor, and the closed form that the
-    oracle reproduces (the constructor itself when the oracle reproduces the
-    constructor's matrix).  Both take the builder's arguments positionally,
-    the oracle takes them as keywords.
+    ``state`` and ``closed`` name functions of :mod:`mixent.schemes`, looked
+    up at call time: the private function that computes the constructor's
+    state, and the closed form that the oracle reproduces where that is not
+    the state itself (None where it is).  Both take the builder's arguments
+    positionally, the oracle takes them as keywords.
     """
 
     params: tuple
     args: callable
-    construct: str
-    closed: str
+    state: str
+    closed: str | None
     oracle: callable
     tolerance: float
 
@@ -135,23 +141,23 @@ SCHEMES = {
     "jc": _SchemeDef(
         ("p", "lam", "gt", "n"),
         _jc_args,
-        "jc_projected",
-        "jc_projected",
+        "_jc_state",
+        None,
         lambda args: oracle.jc_fock_projected(**args),
         _JC_TOL,
     ),
     "kerr_micro_thermal": _SchemeDef(
         ("r", "V", "d", "gamma"),
         _cat_args,
-        "kerr_micro_thermal_projected",
-        "kerr_micro_thermal_projected",
+        "_kerr_micro_thermal_state",
+        None,
         _quadrature("kerr_micro_thermal"),
         _KERR_TOL,
     ),
     "bs": _SchemeDef(
         ("r", "V", "d", "gamma", "sign"),
         _cat_args,
-        "bs_scheme_projected",
+        "_bs_scheme_state",
         "bs_projected_kernel",
         _quadrature("bs"),
         _KERR_TOL,
@@ -159,7 +165,7 @@ SCHEMES = {
     "tt": _SchemeDef(
         ("r", "V", "d", "gamma", "sign"),
         _cat_args,
-        "tt_scheme_projected",
+        "_tt_scheme_state",
         "tt_projected_kernel",
         _quadrature("tt"),
         _KERR_TOL,
@@ -167,8 +173,8 @@ SCHEMES = {
     "direct_kerr": _SchemeDef(
         ("V", "d", "gamma"),
         _cat_args,
-        "direct_kerr_projected",
-        "direct_kerr_projected",
+        "_direct_kerr_state",
+        None,
         _quadrature("direct_kerr"),
         _KERR_TOL,
     ),
@@ -247,47 +253,65 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _safe_npt(matrix: BipartiteMatrix) -> float:
-    try:
-        return qlinalg.npt(matrix)
-    except DegenerateStateError:
-        return float("nan")
-
-
 def _call(name: str, args: dict):
     return getattr(schemes, name)(*args.values())
 
 
-def _closed_vs_oracle(sdef: _SchemeDef, args: dict, built=None):
+def _state(sdef: _SchemeDef, args: dict):
+    """The kernel-normalized state for ``args`` and the factor that scales it to the state."""
+    normalized, log_scale, denom = _call(sdef.state, args)
+    return normalized, schemes._factor(log_scale, denom)
+
+
+def _closed_vs_oracle(sdef: _SchemeDef, args: dict, built: BipartiteMatrix | None = None):
     """The oracle matrix for ``args`` and the closed form's largest deviation from it.
 
-    ``built`` is the constructor's output for ``args`` if the caller has it;
-    it is reused where the closed form is the constructor's own matrix.
+    ``built`` is the state's matrix for ``args`` if the caller has it; it is
+    reused where the closed form is the state itself.
     """
-    if sdef.closed != sdef.construct:
+    if sdef.closed:
         closed = _call(sdef.closed, args)
     else:
-        closed = (built or _call(sdef.construct, args)).matrix
+        closed = built or BipartiteMatrix(2, 2, np.multiply(*_state(sdef, args)))
     ref = sdef.oracle(args)
     return ref, qlinalg.max_abs_deviation(closed, ref)
 
 
-def _sweep_row(spec: SweepSpec, sdef: _SchemeDef, value: float):
-    values = dict(spec.fixed)
-    values[spec.sweep[0]] = value
-    args = sdef.args(values)
-    try:
-        out = _call(sdef.construct, args)
-        row = [value, out.npt_normalized, out.trace]
-    except DegenerateStateError:
-        # a zero-probability conditioning outcome: no state to report, but
-        # the kernel the oracle checks is still defined
-        out = None
-        row = [value, math.nan, math.nan]
-    if spec.validate_tol is None:
-        return row, None
-    ref, deviation = _closed_vs_oracle(sdef, args, out)
-    return row + [_safe_npt(ref), deviation], deviation
+# Rows evaluated together: one stacked NPT per block, and memory bounded by
+# the block rather than by the sweep.
+SWEEP_BLOCK = 256
+
+
+def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: np.ndarray, first: int):
+    """CSV lines of the rows ``first, first + 1, ...`` at ``xs``, and their failures.
+
+    A row with no state (a zero-probability conditioning outcome) is the zero
+    matrix at scale NaN: its ``npt`` and ``trace`` are NaN, its kernel is still
+    checked by the oracle.
+    """
+    validate = spec.validate_tol is not None
+    normalized, factors, refs, deviations = [], [], [], []
+    for x in xs:
+        args = sdef.args({**spec.fixed, spec.sweep[0]: float(x)})
+        try:
+            matrix, factor = _state(sdef, args)
+            built = BipartiteMatrix(2, 2, matrix * factor) if validate else None
+        except DegenerateStateError:
+            matrix, factor, built = np.zeros((4, 4), dtype=np.complex128), math.nan, None
+        normalized.append(matrix)
+        factors.append(factor)
+        if validate:
+            ref, deviation = _closed_vs_oracle(sdef, args, built)
+            refs.append(ref.entries)
+            deviations.append(deviation)
+    normalized = np.array(normalized)
+    traces = np.trace(normalized * np.array(factors)[:, None, None], axis1=1, axis2=2).real
+    columns = [xs, qlinalg.npt_stack(normalized), traces]
+    if validate:
+        columns += [qlinalg.npt_stack(np.array(refs)), deviations]
+    lines = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    failed = [(i, d) for i, d in enumerate(deviations, first) if d > spec.validate_tol]
+    return lines, failed
 
 
 def run_sweep(spec: SweepSpec):
@@ -295,7 +319,8 @@ def run_sweep(spec: SweepSpec):
 
     ``failures`` lists (row_index, deviation) for validated rows above
     tolerance; the CSV is complete either way.  An ``out`` path that cannot
-    be written raises :class:`SpecError`.
+    be written raises :class:`SpecError` before any row is computed, and a
+    run that ends in an error leaves no file there.
     """
     spec = _check_spec(spec)
     sdef = SCHEMES[spec.scheme]
@@ -305,18 +330,28 @@ def run_sweep(spec: SweepSpec):
         header += ["oracle_npt", "max_dev"]
     lines = [CSV_SCHEMA, ",".join(header)]
     failures = []
-    for i, x in enumerate(np.linspace(float(start), float(stop), int(count))):
-        row, deviation = _sweep_row(spec, sdef, float(x))
-        lines.append(",".join(_fmt(v) for v in row))
-        if deviation is not None and deviation > spec.validate_tol:
-            failures.append((i, deviation))
-    csv_text = "\n".join(lines) + "\n"
-    if spec.out:
-        try:
-            with open(spec.out, "w", newline="\n") as fh:
-                fh.write(csv_text)
-        except OSError as exc:
-            raise SpecError(f"cannot write {spec.out}: {exc.strerror or exc}") from None
+    xs = np.linspace(float(start), float(stop), int(count))
+    try:
+        out = open(spec.out, "w", newline="\n") if spec.out else None
+    except OSError as exc:
+        raise SpecError(f"cannot write {spec.out}: {exc.strerror or exc}") from None
+    try:
+        for first in range(0, len(xs), SWEEP_BLOCK):
+            block, failed = _sweep_block(spec, sdef, xs[first : first + SWEEP_BLOCK], first)
+            lines += block
+            failures += failed
+        csv_text = "\n".join(lines) + "\n"
+        if out:
+            try:
+                with out:
+                    out.write(csv_text)
+            except OSError as exc:
+                raise SpecError(f"cannot write {spec.out}: {exc.strerror or exc}") from None
+    except BaseException:
+        if out:
+            out.close()
+            os.remove(spec.out)
+        raise
     return (3 if failures else 0), csv_text, failures
 
 
@@ -519,29 +554,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            spec = _spec_from_args(args)
-            code, csv_text, failures = run_sweep(spec)
-            if not spec.out:
-                sys.stdout.write(csv_text)
-            for index, dev in failures[:5]:
-                print(f"validation failure at row {index}: deviation {dev:.3e}", file=sys.stderr)
-            return code
-
         if args.command == "validate":
             return run_validation(args.grid, _parse_tol(args.tol))
-
-        if args.command == "preset":
-            if args.preset_command == "list":
-                for name in sorted(PRESETS):
-                    spec = PRESETS[name]
-                    swept, start, stop, count = spec.sweep
-                    fixed = " ".join(f"{k}={v}" for k, v in sorted(spec.fixed.items()))
-                    print(
-                        f"{name}: scheme={spec.scheme} {fixed} "
-                        f"sweep {swept}:{_fmt(start)}..{_fmt(stop)} x{count}"
-                    )
-                return 0
+        if args.command == "preset" and args.preset_command == "list":
+            for name in sorted(PRESETS):
+                spec = PRESETS[name]
+                swept, start, stop, count = spec.sweep
+                fixed = " ".join(f"{k}={v}" for k, v in sorted(spec.fixed.items()))
+                print(
+                    f"{name}: scheme={spec.scheme} {fixed} "
+                    f"sweep {swept}:{_fmt(start)}..{_fmt(stop)} x{count}"
+                )
+            return 0
+        if args.command == "sweep":
+            spec = _spec_from_args(args)
+        else:
             base = PRESETS[args.name]
             spec = replace(
                 base,
@@ -549,17 +576,18 @@ def main(argv=None) -> int:
                 out=args.out or f"{args.name}.csv",
                 validate_tol=_parse_tol(args.validate, SCHEMES[base.scheme].tolerance),
             )
-            code, _, failures = run_sweep(spec)
-            for index, dev in failures[:5]:
-                print(f"validation failure at row {index}: deviation {dev:.3e}", file=sys.stderr)
-            return code
+        code, csv_text, failures = run_sweep(spec)
+        if not spec.out:
+            sys.stdout.write(csv_text)
+        for index, dev in failures[:5]:
+            print(f"validation failure at row {index}: deviation {dev:.3e}", file=sys.stderr)
+        return code
     except ValueError as exc:  # SpecError and DegenerateStateError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except oracle.OracleUnstableError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ Partial transposition, a cyclic Jacobi eigensolver for Hermitian matrices,
 negativity of partial transpose (NPT) and purity utilities.  Everything here
 is a pure function of its inputs; :class:`BipartiteMatrix` instances are
 immutable after construction.
+
+:func:`npt` solves one matrix with the scalar solver.  :func:`npt_stack`
+scores a whole stack of two-qubit states, as sweeps do: partial transposes
+that are real, or exactly real under a diagonal phase, go through one batched
+real Jacobi that rounds as the scalar solver does, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "min_eigenpair",
     "min_eigenvalue",
     "npt",
+    "npt_stack",
     "partial_transpose",
     "purity",
 ]
@@ -213,14 +219,59 @@ def hermitian_eigensystem(
     raise ArithmeticError("Jacobi eigensolver did not converge")
 
 
+def _real_jacobi_min(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.ndarray:
+    """Smallest eigenvalue of each real symmetric matrix of an (N, n, n) stack.
+
+    :func:`hermitian_eigensystem` vectorized over the stack on real arrays,
+    with its rotation order, skips, phase, hypot, clean-up and norm sums: on
+    a real matrix the scalar solver's products carry zero imaginary parts, so
+    its eigenvalues are these bit for bit.  Converged matrices leave the stack.
+    """
+    n = a.shape[-1]
+    out = np.empty(len(a))
+    active = np.arange(len(a))
+    threshold = tol * np.sqrt(np.sum((a * a).reshape(len(a), n * n), axis=-1))
+    for _ in range(max_sweeps):
+        off = (a * a).reshape(len(a), n * n)
+        off[:, :: n + 1] = 0.0
+        done = np.sqrt(np.sum(off, axis=-1)) <= threshold
+        out[active[done]] = np.diagonal(a[done], axis1=1, axis2=2).min(axis=-1)
+        a, active, threshold = a[~done], active[~done], threshold[~done]
+        if not len(a):
+            return out
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                rows = np.flatnonzero(a[:, p, q])  # h == 0: no rotation
+                b = a[rows] if len(rows) < len(a) else a
+                g = b[:, p, q, None]
+                h = np.abs(g)
+                theta = (b[:, p, p, None] - b[:, q, q, None]) / (2.0 * h)
+                # at theta == 0 this is 1 / (0 + 1), the scalar solver's t = 1
+                t = np.where(theta > 0.0, -1.0, 1.0) / (np.abs(theta) + np.hypot(1.0, theta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                uqp, uqq = -s * (g * (1.0 / h)), c * (g * (1.0 / h))
+                col_p, col_q = b[:, :, p], b[:, :, q]
+                b[:, :, p], b[:, :, q] = col_p * c + col_q * uqp, col_p * s + col_q * uqq
+                row_p, row_q = b[:, p, :], b[:, q, :]
+                b[:, p, :], b[:, q, :] = c * row_p + uqp * row_q, s * row_p + uqq * row_q
+                b[:, p, q] = b[:, q, p] = 0.0
+                if b is not a:
+                    a[rows] = b
+    raise ArithmeticError("Jacobi eigensolver did not converge")
+
+
 def _symmetrized_entries(a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise NumericInputError("matrix has non-finite entries")
-    adjoint = a.conj().T
-    defect = float(np.max(np.abs(a - adjoint)))
-    if defect >= HERMITICITY_TOL:
+    """(a + a^dagger) / 2 over the last two axes; the first bad matrix of a stack raises."""
+    adjoint = a.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite matrix fails either way
+        defect = np.abs(a - adjoint).max(axis=(-2, -1))
+    if not (defect < HERMITICITY_TOL).all():  # a non-finite entry makes it inf or NaN
+        first = np.flatnonzero(~(defect < HERMITICITY_TOL))[0]
+        if not np.isfinite(a.reshape(-1, *a.shape[-2:])[first]).all():
+            raise NumericInputError("matrix has non-finite entries")
         raise HermiticityError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
+            f"hermiticity defect {defect.flat[first]:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
         )
     return (a + adjoint) / 2.0
 
@@ -235,6 +286,18 @@ def min_eigenvalue(m: BipartiteMatrix) -> float:
     return min_eigenpair(m)[0]
 
 
+def _npt_sources(stack: np.ndarray, dim_a: int, dim_b: int):
+    """Traces of the partial transposes of an (N, n, n) stack, the mask of those
+    above the floor 1e-300 (it keeps 1/tr finite; NaN fails it) and, for them,
+    the trace-normalized, checked and symmetrized partial transposes."""
+    pt = stack.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2)
+    pt = pt.reshape(stack.shape)
+    tr = np.trace(pt, axis1=1, axis2=2).real
+    usable = tr > 1e-300
+    rows = pt if usable.all() else pt[usable]
+    return tr, usable, _symmetrized_entries(rows * (1.0 / tr[usable])[:, None, None])
+
+
 def npt(m: BipartiteMatrix) -> float:
     """Negativity of partial transpose, -2 min(0, eps).
 
@@ -243,14 +306,41 @@ def npt(m: BipartiteMatrix) -> float:
     for every projected state in this package (the absolute scale carries no
     information).
     """
-    pt = partial_transpose(m, "B").entries
-    tr = np.trace(pt).real
-    # the floor keeps 1/tr finite; anything smaller is not a usable state
-    if not tr > 1e-300:
-        raise DegenerateStateError(f"cannot normalize matrix with trace {tr}")
-    w, _ = hermitian_eigensystem(_symmetrized_entries(pt * (1.0 / tr)))
-    eps = float(w[0])
+    tr, usable, sources = _npt_sources(m.entries[None], m.dim_a, m.dim_b)
+    if not usable[0]:
+        raise DegenerateStateError(f"cannot normalize matrix with trace {tr[0]}")
+    eps = float(hermitian_eigensystem(sources[0])[0][0])
     return -2.0 * eps if eps < 0.0 else 0.0
+
+
+# D^dagger A D for D = diag(1, 1, 1, i), entrywise; a product with 1 or +-i rounds nothing
+_X_PHASE = np.array([1, 1, 1, -1j])[:, None] * np.array([1, 1, 1, 1j])
+
+
+def npt_stack(entries) -> np.ndarray:
+    """NPT of each matrix of an (N, 4, 4) stack, bit for bit as :func:`npt` gives it.
+
+    A row that fails ``npt``'s trace floor gives NaN; among the others the
+    first non-finite or non-Hermitian one raises as ``npt`` does.  Sources that
+    are real, or real under D = diag(1, 1, 1, i) (the X-shaped ``jc`` states),
+    go through one batched real Jacobi; any other row, such as an oracle
+    matrix with imaginary roundoff, takes the scalar solver.
+    """
+    stack = np.asarray(entries, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
+        raise InvalidShapeError(f"expected an (N, 4, 4) stack, got shape {stack.shape}")
+    _, usable, sources = _npt_sources(stack, 2, 2)
+    real = ~sources.imag.any(axis=(1, 2))
+    phased = sources * _X_PHASE
+    realified = np.where(real[:, None, None], sources.real, phased.real)
+    solvable = real | ~phased.imag.any(axis=(1, 2))
+    eps = np.empty(len(sources))
+    eps[solvable] = _real_jacobi_min(realified[solvable])
+    for i in np.flatnonzero(~solvable):
+        eps[i] = hermitian_eigensystem(sources[i])[0][0]
+    values = np.full(len(stack), np.nan)
+    values[usable] = np.where(eps < 0.0, -2.0 * eps, 0.0)
+    return values
 
 
 def purity(m: BipartiteMatrix) -> float:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -94,13 +95,21 @@ class SchemeOutput:
 
 
 def _output(normalized: np.ndarray, log_scale: float, denom: float) -> SchemeOutput:
-    """The state normalized * exp(log_scale) / denom, with the NPT of ``normalized``."""
-    matrix = BipartiteMatrix(2, 2, normalized * (_exp_or_zero(log_scale) / denom))
+    """The state normalized * exp(log_scale) / denom, with the NPT of ``normalized``.
+
+    Each constructor is ``_output(*state)`` of its ``_*_state`` function, which sweeps call.
+    """
+    matrix = BipartiteMatrix(2, 2, normalized * _factor(log_scale, denom))
     try:
         value = qlinalg.npt(BipartiteMatrix(2, 2, normalized))
     except DegenerateStateError:
         value = float("nan")
     return SchemeOutput(matrix=matrix, npt_normalized=value)
+
+
+def _factor(log_scale: float, denom: float) -> float:
+    """The scale that takes a state's kernel-normalized matrix to the state itself."""
+    return _exp_or_zero(log_scale) / denom
 
 
 def _exp_or_zero(log_value: float) -> float:
@@ -116,6 +125,10 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
     (one exchange quantum).  For n = 0 the |g,n> population from below
     vanishes because S_{-1} = sin(0) = 0.
     """
+    return _output(*_jc_state(params))
+
+
+def _jc_state(params: AtomFieldParams):
     p, gt, n = params.p, params.gt, params.n
     q = 1.0 - p
 
@@ -141,7 +154,7 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
     m[2, 1] += 1j * q * pw(n + 1) * c(n) * s(n)
     m[2, 2] += q * pw(n + 1) * c(n) ** 2
     m[3, 3] += q * pw(n + 2) * s(n + 1) ** 2
-    return _output(m, 0.0, 1.0)
+    return m, 0.0, 1.0
 
 
 def _blocks_from_kernels(k, basis: CatBasis) -> dict:
@@ -190,9 +203,12 @@ def kerr_micro_thermal_projected(
     linear in the sandwich kernels, so the NPT is computed from the
     kernel-normalized matrix and survives underflow of the absolute scale.
     """
+    return _output(*_kerr_micro_thermal_state(m, t, basis))
+
+
+def _kerr_micro_thermal_state(m: MicroState, t: ThermalParams, basis: CatBasis):
     hat, log_c = scaled_cat_kernels(t, basis)
-    normalized = _assemble_micro_blocks(_blocks_from_kernels(hat, basis), m.r)
-    return _output(normalized, log_c, 1.0)
+    return _assemble_micro_blocks(_blocks_from_kernels(hat, basis), m.r), log_c, 1.0
 
 
 # Mode sandwich sign patterns (u1, u2, u3, u4) of the four beam-splitter
@@ -305,8 +321,8 @@ def _sigma_trace(t: ThermalParams) -> float:
     return (math.exp(ex) if ex > -745.0 else 0.0) / t.variance
 
 
-def _conditioned(kernel, power: int, m, t, basis, sign) -> SchemeOutput:
-    """Conditioned state of a cat-pair scheme whose kernel has trace 2 +- 2 r sigma^power.
+def _conditioned(kernel, power: int, m, t, basis, sign):
+    """State of a cat-pair scheme conditioned on a kernel of trace 2 +- 2 r sigma^power.
 
     sigma = exp(-2 d^2/V)/V is the trace of one mode's parity-flip sandwich
     operator (:func:`_sigma_trace`).  An outcome whose probability falls below
@@ -319,7 +335,7 @@ def _conditioned(kernel, power: int, m, t, basis, sign) -> SchemeOutput:
             "conditioning outcome has vanishing probability for these parameters"
         )
     normalized, log_scale = kernel(m, t, basis, sign)
-    return _output(normalized, log_scale, denom)
+    return normalized, log_scale, denom
 
 
 def bs_scheme_projected(
@@ -331,7 +347,7 @@ def bs_scheme_projected(
     with the minus sign has zero probability at (V=1, d=0, r=1) and raises
     :class:`~mixent.qlinalg.DegenerateStateError` there.
     """
-    return _conditioned(_bs_kernel_scaled, 1, m, t, basis, sign)
+    return _output(*_bs_scheme_state(m, t, basis, sign))
 
 
 def _tt_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int):
@@ -344,6 +360,10 @@ def _tt_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: in
         + sign * m.r * np.kron(blocks[(-1, 1)], blocks[(-1, 1)])
     )
     return k.astype(np.complex128), 2.0 * log_c
+
+
+_bs_scheme_state = partial(_conditioned, _bs_kernel_scaled, 1)
+_tt_scheme_state = partial(_conditioned, _tt_kernel_scaled, 2)
 
 
 def tt_projected_kernel(
@@ -368,7 +388,7 @@ def tt_scheme_projected(
     The conditional state before projection has trace 2 +- 2 r (exp(-2 d^2/V)/V)^2,
     the squared single-mode factor appearing once per thermal mode.
     """
-    return _conditioned(_tt_kernel_scaled, 2, m, t, basis, sign)
+    return _output(*_tt_scheme_state(m, t, basis, sign))
 
 
 def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
@@ -387,6 +407,10 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
 
     by the cat normalization D = diag(N+^2, N+N-, N+N-, N-^2).
     """
+    return _output(*_direct_kerr_state(t, basis))
+
+
+def _direct_kerr_state(t: ThermalParams, basis: CatBasis):
     hat, log_c = scaled_cat_kernels(t, basis)
     x = hat.c + hat.r
     y = hat.c - hat.r
@@ -407,7 +431,7 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
             basis.n_minus**2,
         ]
     )
-    return _output((d @ p @ d).astype(np.complex128), 2.0 * log_c, 1.0)
+    return (d @ p @ d).astype(np.complex128), 2.0 * log_c, 1.0
 
 
 def _check_sign(sign: int) -> int:

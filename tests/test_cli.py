@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixent import cli
+import mixent as mx
+from mixent import cli, qlinalg, schemes
 from mixent.qlinalg import DegenerateStateError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "presets.json"
@@ -24,6 +25,14 @@ def make_spec(**kw):
     base.update(kw)
     return cli.SweepSpec(**base)
 
+
+CONSTRUCTORS = {
+    "jc": schemes.jc_projected,
+    "kerr_micro_thermal": schemes.kerr_micro_thermal_projected,
+    "bs": schemes.bs_scheme_projected,
+    "tt": schemes.tt_scheme_projected,
+    "direct_kerr": schemes.direct_kerr_projected,
+}
 
 VALIDATED_SWEEPS = {
     "jc": ({"p": 0.7, "lam": 0.9, "n": 3}, ("gt", 0.0, 3.0, 4)),
@@ -91,7 +100,7 @@ class TestSweep:
         # the library call still raises
         args = cli._cat_args({"r": 1.0, "V": 1.0, "d": 0.0, "gamma": 2.0, "sign": -1})
         with pytest.raises(DegenerateStateError):
-            cli._call(cli.SCHEMES[scheme].construct, args)
+            CONSTRUCTORS[scheme](*args.values())
 
     def test_zero_probability_jc_row(self, capsys):
         argv = ["sweep", "--scheme", "jc", "--set", "p=0", "--set", "lam=0", "--set", "n=3"]
@@ -115,6 +124,46 @@ class TestSweep:
         assert code == 0 and not failures
         devs = [float(line.split(",")[4]) for line in text.splitlines()[2:]]
         assert len(devs) == 4 and max(devs) <= tol
+
+    @staticmethod
+    def per_row_csv(spec):
+        """The sweep's CSV built one row at a time from the public constructors."""
+        sdef = cli.SCHEMES[spec.scheme]
+        name, start, stop, count = spec.sweep
+        validate = spec.validate_tol is not None
+        header = [name, "npt", "trace"] + (["oracle_npt", "max_dev"] if validate else [])
+        lines = ["# mixent-csv v1", ",".join(header)]
+        for x in np.linspace(start, stop, count):
+            args = sdef.args({**spec.fixed, name: float(x)})
+            out = CONSTRUCTORS[spec.scheme](*args.values())
+            row = [x, out.npt_normalized, out.trace]
+            if validate:
+                ref = sdef.oracle(args)
+                row += [mx.npt(ref), mx.max_abs_deviation(out.matrix, ref)]
+            lines.append(",".join(f"{float(v):.17g}" for v in row))
+        return "\n".join(lines) + "\n"
+
+    def test_block_boundaries_match_per_row_reference(self):
+        count = 2 * cli.SWEEP_BLOCK + 1
+        spec = cli.SweepSpec("direct_kerr", {"V": 30.0, "gamma": 2.0}, ("d", 0.0, 40.0, count))
+        text = cli.run_sweep(spec)[1]
+        assert len(text.splitlines()) == 2 + count
+        assert text == self.per_row_csv(spec)
+
+    @pytest.mark.parametrize("scheme", ["jc", "kerr_micro_thermal"])
+    def test_validated_blocks_match_per_row_reference(self, scheme, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
+        fixed, (name, start, stop, _) = VALIDATED_SWEEPS[scheme]
+        spec = make_spec(scheme=scheme, fixed=fixed, sweep=(name, start, stop, 7), validate_tol=1.0)
+        calls = []
+        solver = qlinalg.hermitian_eigensystem
+        monkeypatch.setattr(qlinalg, "hermitian_eigensystem", lambda a: calls.append(1) or solver(a))
+        text = cli.run_sweep(spec)[1]
+        # the quadrature oracle's matrices carry imaginary roundoff, so their
+        # NPT takes the scalar solver; the jc Fock oracle's are X-shaped
+        assert len(calls) == (7 if scheme == "kerr_micro_thermal" else 0)
+        monkeypatch.setattr(qlinalg, "hermitian_eigensystem", solver)
+        assert text == self.per_row_csv(spec)
 
 
 class TestSpecValidation:
@@ -251,7 +300,11 @@ class TestMain:
         assert len(rows) == 3
         assert all(float(row[4]) <= 1e-10 for row in rows)
 
-    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("_direct_kerr_state", "_kerr_micro_thermal_state"):
+            state = getattr(schemes, name)
+            monkeypatch.setattr(schemes, name, lambda *a, f=state: calls.append(1) or f(*a))
         missing = tmp_path / "nonexistent" / "x.csv"
         sweep = ["sweep", "--scheme", "direct_kerr", "--set", "gamma=2", "--set", "V=10"]
         for argv, path in (
@@ -263,6 +316,16 @@ class TestMain:
             assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
         assert not missing.parent.exists()
         assert list(tmp_path.iterdir()) == []
+        assert not calls  # the path is checked before the first row is computed
+
+    def test_error_after_open_leaves_no_file(self, tmp_path, capsys):
+        # p leaves [0, 1] in the second block of rows
+        out = tmp_path / "p.csv"
+        argv = ["sweep", "--scheme", "jc", "--set", "gt=1", "--set", "lam=0.5", "--set", "n=0"]
+        count = 2 * cli.SWEEP_BLOCK
+        assert cli.main(argv + ["--sweep", f"p:0:1.9:{count}", "--out", str(out)]) == 2
+        assert "p must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
     def test_non_integer_n_exit_2(self, n, capsys):
@@ -312,6 +375,25 @@ class TestPresets:
                 assert value <= 1e-10, gt
             else:
                 assert value > 0.0, gt
+
+    @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f"])
+    def test_fig1_matches_x_state_formula(self, name):
+        # the jc partial transpose is an X-state: its smallest eigenvalue is
+        # (m00 + m33)/2 - sqrt(((m00 - m33)/2)^2 + |m12|^2) of the
+        # trace-normalized state (Yu & Eberly, Quantum Inf. Comput. 7:459, 2007)
+        spec = cli.PRESETS[name]
+        rows = [line.split(",") for line in cli.run_sweep(spec)[1].splitlines()[2:]]
+        assert len(rows) == 401
+        for gt_text, npt_text, _ in rows:
+            params = mx.AtomFieldParams(gt=float(gt_text), **spec.fixed)
+            m = schemes.jc_projected(params).matrix.entries
+            m = m / np.trace(m).real
+            m00, m33, m12 = m[0, 0].real, m[3, 3].real, abs(m[1, 2])
+            low = (m00 + m33) / 2 - math.sqrt(((m00 - m33) / 2) ** 2 + m12**2)
+            value = float(npt_text)
+            assert abs(value - 2.0 * max(0.0, -low)) <= 1e-12, gt_text
+            if m12**2 <= m00 * m33:
+                assert value == 0.0, gt_text
 
     @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f"])
     def test_validated_fig1(self, name, tmp_path):

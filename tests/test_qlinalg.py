@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
-from mixent import qlinalg, schemes
+from mixent import cli, qlinalg, schemes
 from mixent.qlinalg import (
     DegenerateStateError,
     HermiticityError,
@@ -311,6 +311,121 @@ class TestNpt:
             rho = p * bell_projector().entries + (1 - p) * np.eye(4) / 4
             value = mx.npt(mx.BipartiteMatrix(2, 2, rho))
             assert (value > 1e-12) == entangled
+
+
+def scalar_npts(stack):
+    """``npt`` of each matrix, NaN where its trace fails the floor: the reference for ``npt_stack``."""
+    values = []
+    for entries in stack:
+        try:
+            values.append(mx.npt(mx.BipartiteMatrix(2, 2, entries)))
+        except DegenerateStateError:
+            values.append(float("nan"))
+    return np.array(values)
+
+
+def preset_states():
+    """The kernel-normalized states of every preset row, as ``cli.run_sweep`` computes them."""
+    for spec in cli.PRESETS.values():
+        sdef = cli.SCHEMES[spec.scheme]
+        name, start, stop, count = spec.sweep
+        for x in np.linspace(start, stop, count):
+            args = sdef.args({**spec.fixed, name: float(x)})
+            yield getattr(schemes, sdef.state)(*args.values())[0]
+
+
+def drawn_states(rng, count):
+    """Kernel-normalized states and public outputs of seeded draws from all five constructors."""
+    for i in range(count):
+        v = 10.0 ** rng.uniform(0.0, 4.0)
+        thermal = mx.ThermalParams(v, rng.choice([0.0, rng.uniform(0.0, 5.0 * v**0.5)]))
+        basis = mx.CatBasis(10.0 ** rng.uniform(-0.5, 0.7))
+        micro = mx.MicroState(rng.choice([0.0, 1.0, rng.uniform()]))
+        sign = int(rng.choice([1, -1]))
+        name, args = [
+            ("jc", (mx.AtomFieldParams(rng.uniform(), 1.0 - 10.0 ** rng.uniform(-4.0, 0.0),
+                                       rng.uniform(0.0, 8.0 * np.pi), int(rng.integers(0, 20))),)),
+            ("kerr_micro_thermal", (micro, thermal, basis)),
+            ("bs_scheme", (micro, thermal, basis, sign)),
+            ("tt_scheme", (micro, thermal, basis, sign)),
+            ("direct_kerr", (thermal, basis)),
+        ][i % 5]
+        try:
+            state = getattr(schemes, f"_{name}_state")(*args)
+        except DegenerateStateError:
+            continue
+        yield state[0], getattr(schemes, f"{name}_projected")(*args)
+
+
+class TestNptStack:
+    """The stacked NPT of the sweeps is ``npt`` bit for bit."""
+
+    @staticmethod
+    def count_scalar_calls(monkeypatch):
+        calls = []
+        solver = qlinalg.hermitian_eigensystem
+        monkeypatch.setattr(qlinalg, "hermitian_eigensystem", lambda a: calls.append(1) or solver(a))
+        return calls
+
+    def test_preset_sources(self, monkeypatch):
+        stack = np.array(list(preset_states()))
+        assert stack.shape == (4261, 4, 4)
+        expected = scalar_npts(stack)
+        calls = self.count_scalar_calls(monkeypatch)
+        assert qlinalg.npt_stack(stack).tobytes() == expected.tobytes()
+        assert not calls  # every preset source is real or realified by the phase
+
+    def test_constructor_draws(self, monkeypatch):
+        states, outputs = zip(*drawn_states(np.random.default_rng(44), 1500))
+        assert len(states) >= 1400
+        expected = np.array([out.npt_normalized for out in outputs])
+        calls = self.count_scalar_calls(monkeypatch)
+        assert qlinalg.npt_stack(np.array(states)).tobytes() == expected.tobytes()
+        assert not calls
+
+    def test_mixed_real_phased_and_complex_rows(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        phase = np.diag([1.0, 1.0, 1.0, 1j])
+        rows = []
+        for i in range(600):
+            real = rng.normal(size=(4, 4)) * (rng.random((4, 4)) < 0.7)
+            source = (real + real.T) / 2 + np.eye(4) * rng.uniform(0.0, 3.0)
+            if i % 3 == 1:
+                source = phase @ source @ phase.conj().T  # real under D^dagger . D
+            elif i % 3 == 2:
+                source = source + 1j * rng.normal(size=(4, 4))
+                source = (source + source.conj().T) / 2
+            rows.append(mx.partial_transpose(mx.BipartiteMatrix(2, 2, source)).entries)
+        stack = np.array(rows)
+        expected = scalar_npts(stack)
+        assert np.count_nonzero(expected > 0.0) > 100 and np.count_nonzero(expected == 0.0) > 100
+        calls = self.count_scalar_calls(monkeypatch)
+        assert qlinalg.npt_stack(stack).tobytes() == expected.tobytes()
+        assert len(calls) == np.count_nonzero(~np.isnan(expected[2::3]))  # complex rows only
+
+    def test_unusable_trace_gives_nan(self):
+        stack = np.array([np.eye(4), np.zeros((4, 4)), bell_projector().entries])
+        stack = np.concatenate([stack, np.diag([np.nan, 1, 1, 1])[None]])
+        values = qlinalg.npt_stack(stack)
+        assert values[0] == 0.0 and abs(values[2] - 1.0) < 1e-12
+        assert np.isnan(values[1]) and np.isnan(values[3])
+        assert np.isnan(qlinalg.npt_stack(-np.eye(4)[None])[0])  # negative trace
+
+    def test_non_hermitian_row_raises(self):
+        stack = np.array([np.eye(4)] * 3, dtype=complex)
+        stack[1, 0, 1] = 1e-6
+        stack[2, 0, 1] = np.nan  # a later bad row does not take precedence
+        with pytest.raises(HermiticityError):
+            qlinalg.npt_stack(stack)
+
+    def test_non_finite_row_raises(self):
+        stack = np.array([np.eye(4)] * 3, dtype=complex)
+        stack[1, 1, 2] = np.nan  # the trace stays 4
+        stack[2, 0, 1] = 1e-6
+        with pytest.raises(NumericInputError):
+            qlinalg.npt_stack(stack)
+        with pytest.raises(InvalidShapeError):
+            qlinalg.npt_stack(np.eye(4))
 
 
 class TestPurity:
