@@ -26,7 +26,6 @@ from .qlinalg import (
     min_eigenpair,
     min_eigenvalue,
     npt,
-    npt_stack,
     partial_transpose,
     purity,
 )

@@ -25,9 +25,10 @@ columns, from the unnormalized kernel.  The library constructors raise
 :class:`~mixent.qlinalg.DegenerateStateError` for these points instead.
 
 A sweep runs in blocks of ``SWEEP_BLOCK`` rows: it computes the states of a
-block row by row and scores them with one stacked NPT
-(:func:`mixent.qlinalg.npt_stack`).  The ``--out`` path is opened before the
-first row, and a run that ends in an error leaves no file there.
+block row by row and scores them with one stacked NPT.  The ``--out`` path is
+checked before the first row and written once the rows are done; a run that
+ends in an error leaves a file that was there before as it was, and removes
+one it created.
 
 Exit codes: 0 success, 2 invalid specification or unwritable ``--out``, 3
 oracle deviation above tolerance.  CSV files start with the schema comment
@@ -257,12 +258,6 @@ def _call(name: str, args: dict):
     return getattr(schemes, name)(*args.values())
 
 
-def _state(sdef: _SchemeDef, args: dict):
-    """The kernel-normalized state for ``args`` and the factor that scales it to the state."""
-    normalized, log_scale, denom = _call(sdef.state, args)
-    return normalized, schemes._factor(log_scale, denom)
-
-
 def _closed_vs_oracle(sdef: _SchemeDef, args: dict, built: BipartiteMatrix | None = None):
     """The oracle matrix for ``args`` and the closed form's largest deviation from it.
 
@@ -272,7 +267,7 @@ def _closed_vs_oracle(sdef: _SchemeDef, args: dict, built: BipartiteMatrix | Non
     if sdef.closed:
         closed = _call(sdef.closed, args)
     else:
-        closed = built or BipartiteMatrix(2, 2, np.multiply(*_state(sdef, args)))
+        closed = built or BipartiteMatrix(2, 2, np.multiply(*_call(sdef.state, args)))
     ref = sdef.oracle(args)
     return ref, qlinalg.max_abs_deviation(closed, ref)
 
@@ -294,7 +289,7 @@ def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: np.ndarray, first: int):
     for x in xs:
         args = sdef.args({**spec.fixed, spec.sweep[0]: float(x)})
         try:
-            matrix, factor = _state(sdef, args)
+            matrix, factor = _call(sdef.state, args)
             built = BipartiteMatrix(2, 2, matrix * factor) if validate else None
         except DegenerateStateError:
             matrix, factor, built = np.zeros((4, 4), dtype=np.complex128), math.nan, None
@@ -306,9 +301,9 @@ def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: np.ndarray, first: int):
             deviations.append(deviation)
     normalized = np.array(normalized)
     traces = np.trace(normalized * np.array(factors)[:, None, None], axis1=1, axis2=2).real
-    columns = [xs, qlinalg.npt_stack(normalized), traces]
+    columns = [xs, qlinalg._npt_stack(normalized), traces]
     if validate:
-        columns += [qlinalg.npt_stack(np.array(refs)), deviations]
+        columns += [qlinalg._npt_stack(np.array(refs)), deviations]
     lines = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
     failed = [(i, d) for i, d in enumerate(deviations, first) if d > spec.validate_tol]
     return lines, failed
@@ -319,8 +314,8 @@ def run_sweep(spec: SweepSpec):
 
     ``failures`` lists (row_index, deviation) for validated rows above
     tolerance; the CSV is complete either way.  An ``out`` path that cannot
-    be written raises :class:`SpecError` before any row is computed, and a
-    run that ends in an error leaves no file there.
+    be written raises :class:`SpecError` before any row is computed.  A run
+    that ends in an error removes the file only if it created it.
     """
     spec = _check_spec(spec)
     sdef = SCHEMES[spec.scheme]
@@ -331,28 +326,30 @@ def run_sweep(spec: SweepSpec):
     lines = [CSV_SCHEMA, ",".join(header)]
     failures = []
     xs = np.linspace(float(start), float(stop), int(count))
-    try:
-        out = open(spec.out, "w", newline="\n") if spec.out else None
-    except OSError as exc:
-        raise SpecError(f"cannot write {spec.out}: {exc.strerror or exc}") from None
+    created = spec.out and not os.path.lexists(spec.out)
+    if spec.out:
+        _write_out(spec.out, "", "a")  # fails early; appending nothing keeps a file as it is
     try:
         for first in range(0, len(xs), SWEEP_BLOCK):
             block, failed = _sweep_block(spec, sdef, xs[first : first + SWEEP_BLOCK], first)
             lines += block
             failures += failed
         csv_text = "\n".join(lines) + "\n"
-        if out:
-            try:
-                with out:
-                    out.write(csv_text)
-            except OSError as exc:
-                raise SpecError(f"cannot write {spec.out}: {exc.strerror or exc}") from None
+        if spec.out:
+            _write_out(spec.out, csv_text)
     except BaseException:
-        if out:
-            out.close()
+        if created:
             os.remove(spec.out)
         raise
     return (3 if failures else 0), csv_text, failures
+
+
+def _write_out(path: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode, newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------

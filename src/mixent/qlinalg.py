@@ -5,10 +5,10 @@ negativity of partial transpose (NPT) and purity utilities.  Everything here
 is a pure function of its inputs; :class:`BipartiteMatrix` instances are
 immutable after construction.
 
-:func:`npt` solves one matrix with the scalar solver.  :func:`npt_stack`
-scores a whole stack of two-qubit states, as sweeps do: partial transposes
-that are real, or exactly real under a diagonal phase, go through one batched
-real Jacobi that rounds as the scalar solver does, so both give the same bits.
+:func:`npt` solves one matrix with the scalar solver.  Sweeps score a whole
+stack of two-qubit states at once (``_npt_stack``): partial transposes that
+are real, or exactly real under a diagonal phase, go through one batched real
+Jacobi that rounds as the scalar solver does, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "min_eigenpair",
     "min_eigenvalue",
     "npt",
-    "npt_stack",
     "partial_transpose",
     "purity",
 ]
@@ -262,16 +261,13 @@ def _real_jacobi_min(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 6
 
 
 def _symmetrized_entries(a: np.ndarray) -> np.ndarray:
-    """(a + a^dagger) / 2 over the last two axes; the first bad matrix of a stack raises."""
-    adjoint = a.conj().swapaxes(-1, -2)
-    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite matrix fails either way
-        defect = np.abs(a - adjoint).max(axis=(-2, -1))
-    if not (defect < HERMITICITY_TOL).all():  # a non-finite entry makes it inf or NaN
-        first = np.flatnonzero(~(defect < HERMITICITY_TOL))[0]
-        if not np.isfinite(a.reshape(-1, *a.shape[-2:])[first]).all():
-            raise NumericInputError("matrix has non-finite entries")
+    if not np.isfinite(a).all():
+        raise NumericInputError("matrix has non-finite entries")
+    adjoint = a.conj().T
+    defect = float(np.max(np.abs(a - adjoint)))
+    if defect >= HERMITICITY_TOL:
         raise HermiticityError(
-            f"hermiticity defect {defect.flat[first]:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
+            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
         )
     return (a + adjoint) / 2.0
 
@@ -286,18 +282,6 @@ def min_eigenvalue(m: BipartiteMatrix) -> float:
     return min_eigenpair(m)[0]
 
 
-def _npt_sources(stack: np.ndarray, dim_a: int, dim_b: int):
-    """Traces of the partial transposes of an (N, n, n) stack, the mask of those
-    above the floor 1e-300 (it keeps 1/tr finite; NaN fails it) and, for them,
-    the trace-normalized, checked and symmetrized partial transposes."""
-    pt = stack.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2)
-    pt = pt.reshape(stack.shape)
-    tr = np.trace(pt, axis1=1, axis2=2).real
-    usable = tr > 1e-300
-    rows = pt if usable.all() else pt[usable]
-    return tr, usable, _symmetrized_entries(rows * (1.0 / tr[usable])[:, None, None])
-
-
 def npt(m: BipartiteMatrix) -> float:
     """Negativity of partial transpose, -2 min(0, eps).
 
@@ -306,10 +290,13 @@ def npt(m: BipartiteMatrix) -> float:
     for every projected state in this package (the absolute scale carries no
     information).
     """
-    tr, usable, sources = _npt_sources(m.entries[None], m.dim_a, m.dim_b)
-    if not usable[0]:
-        raise DegenerateStateError(f"cannot normalize matrix with trace {tr[0]}")
-    eps = float(hermitian_eigensystem(sources[0])[0][0])
+    pt = partial_transpose(m, "B").entries
+    tr = np.trace(pt).real
+    # the floor keeps 1/tr finite; anything smaller is not a usable state
+    if not tr > 1e-300:
+        raise DegenerateStateError(f"cannot normalize matrix with trace {tr}")
+    w, _ = hermitian_eigensystem(_symmetrized_entries(pt * (1.0 / tr)))
+    eps = float(w[0])
     return -2.0 * eps if eps < 0.0 else 0.0
 
 
@@ -317,7 +304,7 @@ def npt(m: BipartiteMatrix) -> float:
 _X_PHASE = np.array([1, 1, 1, -1j])[:, None] * np.array([1, 1, 1, 1j])
 
 
-def npt_stack(entries) -> np.ndarray:
+def _npt_stack(entries) -> np.ndarray:
     """NPT of each matrix of an (N, 4, 4) stack, bit for bit as :func:`npt` gives it.
 
     A row that fails ``npt``'s trace floor gives NaN; among the others the
@@ -329,7 +316,16 @@ def npt_stack(entries) -> np.ndarray:
     stack = np.asarray(entries, dtype=np.complex128)
     if stack.ndim != 3 or stack.shape[1:] != (4, 4):
         raise InvalidShapeError(f"expected an (N, 4, 4) stack, got shape {stack.shape}")
-    _, usable, sources = _npt_sources(stack, 2, 2)
+    pt = stack.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(stack.shape)
+    tr = np.trace(pt, axis1=1, axis2=2).real
+    usable = tr > 1e-300
+    scaled = pt[usable] * (1.0 / tr[usable])[:, None, None]
+    adjoint = scaled.conj().swapaxes(1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row is bad either way
+        bad = ~(np.abs(scaled - adjoint).max(axis=(1, 2)) < HERMITICITY_TOL)
+    if bad.any():
+        _symmetrized_entries(scaled[np.flatnonzero(bad)[0]])  # raises as npt does
+    sources = (scaled + adjoint) / 2.0
     real = ~sources.imag.any(axis=(1, 2))
     phased = sources * _X_PHASE
     realified = np.where(real[:, None, None], sources.real, phased.real)

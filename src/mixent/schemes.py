@@ -94,22 +94,16 @@ class SchemeOutput:
         return self.matrix.trace().real
 
 
-def _output(normalized: np.ndarray, log_scale: float, denom: float) -> SchemeOutput:
-    """The state normalized * exp(log_scale) / denom, with the NPT of ``normalized``.
+def _output(normalized: np.ndarray, factor: float) -> SchemeOutput:
+    """The state normalized * factor, with the NPT of ``normalized``.
 
     Each constructor is ``_output(*state)`` of its ``_*_state`` function, which sweeps call.
     """
-    matrix = BipartiteMatrix(2, 2, normalized * _factor(log_scale, denom))
     try:
         value = qlinalg.npt(BipartiteMatrix(2, 2, normalized))
     except DegenerateStateError:
         value = float("nan")
-    return SchemeOutput(matrix=matrix, npt_normalized=value)
-
-
-def _factor(log_scale: float, denom: float) -> float:
-    """The scale that takes a state's kernel-normalized matrix to the state itself."""
-    return _exp_or_zero(log_scale) / denom
+    return SchemeOutput(matrix=BipartiteMatrix(2, 2, normalized * factor), npt_normalized=value)
 
 
 def _exp_or_zero(log_value: float) -> float:
@@ -154,7 +148,7 @@ def _jc_state(params: AtomFieldParams):
     m[2, 1] += 1j * q * pw(n + 1) * c(n) * s(n)
     m[2, 2] += q * pw(n + 1) * c(n) ** 2
     m[3, 3] += q * pw(n + 2) * s(n + 1) ** 2
-    return m, 0.0, 1.0
+    return m, 1.0
 
 
 def _blocks_from_kernels(k, basis: CatBasis) -> dict:
@@ -208,7 +202,7 @@ def kerr_micro_thermal_projected(
 
 def _kerr_micro_thermal_state(m: MicroState, t: ThermalParams, basis: CatBasis):
     hat, log_c = scaled_cat_kernels(t, basis)
-    return _assemble_micro_blocks(_blocks_from_kernels(hat, basis), m.r), log_c, 1.0
+    return _assemble_micro_blocks(_blocks_from_kernels(hat, basis), m.r), _exp_or_zero(log_c)
 
 
 # Mode sandwich sign patterns (u1, u2, u3, u4) of the four beam-splitter
@@ -335,7 +329,7 @@ def _conditioned(kernel, power: int, m, t, basis, sign):
             "conditioning outcome has vanishing probability for these parameters"
         )
     normalized, log_scale = kernel(m, t, basis, sign)
-    return normalized, log_scale, denom
+    return normalized, _exp_or_zero(log_scale) / denom
 
 
 def bs_scheme_projected(
@@ -431,7 +425,7 @@ def _direct_kerr_state(t: ThermalParams, basis: CatBasis):
             basis.n_minus**2,
         ]
     )
-    return (d @ p @ d).astype(np.complex128), 2.0 * log_c, 1.0
+    return (d @ p @ d).astype(np.complex128), _exp_or_zero(2.0 * log_c)
 
 
 def _check_sign(sign: int) -> int:

@@ -318,14 +318,21 @@ class TestMain:
         assert list(tmp_path.iterdir()) == []
         assert not calls  # the path is checked before the first row is computed
 
-    def test_error_after_open_leaves_no_file(self, tmp_path, capsys):
-        # p leaves [0, 1] in the second block of rows
-        out = tmp_path / "p.csv"
+    def test_error_after_open_removes_only_a_created_file(self, tmp_path, capsys):
+        # p leaves [0, 1] in the second block of rows: a file the run created
+        # is removed, a file or a symlink that was there is neither emptied
+        # nor removed
+        target = tmp_path / "old.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
         argv = ["sweep", "--scheme", "jc", "--set", "gt=1", "--set", "lam=0.5", "--set", "n=0"]
-        count = 2 * cli.SWEEP_BLOCK
-        assert cli.main(argv + ["--sweep", f"p:0:1.9:{count}", "--out", str(out)]) == 2
-        assert "p must lie in [0, 1]" in capsys.readouterr().err
-        assert not out.exists()
+        argv += ["--sweep", f"p:0:1.9:{2 * cli.SWEEP_BLOCK}", "--out"]
+        for out in (tmp_path / "p.csv", target, link):
+            assert cli.main(argv + [str(out)]) == 2
+            assert "p must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+        assert target.read_text() == "old\n" and link.is_symlink()
 
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
     def test_non_integer_n_exit_2(self, n, capsys):

@@ -314,7 +314,7 @@ class TestNpt:
 
 
 def scalar_npts(stack):
-    """``npt`` of each matrix, NaN where its trace fails the floor: the reference for ``npt_stack``."""
+    """``npt`` of each matrix, NaN where its trace fails the floor: the stacked NPT's reference."""
     values = []
     for entries in stack:
         try:
@@ -372,7 +372,7 @@ class TestNptStack:
         assert stack.shape == (4261, 4, 4)
         expected = scalar_npts(stack)
         calls = self.count_scalar_calls(monkeypatch)
-        assert qlinalg.npt_stack(stack).tobytes() == expected.tobytes()
+        assert qlinalg._npt_stack(stack).tobytes() == expected.tobytes()
         assert not calls  # every preset source is real or realified by the phase
 
     def test_constructor_draws(self, monkeypatch):
@@ -380,7 +380,7 @@ class TestNptStack:
         assert len(states) >= 1400
         expected = np.array([out.npt_normalized for out in outputs])
         calls = self.count_scalar_calls(monkeypatch)
-        assert qlinalg.npt_stack(np.array(states)).tobytes() == expected.tobytes()
+        assert qlinalg._npt_stack(np.array(states)).tobytes() == expected.tobytes()
         assert not calls
 
     def test_mixed_real_phased_and_complex_rows(self, monkeypatch):
@@ -400,32 +400,32 @@ class TestNptStack:
         expected = scalar_npts(stack)
         assert np.count_nonzero(expected > 0.0) > 100 and np.count_nonzero(expected == 0.0) > 100
         calls = self.count_scalar_calls(monkeypatch)
-        assert qlinalg.npt_stack(stack).tobytes() == expected.tobytes()
+        assert qlinalg._npt_stack(stack).tobytes() == expected.tobytes()
         assert len(calls) == np.count_nonzero(~np.isnan(expected[2::3]))  # complex rows only
 
     def test_unusable_trace_gives_nan(self):
         stack = np.array([np.eye(4), np.zeros((4, 4)), bell_projector().entries])
         stack = np.concatenate([stack, np.diag([np.nan, 1, 1, 1])[None]])
-        values = qlinalg.npt_stack(stack)
+        values = qlinalg._npt_stack(stack)
         assert values[0] == 0.0 and abs(values[2] - 1.0) < 1e-12
         assert np.isnan(values[1]) and np.isnan(values[3])
-        assert np.isnan(qlinalg.npt_stack(-np.eye(4)[None])[0])  # negative trace
+        assert np.isnan(qlinalg._npt_stack(-np.eye(4)[None])[0])  # negative trace
 
     def test_non_hermitian_row_raises(self):
         stack = np.array([np.eye(4)] * 3, dtype=complex)
         stack[1, 0, 1] = 1e-6
         stack[2, 0, 1] = np.nan  # a later bad row does not take precedence
         with pytest.raises(HermiticityError):
-            qlinalg.npt_stack(stack)
+            qlinalg._npt_stack(stack)
 
     def test_non_finite_row_raises(self):
         stack = np.array([np.eye(4)] * 3, dtype=complex)
         stack[1, 1, 2] = np.nan  # the trace stays 4
         stack[2, 0, 1] = 1e-6
         with pytest.raises(NumericInputError):
-            qlinalg.npt_stack(stack)
+            qlinalg._npt_stack(stack)
         with pytest.raises(InvalidShapeError):
-            qlinalg.npt_stack(np.eye(4))
+            qlinalg._npt_stack(np.eye(4))
 
 
 class TestPurity:
