@@ -22,8 +22,10 @@ the integrand resolved for any V; scaling by the thermal width alone misses
 the overlap peaks entirely once V >> 1.  In these coordinates each integrand
 term reduces to exp(2 zeta x) with |zeta| <= 2 gamma, for which
 ``QUADRATURE_ORDER`` = 80 points per axis are accurate to far below the
-validation tolerances.  The four single-mode sandwich blocks of one node set
-are evaluated together, from one pair of cat projections at +-alpha.
+validation tolerances.  Every block is one node sum over the cat projections
+of two kets, keyed by (w, w') in {+-1}^2: single-mode |w alpha> for the 2x2
+sandwich blocks, the split |w delta>|-w delta> (delta = alpha/sqrt(2)) for
+the 4x4 beam-splitter blocks.
 
 Every quadrature result is re-evaluated at twice the order; entries that move
 by more than ``DOUBLING_TOLERANCE`` raise :class:`OracleUnstableError`.
@@ -180,6 +182,11 @@ def _thermal_nodes(variance: float, displacement: float, order: int):
     return alpha.ravel(), np.exp(logw2.ravel())
 
 
+def _node_blocks(kets: dict, weight: np.ndarray) -> dict:
+    """Weighted node sums sum_n weight_n k_w[:, n] conj(k_w'[:, n]), keyed by (w, w')."""
+    return {(w, wp): (kets[w] * weight) @ kets[wp].conj().T for w in kets for wp in kets}
+
+
 @lru_cache(maxsize=128)
 def _sandwich_block(variance: float, displacement: float, gamma: float, order: int) -> dict:
     """Quadrature values of the 2x2 cat blocks <s| integral[P |w a><w' a|] |s'>.
@@ -188,50 +195,37 @@ def _sandwich_block(variance: float, displacement: float, gamma: float, order: i
     """
     alpha, weight = _thermal_nodes(variance, displacement, order)
     basis = CatBasis(gamma)
-    proj = {w: np.vstack(basis.coherent_projection(w * alpha)) for w in (1, -1)}
-    return {(w, wp): (proj[w] * weight) @ proj[wp].conj().T for w in (1, -1) for wp in (1, -1)}
+    kets = {w: np.vstack(basis.coherent_projection(w * alpha)) for w in (1, -1)}
+    return _node_blocks(kets, weight)
 
 
 @lru_cache(maxsize=256)
-def _bs_term_matrices(
-    variance: float, displacement: float, gamma: float, order: int
-) -> tuple[np.ndarray, ...]:
-    """The four 4x4 term integrals of the beam-splitter state, weights applied later.
+def _bs_term_matrices(variance: float, displacement: float, gamma: float, order: int) -> dict:
+    """Quadrature values of the 4x4 cat blocks <s1 s2| integral[P |k_w><k_w'|] |s1' s2'>.
 
-    Term order: direct (delta, -delta), direct mirrored, coherence, coherence
-    mirrored.  Each entry sums <s1|x><y|s1'><s2|v><w|s2'> over the nodes with
-    (x, y, v, w) the term's coherent arguments at delta = alpha/sqrt(2).
+    The 50:50 splitter sends |w a> to k_w = |w delta>|-w delta>, delta = a/sqrt(2);
+    rows (s1, s2) of its projections are the products of the single-mode
+    projections at w delta and -w delta.  (1, 1) is the direct term, (-1, -1)
+    its mirror, the mixed pairs the coherences.
     """
     alpha, weight = _thermal_nodes(variance, displacement, order)
     basis = CatBasis(gamma)
     delta = alpha / math.sqrt(2.0)
-    op = np.vstack(basis.coherent_projection(delta))
-    om = np.vstack(basis.coherent_projection(-delta))
-    combos = ((op, op, om, om), (om, om, op, op), (op, om, om, op), (om, op, op, om))
-    out = []
-    for a_ket, a_bra, b_ket, b_bra in combos:
-        t = np.einsum(
-            "n,an,bn,cn,dn->abcd", weight, a_ket, b_ket, a_bra.conj(), b_bra.conj()
-        )
-        out.append(t.reshape(4, 4))
-    return tuple(out)
+    proj = {w: np.vstack(basis.coherent_projection(w * delta)) for w in (1, -1)}
+    kets = {w: (proj[w][:, None] * proj[-w][None, :]).reshape(4, -1) for w in (1, -1)}
+    del proj  # not held through the node sum: 1.6 MB at order 160
+    return _node_blocks(kets, weight)
 
 
 def _quad_kerr_micro_thermal(micro, thermal, basis, order):
     r = micro.r
     b = _sandwich_block(thermal.variance, thermal.displacement, basis.gamma, order)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    out[:2, :2] = b[1, 1]
-    out[2:, 2:] = b[-1, -1]
-    out[:2, 2:] = r * b[1, -1]
-    out[2:, :2] = r * b[-1, 1]
-    return 0.5 * out
+    return 0.5 * np.block([[b[1, 1], r * b[1, -1]], [r * b[-1, 1], b[-1, -1]]])
 
 
 def _quad_bs(micro, thermal, basis, sign, order):
-    terms = _bs_term_matrices(thermal.variance, thermal.displacement, basis.gamma, order)
-    weights = (1.0, 1.0, sign * micro.r, sign * micro.r)
-    return sum(w * t for w, t in zip(weights, terms))
+    b = _bs_term_matrices(thermal.variance, thermal.displacement, basis.gamma, order)
+    return b[1, 1] + b[-1, -1] + sign * micro.r * (b[1, -1] + b[-1, 1])
 
 
 def _quad_tt(micro, thermal, basis, sign, order):

@@ -38,8 +38,9 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 
 # Jacobi stops once the off-diagonal Frobenius norm drops below this fraction
-# of the input's Frobenius norm.
+# of the input's Frobenius norm, and gives up after this many sweeps.
 JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
 
 
 class InvalidShapeError(ValueError):
@@ -84,10 +85,6 @@ class BipartiteMatrix:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def size(self) -> int:
-        return self.dim_a * self.dim_b
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -140,15 +137,14 @@ def _pairwise_sum(values: list) -> float:
     return total
 
 
-def hermitian_eigensystem(
-    matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     Each complex off-diagonal entry a[p,q] = |g| e^{i phi} is eliminated by
     the unitary U = diag(1, e^{-i phi}) R(theta), where R is the classic real
     Jacobi rotation for the phase-stripped 2x2 block.  Convergence: the
-    off-diagonal Frobenius norm falls below ``tol`` times the input norm.
+    off-diagonal Frobenius norm falls below ``JACOBI_TOL`` times the input
+    norm.  An entry so small that 1/|g| overflows is skipped, as a zero is.
 
     The rotations run on Python complex scalars and round as numpy array
     arithmetic does, operation for operation: the phase is g * (1/|g|), as
@@ -175,8 +171,8 @@ def hermitian_eigensystem(
         return arr.diagonal().real.copy(), np.eye(n, dtype=np.complex128)
 
     v = np.eye(n, dtype=np.complex128).tolist()
-    threshold = tol * scale
-    for _ in range(max_sweeps):
+    threshold = JACOBI_TOL * scale
+    for _ in range(JACOBI_MAX_SWEEPS):
         absq = [h * h for row in a for h in map(abs, row)]
         absq[:: n + 1] = [0.0] * n
         if math.sqrt(_pairwise_sum(absq)) <= threshold:
@@ -187,10 +183,10 @@ def hermitian_eigensystem(
             for q in range(p + 1, n):
                 g = a[p][q]
                 h = abs(g)
-                if h == 0.0:
+                inv = 1.0 / h if h else math.inf
+                if inv == math.inf:  # h == 0 or below 2^-1024: no rotation
                     continue
                 # g / h as numpy computes it (Smith's division by h + 0j)
-                inv = 1.0 / h
                 phase = complex((g.real + g.imag * 0.0) * inv, (g.imag - g.real * 0.0) * inv)
                 theta = (a[p][p].real - a[q][q].real) / (2.0 * h)
                 if theta == 0.0:
@@ -218,7 +214,7 @@ def hermitian_eigensystem(
     raise ArithmeticError("Jacobi eigensolver did not converge")
 
 
-def _real_jacobi_min(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.ndarray:
+def _real_jacobi_min(a: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each real symmetric matrix of an (N, n, n) stack.
 
     :func:`hermitian_eigensystem` vectorized over the stack on real arrays,
@@ -229,8 +225,8 @@ def _real_jacobi_min(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 6
     n = a.shape[-1]
     out = np.empty(len(a))
     active = np.arange(len(a))
-    threshold = tol * np.sqrt(np.sum((a * a).reshape(len(a), n * n), axis=-1))
-    for _ in range(max_sweeps):
+    threshold = JACOBI_TOL * np.sqrt(np.sum((a * a).reshape(len(a), n * n), axis=-1))
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = (a * a).reshape(len(a), n * n)
         off[:, :: n + 1] = 0.0
         done = np.sqrt(np.sum(off, axis=-1)) <= threshold
@@ -240,7 +236,9 @@ def _real_jacobi_min(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 6
             return out
         for p in range(n - 1):
             for q in range(p + 1, n):
-                rows = np.flatnonzero(a[:, p, q])  # h == 0: no rotation
+                with np.errstate(divide="ignore", over="ignore"):
+                    # no rotation where 1/h is infinite: h == 0 or below 2^-1024
+                    rows = np.flatnonzero(1.0 / np.abs(a[:, p, q]) < math.inf)
                 b = a[rows] if len(rows) < len(a) else a
                 g = b[:, p, q, None]
                 h = np.abs(g)

@@ -52,6 +52,13 @@ def _real_scalar(value, name: str) -> float:
     return x.real
 
 
+def _squarable(x: float, name: str) -> float:
+    # the kernels square d and gamma; past 1.34e154 that overflows
+    if not math.isfinite(x * x):
+        raise ValueError(f"{name} must have a finite square, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class ThermalParams:
     """Displaced thermal field with quadrature variance V >= 1.
@@ -66,7 +73,7 @@ class ThermalParams:
 
     def __post_init__(self) -> None:
         v = _real_scalar(self.variance, "variance")
-        d = _real_scalar(self.displacement, "displacement")
+        d = _squarable(_real_scalar(self.displacement, "displacement"), "displacement")
         if v < 1.0:
             raise ValueError(f"variance must be >= 1, got {v}")
         object.__setattr__(self, "variance", v)
@@ -98,7 +105,7 @@ class CatBasis:
     gamma: float
 
     def __post_init__(self) -> None:
-        g = _real_scalar(self.gamma, "gamma")
+        g = _squarable(_real_scalar(self.gamma, "gamma"), "gamma")
         if g <= 0.0:
             raise ValueError(f"gamma must be > 0, got {g}")
         object.__setattr__(self, "gamma", g)

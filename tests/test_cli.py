@@ -334,6 +334,32 @@ class TestMain:
         assert not (tmp_path / "p.csv").exists()
         assert target.read_text() == "old\n" and link.is_symlink()
 
+    def test_sweep_to_the_largest_variance(self, capsys):
+        # near V = 1e308 the partial transpose has entries below 2^-1024
+        argv = ["sweep", "--scheme", "kerr_micro_thermal", "--set", "r=1", "--set", "gamma=2"]
+        assert cli.main(argv + ["--set", "d=1", "--sweep", "V:1:1e308:3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [float(row[1]) for row in rows[1:]] == [0.0, 0.0]
+
+    # each scheme's sweep reaches a value whose square (gt sqrt(2) for jc) overflows
+    OVERFLOWING = {
+        "jc": (["p=1", "lam=0.5", "n=0"], "gt:0:1.7e308:3", "math domain error"),
+        "kerr_micro_thermal": (["r=1", "V=10", "d=1"], "gamma:1:1e200:3", "gamma must have"),
+        "bs": (["r=1", "V=10", "gamma=2", "sign=+"], "d:0:1e200:3", "displacement must have"),
+        "tt": (["r=1", "V=10", "gamma=2", "sign=+"], "d:0:1e160:3", "displacement must have"),
+        "direct_kerr": (["V=10", "gamma=2"], "d:0:1e160:3", "displacement must have"),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(OVERFLOWING))
+    def test_overflowing_parameter_exit_2(self, scheme, tmp_path, capsys):
+        fixed, sweep, message = self.OVERFLOWING[scheme]
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--scheme", scheme, "--sweep", sweep, "--out", str(out)]
+        assert cli.main(argv + [f"--set={item}" for item in fixed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
     def test_non_integer_n_exit_2(self, n, capsys):
         argv = ["sweep", "--scheme", "jc", "--sweep", "gt:0:1:2"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
-from mixent import oracle
+from mixent import cli, oracle
 from mixent.oracle import (
     OracleUnstableError,
     TruncationTailError,
@@ -20,6 +20,7 @@ from mixent.oracle import (
 from mixent.states import thermal_cat_kernels
 
 G2 = mx.CatBasis(2.0)
+EPS = np.finfo(float).eps
 
 
 class TestFockSpace:
@@ -142,6 +143,45 @@ class TestSandwichBlocks:
                 for (w, wp), block in blocks.items():
                     ref = reference_sandwich_block(v, d, g, order, w, wp)
                     assert block.tobytes() == ref.tobytes(), (v, d, g, order, w, wp)
+
+
+def einsum_bs_terms(variance, displacement, gamma, order):
+    """The beam-splitter term integrals as a five-operand einsum per term.
+
+    Term order: direct (delta, -delta), its mirror, coherence, coherence
+    mirrored; each entry sums <s1|x><y|s1'><s2|v><w|s2'> over the nodes with
+    (x, y, v, w) the term's coherent arguments at delta = alpha/sqrt(2).
+    """
+    alpha, weight = oracle._thermal_nodes(variance, displacement, order)
+    basis = mx.CatBasis(gamma)
+    delta = alpha / math.sqrt(2.0)
+    op = np.vstack(basis.coherent_projection(delta))
+    om = np.vstack(basis.coherent_projection(-delta))
+    combos = ((op, op, om, om), (om, om, op, op), (op, om, om, op), (om, op, op, om))
+    return [
+        np.einsum("n,an,bn,cn,dn->abcd", weight, a, b, c.conj(), d.conj()).reshape(4, 4)
+        for a, c, b, d in combos
+    ]
+
+
+class TestBeamSplitterBlocks:
+    def test_blocks_match_per_term_einsum(self):
+        # the same order^2 node terms summed in another order: each sum's
+        # rounding grows like sqrt(order^2) eps, so two of them differ by
+        # at most about 2 order eps of the largest entry
+        rng = np.random.default_rng(19)
+        points = [(p["V"], p["d"], p["gamma"]) for p in cli._kerr_family_grid()]
+        for _ in range(20):
+            v = 10.0 ** rng.uniform(0.0, 4.0)
+            points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
+        for v, d, g in points:
+            for order in (80, 160):
+                blocks = oracle._bs_term_matrices(v, d, g, order)
+                terms = einsum_bs_terms(v, d, g, order)
+                scale = max(np.abs(t).max() for t in terms)
+                for key, ref in zip(((1, 1), (-1, -1), (1, -1), (-1, 1)), terms):
+                    dev = np.abs(blocks[key] - ref).max()
+                    assert dev <= 2 * order * EPS * scale, (v, d, g, order, key, dev / scale)
 
 
 class TestQuadratureOracle:

@@ -418,6 +418,17 @@ class TestNptStack:
         with pytest.raises(HermiticityError):
             qlinalg._npt_stack(stack)
 
+    def test_rotation_whose_reciprocal_overflows_is_skipped(self):
+        # near V = 1e308 the partial transpose has entries of 1e-308; rotations
+        # push some below 2^-1024, where 1/|g| is infinite: both solvers skip
+        # them as they skip zeros instead of turning them into NaN
+        for v in (1e307, 3e307, 1e308, 1.7e308):
+            args = (mx.MicroState(1.0), mx.ThermalParams(v, 1.0), mx.CatBasis(2.0))
+            state, _ = schemes._kerr_micro_thermal_state(*args)
+            assert mx.npt(mx.BipartiteMatrix(2, 2, state)) == 0.0, v
+            assert schemes.kerr_micro_thermal_projected(*args).npt_normalized == 0.0, v
+            assert qlinalg._npt_stack(np.array([state, state.T])).tolist() == [0.0, 0.0], v
+
     def test_non_finite_row_raises(self):
         stack = np.array([np.eye(4)] * 3, dtype=complex)
         stack[1, 1, 2] = np.nan  # the trace stays 4

@@ -66,6 +66,12 @@ class TestJcProjected:
         b = jc_projected(mx.AtomFieldParams(p=1.0, lam=0.0, gt=0.9 + 2 * math.pi, n=0)).matrix
         assert mx.max_abs_deviation(a, b) < 1e-12
 
+    def test_overflowing_coupling_time_raises_value_error(self):
+        # gt sqrt(2) overflows to inf and cos(inf) is a domain error: a
+        # ValueError, as for a d or gamma whose square overflows (test_states)
+        with pytest.raises(ValueError):
+            jc_projected(mx.AtomFieldParams(p=1.0, lam=0.5, gt=1.7e308, n=0))
+
     def test_zero_probability_projection_is_nan(self):
         out = jc_projected(mx.AtomFieldParams(p=0.0, lam=0.0, gt=0.3, n=3))
         assert math.isnan(out.npt_normalized)
@@ -388,6 +394,67 @@ class TestSchemeOutputInvariants:
             assert self.npt_in_range(direct_kerr_projected(t, basis)) == 0.0, at
             for sign in (1, -1):
                 assert self.npt_in_range(tt_scheme_projected(micro, t, basis, sign)) == 0.0, at
+
+    # The point_calls benchmark's domain: V in [1, 1e6] and |d| in [1e-2, 1e3]
+    # (log-uniform), gamma in [10^-0.5, 10^0.7], r in [0, 1]; for jc, lam =
+    # 1 - 10^u with u in [-4, 0], gt in [0, 8 pi], n in 0..20.
+    POINT_VARIANTS = ("jc", "kerr", "bs+", "bs-", "tt+", "tt-", "direct")
+
+    @staticmethod
+    def point_state(variant, rng):
+        if variant == "jc":
+            params = mx.AtomFieldParams(
+                p=rng.uniform(0.0, 1.0),
+                lam=1.0 - 10.0 ** rng.uniform(-4.0, 0.0),
+                gt=rng.uniform(0.0, 8.0 * math.pi),
+                n=int(rng.integers(0, 21)),
+            )
+            return schemes._jc_state(params)
+        d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 3.0)
+        thermal = mx.ThermalParams(10.0 ** rng.uniform(0.0, 6.0), d)
+        basis = mx.CatBasis(10.0 ** rng.uniform(-0.5, 0.7))
+        if variant == "direct":
+            return schemes._direct_kerr_state(thermal, basis)
+        micro = mx.MicroState(rng.uniform(0.0, 1.0))
+        if variant == "kerr":
+            return schemes._kerr_micro_thermal_state(micro, thermal, basis)
+        state = schemes._bs_scheme_state if variant[:2] == "bs" else schemes._tt_scheme_state
+        return state(micro, thermal, basis, 1 if variant[2] == "+" else -1)
+
+    def test_states_are_positive_semidefinite(self):
+        rng = np.random.default_rng(47)
+        for variant in self.POINT_VARIANTS:
+            stack = []
+            for _ in range(1000):
+                try:
+                    stack.append(self.point_state(variant, rng)[0])
+                except DegenerateStateError:
+                    pass
+            stack = np.array(stack)
+            assert len(stack) >= 990, variant
+            traces = np.trace(stack, axis1=1, axis2=2).real
+            assert (traces > 0.0).all(), variant
+            lowest = np.linalg.eigvalsh(stack / traces[:, None, None])[:, 0]
+            assert lowest.min() >= -1e-14, (variant, lowest.min())
+
+    def test_closed_forms_match_oracle_at_low_photon_draws(self):
+        # V in [1, 100], d in [0, 3 sqrt(V)], gamma in [1, 3], r in [0, 1]
+        rng = np.random.default_rng(48)
+        for _ in range(8):
+            v = rng.uniform(1.0, 100.0)
+            thermal = mx.ThermalParams(v, rng.uniform(0.0, 3.0 * math.sqrt(v)))
+            basis, micro = mx.CatBasis(rng.uniform(1.0, 3.0)), mx.MicroState(rng.uniform(0.0, 1.0))
+            at = (micro.r, thermal.variance, thermal.displacement, basis.gamma)
+            pairs = [
+                ("kerr_micro_thermal", None, kerr_micro_thermal_projected(micro, thermal, basis).matrix),
+                ("direct_kerr", None, direct_kerr_projected(thermal, basis).matrix),
+            ]
+            for sign in (1, -1):
+                pairs.append(("bs", sign, bs_projected_kernel(micro, thermal, basis, sign)))
+                pairs.append(("tt", sign, tt_projected_kernel(micro, thermal, basis, sign)))
+            for scheme, sign, closed in pairs:
+                ref = mx.quadrature_projected(scheme, thermal=thermal, basis=basis, micro=micro, sign=sign)
+                assert mx.max_abs_deviation(closed, ref) <= 1e-8, (scheme, sign, at)
 
     def test_npt_vanishes_without_micro_coherence(self):
         # r = 0 makes the state separable, but its NPT is not always an exact

@@ -84,6 +84,14 @@ class TestCatBasis:
         with pytest.raises(ValueError):
             mx.CatBasis(-1.0)
 
+    def test_gamma_square_must_be_finite(self):
+        # gamma**2 would raise OverflowError in n_plus; the basis refuses it
+        largest = float(np.nextafter(2.0**512, 0.0))  # 1.34e154
+        for bad in (2.0**512, 1e200):
+            with pytest.raises(ValueError, match="gamma must have a finite square"):
+                mx.CatBasis(bad)
+        assert math.isfinite(mx.CatBasis(largest).n_plus)
+
 
 class TestThermalParams:
     def test_mean_photon_number(self):
@@ -107,6 +115,15 @@ class TestThermalParams:
             mx.ThermalParams(0.5, 0.0)
         with pytest.raises(ValueError):
             mx.ThermalParams(2.0, 1.0 + 1.0j)
+
+    def test_displacement_square_must_be_finite(self):
+        # d**2 would raise OverflowError in mean_photon_number and the kernels
+        largest = float(np.nextafter(2.0**512, 0.0))  # 1.34e154
+        for bad in (2.0**512, -(2.0**512), 1e200):
+            with pytest.raises(ValueError, match="displacement must have a finite square"):
+                mx.ThermalParams(10.0, bad)
+        for d in (largest, -largest):
+            assert math.isfinite(mx.ThermalParams(10.0, d).mean_photon_number)
 
 
 class TestMicroState:
