@@ -1,19 +1,20 @@
 """Dense complex linear algebra for small bipartite operators.
 
-Partial transposition, a cyclic Jacobi eigensolver for Hermitian matrices,
-negativity of partial transpose (NPT) and purity utilities.  Everything here
-is a pure function of its inputs; :class:`BipartiteMatrix` instances are
-immutable after construction.
+Partial transposition, Hermitian eigensystems, negativity of partial
+transpose (NPT) and purity utilities.  Everything here is a pure function of
+its inputs; :class:`BipartiteMatrix` instances are immutable after
+construction.
 
-:func:`npt` solves one matrix with the scalar solver.  Sweeps score a whole
-stack of two-qubit states at once (``_npt_stack``): partial transposes that
-are real, or exactly real under a diagonal phase, go through one batched real
-Jacobi that rounds as the scalar solver does, so both give the same bits.
+Eigenvalues come from LAPACK (``np.linalg.eigvalsh``).  Where a separable
+state's partial transpose has a smallest eigenvalue of exactly 0, LAPACK
+returns roundoff of either sign; one zero rule (``NPT_ZERO_BOUND``) turns every
+smallest eigenvalue inside the solver's error bound into an NPT of exactly 0.
+:func:`npt` solves one matrix; sweeps score a whole stack of two-qubit states
+with one ``eigvalsh`` call (``_npt_stack``), which gives the same bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,9 @@ __all__ = [
 # away; anything larger is a construction bug and is rejected.
 HERMITICITY_TOL = 1e-10
 
-# Jacobi stops once the off-diagonal Frobenius norm drops below this fraction
-# of the input's Frobenius norm, and gives up after this many sweeps.
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
+# A backward-stable eigensolver is off by a small multiple of eps ||A||, so a
+# smallest eigenvalue within this bound of 0 cannot be told from 0.
+NPT_ZERO_BOUND = 4.0 * np.finfo(float).eps
 
 
 class InvalidShapeError(ValueError):
@@ -115,147 +115,16 @@ def partial_transpose(m: BipartiteMatrix, which: str = "B") -> BipartiteMatrix:
     return BipartiteMatrix(da, db, out.reshape(da * db, da * db))
 
 
-def _pairwise_sum(values: list) -> float:
-    """Sum of floats in numpy's pairwise order, so that it rounds as ``np.sum`` does."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    if n < 8:
-        total = 0.0
-        for x in values:
-            total += x
-        return total
-    acc = values[:8]
-    cut = n - n % 8
-    for i in range(8, cut, 8):
-        for j in range(8):
-            acc[j] += values[i + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for x in values[cut:]:
-        total += x
-    return total
-
-
 def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigenvalues in ascending order and eigenvectors (columns) of a Hermitian matrix.
 
-    Each complex off-diagonal entry a[p,q] = |g| e^{i phi} is eliminated by
-    the unitary U = diag(1, e^{-i phi}) R(theta), where R is the classic real
-    Jacobi rotation for the phase-stripped 2x2 block.  Convergence: the
-    off-diagonal Frobenius norm falls below ``JACOBI_TOL`` times the input
-    norm.  An entry so small that 1/|g| overflows is skipped, as a zero is.
-
-    The rotations run on Python complex scalars and round as numpy array
-    arithmetic does, operation for operation: the phase is g * (1/|g|), as
-    numpy divides a complex by a real; hypot comes from libm, as in np.hypot
-    (math.hypot rounds differently); the norms are summed in numpy's pairwise
-    order.  The rounding is pinned because the NPT of a separable state must
-    stay an exact zero, where a LAPACK solver returns roundoff of either sign.
-    One exception: numpy's vectorized complex-by-complex product fuses its
-    multiply-adds on CPUs with FMA, so where rotations mix genuinely complex
-    entries the last bit can differ from a numpy-slice solver.  Real matrices
-    and every matrix the constructors of :mod:`mixent.schemes` build are not
-    affected.
-
-    Returns eigenvalues in ascending order and the matching eigenvectors as
-    columns of a unitary matrix.
+    A thin wrapper of LAPACK's ``np.linalg.eigh`` that rejects non-square input.
     """
     arr = np.array(matrix, dtype=np.complex128)
     n = arr.shape[0]
     if arr.ndim != 2 or arr.shape != (n, n):
         raise InvalidShapeError(f"expected a square matrix, got shape {arr.shape}")
-    a = arr.tolist()
-    scale = math.sqrt(_pairwise_sum([h * h for row in a for h in map(abs, row)]))
-    if scale == 0.0 or n == 1:
-        return arr.diagonal().real.copy(), np.eye(n, dtype=np.complex128)
-
-    v = np.eye(n, dtype=np.complex128).tolist()
-    threshold = JACOBI_TOL * scale
-    for _ in range(JACOBI_MAX_SWEEPS):
-        absq = [h * h for row in a for h in map(abs, row)]
-        absq[:: n + 1] = [0.0] * n
-        if math.sqrt(_pairwise_sum(absq)) <= threshold:
-            w = np.array([row[i].real for i, row in enumerate(a)])
-            order = np.argsort(w, kind="stable")
-            return w[order], np.array(v)[:, order]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p][q]
-                h = abs(g)
-                inv = 1.0 / h if h else math.inf
-                if inv == math.inf:  # h == 0 or below 2^-1024: no rotation
-                    continue
-                # g / h as numpy computes it (Smith's division by h + 0j)
-                phase = complex((g.real + g.imag * 0.0) * inv, (g.imag - g.real * 0.0) * inv)
-                theta = (a[p][p].real - a[q][q].real) / (2.0 * h)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    # abs(complex) is libm hypot, as np.hypot; math.hypot rounds differently
-                    t = (-1.0 if theta > 0.0 else 1.0) / (abs(theta) + abs(complex(1.0, theta)))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # column block of U at (p, q): [[c, s], [uqp, uqq]]
-                uqp = -s * phase.conjugate()
-                uqq = c * phase.conjugate()
-                for row in a:
-                    row[p], row[q] = row[p] * c + row[q] * uqp, row[p] * s + row[q] * uqq
-                row_p, row_q = a[p], a[q]
-                cqp, cqq = uqp.conjugate(), uqq.conjugate()
-                for k in range(n):
-                    row_p[k], row_q[k] = c * row_p[k] + cqp * row_q[k], s * row_p[k] + cqq * row_q[k]
-                # the rotation zeroes (p, q) analytically; kill the roundoff
-                row_p[q] = row_q[p] = 0j
-                row_p[p] = complex(row_p[p].real)
-                row_q[q] = complex(row_q[q].real)
-                for row in v:
-                    row[p], row[q] = row[p] * c + row[q] * uqp, row[p] * s + row[q] * uqq
-    raise ArithmeticError("Jacobi eigensolver did not converge")
-
-
-def _real_jacobi_min(a: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each real symmetric matrix of an (N, n, n) stack.
-
-    :func:`hermitian_eigensystem` vectorized over the stack on real arrays,
-    with its rotation order, skips, phase, hypot, clean-up and norm sums: on
-    a real matrix the scalar solver's products carry zero imaginary parts, so
-    its eigenvalues are these bit for bit.  Converged matrices leave the stack.
-    """
-    n = a.shape[-1]
-    out = np.empty(len(a))
-    active = np.arange(len(a))
-    threshold = JACOBI_TOL * np.sqrt(np.sum((a * a).reshape(len(a), n * n), axis=-1))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = (a * a).reshape(len(a), n * n)
-        off[:, :: n + 1] = 0.0
-        done = np.sqrt(np.sum(off, axis=-1)) <= threshold
-        out[active[done]] = np.diagonal(a[done], axis1=1, axis2=2).min(axis=-1)
-        a, active, threshold = a[~done], active[~done], threshold[~done]
-        if not len(a):
-            return out
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                with np.errstate(divide="ignore", over="ignore"):
-                    # no rotation where 1/h is infinite: h == 0 or below 2^-1024
-                    rows = np.flatnonzero(1.0 / np.abs(a[:, p, q]) < math.inf)
-                b = a[rows] if len(rows) < len(a) else a
-                g = b[:, p, q, None]
-                h = np.abs(g)
-                theta = (b[:, p, p, None] - b[:, q, q, None]) / (2.0 * h)
-                # at theta == 0 this is 1 / (0 + 1), the scalar solver's t = 1
-                t = np.where(theta > 0.0, -1.0, 1.0) / (np.abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                uqp, uqq = -s * (g * (1.0 / h)), c * (g * (1.0 / h))
-                col_p, col_q = b[:, :, p], b[:, :, q]
-                b[:, :, p], b[:, :, q] = col_p * c + col_q * uqp, col_p * s + col_q * uqq
-                row_p, row_q = b[:, p, :], b[:, q, :]
-                b[:, p, :], b[:, q, :] = c * row_p + uqp * row_q, s * row_p + uqq * row_q
-                b[:, p, q] = b[:, q, p] = 0.0
-                if b is not a:
-                    a[rows] = b
-    raise ArithmeticError("Jacobi eigensolver did not converge")
+    return np.linalg.eigh(arr)
 
 
 def _symmetrized_entries(a: np.ndarray) -> np.ndarray:
@@ -268,6 +137,12 @@ def _symmetrized_entries(a: np.ndarray) -> np.ndarray:
             f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
         )
     return (a + adjoint) / 2.0
+
+
+def _npt_of_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """-2 min(w) over the last axis of ascending eigenvalues; exactly 0 inside the error bound."""
+    low = w[..., 0]
+    return np.where(-low > NPT_ZERO_BOUND * np.abs(w).max(axis=-1), -2.0 * low, 0.0)
 
 
 def min_eigenpair(m: BipartiteMatrix) -> tuple[float, np.ndarray]:
@@ -286,30 +161,23 @@ def npt(m: BipartiteMatrix) -> float:
     ``eps`` is the smallest eigenvalue of the partial transpose on factor B.
     The matrix is first normalized by its trace, which is the convention used
     for every projected state in this package (the absolute scale carries no
-    information).
+    information).  An ``eps`` within ``NPT_ZERO_BOUND`` times the largest
+    |eigenvalue| of 0 gives exactly 0.
     """
     pt = partial_transpose(m, "B").entries
     tr = np.trace(pt).real
     # the floor keeps 1/tr finite; anything smaller is not a usable state
     if not tr > 1e-300:
         raise DegenerateStateError(f"cannot normalize matrix with trace {tr}")
-    w, _ = hermitian_eigensystem(_symmetrized_entries(pt * (1.0 / tr)))
-    eps = float(w[0])
-    return -2.0 * eps if eps < 0.0 else 0.0
-
-
-# D^dagger A D for D = diag(1, 1, 1, i), entrywise; a product with 1 or +-i rounds nothing
-_X_PHASE = np.array([1, 1, 1, -1j])[:, None] * np.array([1, 1, 1, 1j])
+    return float(_npt_of_eigenvalues(np.linalg.eigvalsh(_symmetrized_entries(pt * (1.0 / tr)))))
 
 
 def _npt_stack(entries) -> np.ndarray:
     """NPT of each matrix of an (N, 4, 4) stack, bit for bit as :func:`npt` gives it.
 
     A row that fails ``npt``'s trace floor gives NaN; among the others the
-    first non-finite or non-Hermitian one raises as ``npt`` does.  Sources that
-    are real, or real under D = diag(1, 1, 1, i) (the X-shaped ``jc`` states),
-    go through one batched real Jacobi; any other row, such as an oracle
-    matrix with imaginary roundoff, takes the scalar solver.
+    first non-finite or non-Hermitian one raises as ``npt`` does.  All rows go
+    through one stacked ``eigvalsh``, which solves each matrix as ``npt`` does.
     """
     stack = np.asarray(entries, dtype=np.complex128)
     if stack.ndim != 3 or stack.shape[1:] != (4, 4):
@@ -323,17 +191,8 @@ def _npt_stack(entries) -> np.ndarray:
         bad = ~(np.abs(scaled - adjoint).max(axis=(1, 2)) < HERMITICITY_TOL)
     if bad.any():
         _symmetrized_entries(scaled[np.flatnonzero(bad)[0]])  # raises as npt does
-    sources = (scaled + adjoint) / 2.0
-    real = ~sources.imag.any(axis=(1, 2))
-    phased = sources * _X_PHASE
-    realified = np.where(real[:, None, None], sources.real, phased.real)
-    solvable = real | ~phased.imag.any(axis=(1, 2))
-    eps = np.empty(len(sources))
-    eps[solvable] = _real_jacobi_min(realified[solvable])
-    for i in np.flatnonzero(~solvable):
-        eps[i] = hermitian_eigensystem(sources[i])[0][0]
     values = np.full(len(stack), np.nan)
-    values[usable] = np.where(eps < 0.0, -2.0 * eps, 0.0)
+    values[usable] = _npt_of_eigenvalues(np.linalg.eigvalsh((scaled + adjoint) / 2.0))
     return values
 
 

@@ -109,6 +109,9 @@ class CatBasis:
         if g <= 0.0:
             raise ValueError(f"gamma must be > 0, got {g}")
         object.__setattr__(self, "gamma", g)
+        # below gamma ~ 3.7e-155, 1 - exp(-2 gamma^2) is 0 or so small that N_-^2 overflows
+        if not (-math.expm1(-2.0 * g**2) > 0.0 and math.isfinite(self.n_minus * self.n_minus)):
+            raise ValueError(f"gamma must give a finite N_-^2, got {g!r}")
 
     @property
     def n_plus(self) -> float:
@@ -180,6 +183,9 @@ class AtomFieldParams:
             raise ValueError(f"gt must be >= 0, got {gt}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
+        # the state takes cos(gt sqrt(k + 1)) up to k = n + 1
+        if not math.isfinite(gt * math.sqrt(self.n + 2.0)):
+            raise ValueError(f"gt * sqrt(n + 2) must be finite, got gt={gt!r} and n={self.n}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gt", gt)

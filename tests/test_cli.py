@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
-from mixent import cli, qlinalg, schemes
+from mixent import cli, schemes
 from mixent.qlinalg import DegenerateStateError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "presets.json"
@@ -155,14 +155,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
         fixed, (name, start, stop, _) = VALIDATED_SWEEPS[scheme]
         spec = make_spec(scheme=scheme, fixed=fixed, sweep=(name, start, stop, 7), validate_tol=1.0)
-        calls = []
-        solver = qlinalg.hermitian_eigensystem
-        monkeypatch.setattr(qlinalg, "hermitian_eigensystem", lambda a: calls.append(1) or solver(a))
         text = cli.run_sweep(spec)[1]
-        # the quadrature oracle's matrices carry imaginary roundoff, so their
-        # NPT takes the scalar solver; the jc Fock oracle's are X-shaped
-        assert len(calls) == (7 if scheme == "kerr_micro_thermal" else 0)
-        monkeypatch.setattr(qlinalg, "hermitian_eigensystem", solver)
         assert text == self.per_row_csv(spec)
 
 
@@ -343,7 +336,7 @@ class TestMain:
 
     # each scheme's sweep reaches a value whose square (gt sqrt(2) for jc) overflows
     OVERFLOWING = {
-        "jc": (["p=1", "lam=0.5", "n=0"], "gt:0:1.7e308:3", "math domain error"),
+        "jc": (["p=1", "lam=0.5", "n=0"], "gt:0:1.7e308:3", "gt * sqrt(n + 2) must be finite"),
         "kerr_micro_thermal": (["r=1", "V=10", "d=1"], "gamma:1:1e200:3", "gamma must have"),
         "bs": (["r=1", "V=10", "gamma=2", "sign=+"], "d:0:1e200:3", "displacement must have"),
         "tt": (["r=1", "V=10", "gamma=2", "sign=+"], "d:0:1e160:3", "displacement must have"),
@@ -358,6 +351,19 @@ class TestMain:
         assert cli.main(argv + [f"--set={item}" for item in fixed]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["kerr_micro_thermal", "bs", "tt", "direct_kerr"])
+    @pytest.mark.parametrize("gammas", ["1e-170:2e-170:2", "1e-158:2e-158:2"])
+    def test_tiny_gamma_exit_2(self, scheme, gammas, tmp_path, capsys):
+        # gamma^2 underflows (1e-170) or N_-^2 overflows (1e-158)
+        fixed = {"kerr_micro_thermal": ["r=1", "V=10", "d=3"], "direct_kerr": ["V=10", "d=3"]}
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--scheme", scheme, "--sweep", f"gamma:{gammas}", "--out", str(out)]
+        argv += [f"--set={item}" for item in fixed.get(scheme, ["r=1", "V=10", "d=3", "sign=+"])]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma must give a finite N_-^2") and err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])

@@ -1,4 +1,4 @@
-"""Partial transpose, Jacobi eigensolver, NPT and purity."""
+"""Partial transpose, eigensolver, NPT with its zero rule, and purity."""
 
 import numpy as np
 import pytest
@@ -129,104 +129,6 @@ class TestEigensolver:
         w, v = mx.hermitian_eigensystem(h)
         assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(h))) < 1e-10
         assert np.max(np.abs(v.conj().T @ v - np.eye(24))) < 1e-12
-
-
-def reference_jacobi(matrix, tol=qlinalg.JACOBI_TOL, max_sweeps=60):
-    """The cyclic Jacobi on numpy row and column slices that the scalar solver replaced."""
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    scale = float(np.sqrt((np.abs(a) ** 2).sum()))
-    if scale == 0.0 or n == 1:
-        return np.diag(a).real.copy(), v
-    for _ in range(max_sweeps):
-        absq = np.abs(a) ** 2
-        np.fill_diagonal(absq, 0.0)
-        if float(np.sqrt(absq.sum())) <= tol * scale:
-            w = np.diag(a).real.copy()
-            order = np.argsort(w, kind="stable")
-            return w[order], v[:, order]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                h = abs(g)
-                if h == 0.0:
-                    continue
-                phase = g / h
-                theta = (a[p, p].real - a[q, q].real) / (2.0 * h)
-                t = 1.0 if theta == 0.0 else -np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                uqp, uqq = -s * np.conj(phase), c * np.conj(phase)
-                a[:, p], a[:, q] = a[:, p] * c + a[:, q] * uqp, a[:, p] * s + a[:, q] * uqq
-                a[p, :], a[q, :] = (
-                    c * a[p, :] + np.conj(uqp) * a[q, :],
-                    s * a[p, :] + np.conj(uqq) * a[q, :],
-                )
-                a[p, q] = a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, p], v[:, q] = v[:, p] * c + v[:, q] * uqp, v[:, p] * s + v[:, q] * uqq
-    raise ArithmeticError("did not converge")
-
-
-def scheme_npt_sources(rng, count):
-    """Trace-normalized partial transposes of the states the constructors build."""
-    for i in range(count):
-        v = 10.0 ** rng.uniform(0.0, 4.0)
-        thermal = mx.ThermalParams(v, rng.choice([0.0, rng.uniform(0.0, 3.0 * v**0.5)]))
-        basis = mx.CatBasis(10.0 ** rng.uniform(-0.5, 0.7))
-        micro = mx.MicroState(rng.choice([0.0, 1.0, rng.uniform()]))
-        kind = i % 5
-        if kind == 0:
-            params = mx.AtomFieldParams(
-                p=rng.uniform(), lam=rng.uniform(0.0, 0.999), gt=rng.uniform(0.0, 7.0),
-                n=int(rng.integers(0, 6)),
-            )
-            out = schemes.jc_projected(params)
-        elif kind == 1:
-            out = schemes.kerr_micro_thermal_projected(micro, thermal, basis)
-        elif kind == 2:
-            out = schemes.bs_scheme_projected(micro, thermal, basis, 1)
-        elif kind == 3:
-            out = schemes.tt_scheme_projected(micro, thermal, basis, 1)
-        else:
-            out = schemes.direct_kerr_projected(thermal, basis)
-        pt = mx.partial_transpose(out.matrix, "B")
-        tr = pt.trace().real
-        if tr > 1e-300:
-            yield qlinalg._symmetrized_entries(pt.scaled(1.0 / tr).entries)
-
-
-class TestScalarJacobiBits:
-    """The scalar solver keeps the numpy-slice solver's rounding."""
-
-    @staticmethod
-    def assert_same_bits(h):
-        w, v = mx.hermitian_eigensystem(h)
-        rw, rv = reference_jacobi(h)
-        assert w.tobytes() == rw.tobytes() and v.tobytes() == rv.tobytes()
-
-    def test_pairwise_sum_rounds_as_numpy(self):
-        rng = np.random.default_rng(40)
-        for n in range(0, 600):
-            x = rng.random(n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
-            assert qlinalg._pairwise_sum(x.tolist()) == x.sum(), n
-
-    def test_real_symmetric(self):
-        rng = np.random.default_rng(41)
-        for n in (2, 3, 4, 5, 8, 12):
-            for _ in range(40 if n == 4 else 5):
-                a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-20.0, 20.0)
-                a = a * (rng.random((n, n)) < 0.7)  # with exact zeros
-                self.assert_same_bits((a + a.T) / 2)
-
-    def test_scheme_matrices(self):
-        rng = np.random.default_rng(42)
-        sources = list(scheme_npt_sources(rng, 300))
-        assert len(sources) > 250
-        for h in sources:
-            self.assert_same_bits(h)
 
 
 class TestComplexEigensystem:
@@ -360,30 +262,19 @@ def drawn_states(rng, count):
 class TestNptStack:
     """The stacked NPT of the sweeps is ``npt`` bit for bit."""
 
-    @staticmethod
-    def count_scalar_calls(monkeypatch):
-        calls = []
-        solver = qlinalg.hermitian_eigensystem
-        monkeypatch.setattr(qlinalg, "hermitian_eigensystem", lambda a: calls.append(1) or solver(a))
-        return calls
-
-    def test_preset_sources(self, monkeypatch):
+    def test_preset_sources(self):
         stack = np.array(list(preset_states()))
         assert stack.shape == (4261, 4, 4)
         expected = scalar_npts(stack)
-        calls = self.count_scalar_calls(monkeypatch)
         assert qlinalg._npt_stack(stack).tobytes() == expected.tobytes()
-        assert not calls  # every preset source is real or realified by the phase
 
-    def test_constructor_draws(self, monkeypatch):
+    def test_constructor_draws(self):
         states, outputs = zip(*drawn_states(np.random.default_rng(44), 1500))
         assert len(states) >= 1400
         expected = np.array([out.npt_normalized for out in outputs])
-        calls = self.count_scalar_calls(monkeypatch)
         assert qlinalg._npt_stack(np.array(states)).tobytes() == expected.tobytes()
-        assert not calls
 
-    def test_mixed_real_phased_and_complex_rows(self, monkeypatch):
+    def test_mixed_real_phased_and_complex_rows(self):
         rng = np.random.default_rng(45)
         phase = np.diag([1.0, 1.0, 1.0, 1j])
         rows = []
@@ -399,9 +290,7 @@ class TestNptStack:
         stack = np.array(rows)
         expected = scalar_npts(stack)
         assert np.count_nonzero(expected > 0.0) > 100 and np.count_nonzero(expected == 0.0) > 100
-        calls = self.count_scalar_calls(monkeypatch)
         assert qlinalg._npt_stack(stack).tobytes() == expected.tobytes()
-        assert len(calls) == np.count_nonzero(~np.isnan(expected[2::3]))  # complex rows only
 
     def test_unusable_trace_gives_nan(self):
         stack = np.array([np.eye(4), np.zeros((4, 4)), bell_projector().entries])
@@ -418,10 +307,9 @@ class TestNptStack:
         with pytest.raises(HermiticityError):
             qlinalg._npt_stack(stack)
 
-    def test_rotation_whose_reciprocal_overflows_is_skipped(self):
-        # near V = 1e308 the partial transpose has entries of 1e-308; rotations
-        # push some below 2^-1024, where 1/|g| is infinite: both solvers skip
-        # them as they skip zeros instead of turning them into NaN
+    def test_separable_states_at_the_largest_variances_give_exact_zero(self):
+        # near V = 1e308 the partial transpose has entries of 1e-308, next to
+        # ones of order 1; their NPT is exactly 0, not NaN or roundoff
         for v in (1e307, 3e307, 1e308, 1.7e308):
             args = (mx.MicroState(1.0), mx.ThermalParams(v, 1.0), mx.CatBasis(2.0))
             state, _ = schemes._kerr_micro_thermal_state(*args)
@@ -437,6 +325,26 @@ class TestNptStack:
             qlinalg._npt_stack(stack)
         with pytest.raises(InvalidShapeError):
             qlinalg._npt_stack(np.eye(4))
+
+
+class TestZeroRule:
+    """A smallest eigenvalue inside NPT_ZERO_BOUND times the largest |eigenvalue| reads as 0."""
+
+    @staticmethod
+    def diagonal_state(low):
+        # the partial transpose of a diagonal state is itself; every partial
+        # sum of this diagonal is a multiple of 2^-53 below 1, so its trace is
+        # exactly 1 and normalizing changes no bit
+        return np.diag([low, 0.5, 0.25 - low, 0.25])
+
+    def test_edge_of_the_bound(self):
+        bound = qlinalg.NPT_ZERO_BOUND * 0.5  # the largest eigenvalue is 0.5
+        assert bound == 2.0**-51
+        inside, outside = -bound, -1.25 * bound  # the next multiple of 2^-53
+        stack = np.array([self.diagonal_state(inside), self.diagonal_state(outside)])
+        for low, expected in ((inside, 0.0), (outside, -2.0 * outside)):
+            assert mx.npt(mx.BipartiteMatrix(2, 2, self.diagonal_state(low))) == expected
+        assert qlinalg._npt_stack(stack).tolist() == [0.0, -2.0 * outside]
 
 
 class TestPurity:

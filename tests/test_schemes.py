@@ -67,8 +67,8 @@ class TestJcProjected:
         assert mx.max_abs_deviation(a, b) < 1e-12
 
     def test_overflowing_coupling_time_raises_value_error(self):
-        # gt sqrt(2) overflows to inf and cos(inf) is a domain error: a
-        # ValueError, as for a d or gamma whose square overflows (test_states)
+        # gt sqrt(2) overflows to inf, which has no cosine: the parameters
+        # refuse it, as they refuse a d or gamma whose square overflows
         with pytest.raises(ValueError):
             jc_projected(mx.AtomFieldParams(p=1.0, lam=0.5, gt=1.7e308, n=0))
 
@@ -457,13 +457,13 @@ class TestSchemeOutputInvariants:
                 assert mx.max_abs_deviation(closed, ref) <= 1e-8, (scheme, sign, at)
 
     def test_npt_vanishes_without_micro_coherence(self):
-        # r = 0 makes the state separable, but its NPT is not always an exact
-        # zero: near V = 1 with large d gamma roundoff leaves up to 2.4e-16
+        # r = 0 makes the state separable: its NPT is an exact zero, also near
+        # V = 1 with large d gamma, where roundoff reaches the eigenvalues
         zero = mx.MicroState(0.0)
         for _, v, d, basis in self.domain_draws(43):
             t = mx.ThermalParams(v, d)
             at = (v, d, basis.gamma)
-            assert self.npt_in_range(kerr_micro_thermal_projected(zero, t, basis)) <= 1e-15, at
+            assert self.npt_in_range(kerr_micro_thermal_projected(zero, t, basis)) == 0.0, at
             for sign in (1, -1):
-                assert self.npt_in_range(bs_scheme_projected(zero, t, basis, sign)) <= 1e-15, at
-                assert self.npt_in_range(tt_scheme_projected(zero, t, basis, sign)) <= 1e-15, at
+                assert self.npt_in_range(bs_scheme_projected(zero, t, basis, sign)) == 0.0, at
+                assert self.npt_in_range(tt_scheme_projected(zero, t, basis, sign)) == 0.0, at

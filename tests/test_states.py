@@ -1,6 +1,7 @@
 """Parameter types, coherent overlaps, cat kernels and purity formulas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ class TestCatBasis:
                 mx.CatBasis(bad)
         assert math.isfinite(mx.CatBasis(largest).n_plus)
 
+    def test_tiny_gamma_must_give_finite_n_minus_square(self):
+        # N_-^2 = 1/(2(1 - exp(-2 gamma^2))): at 1e-170 gamma^2 underflows and
+        # N_- divides by zero; at 1e-158 N_-**2 raised OverflowError
+        smallest = 3.729170365600107e-155
+        for bad in (1e-170, 1e-158, 1e-155, float(np.nextafter(smallest, 0.0))):
+            with pytest.raises(ValueError, match="gamma must give a finite N_-\\^2"):
+                mx.CatBasis(bad)
+        for gamma in (smallest, 1e-154):
+            assert math.isfinite(mx.CatBasis(gamma).n_minus**2)
+
 
 class TestThermalParams:
     def test_mean_photon_number(self):
@@ -168,6 +179,13 @@ class TestAtomFieldParams:
             mx.AtomFieldParams(p=0.5, lam=0.0, gt=-1.0)
         with pytest.raises(ValueError):
             mx.AtomFieldParams(p=0.5, lam=0.0, gt=0.0, n=-1)
+
+    def test_coupling_phase_must_be_finite(self):
+        # the state takes cos(gt sqrt(n + 2)); an infinite argument has no cosine
+        for gt, n in ((1.7e308, 0), (1e308, 2), (1e306, 10**5)):
+            with pytest.raises(ValueError, match=re.escape(f"gt={gt!r} and n={n}")):
+                mx.AtomFieldParams(p=1.0, lam=0.5, gt=gt, n=n)
+        assert mx.AtomFieldParams(p=1.0, lam=0.5, gt=1e308, n=1).gt == 1e308
 
 
 class TestCatKernels:
