@@ -22,6 +22,19 @@ Basis orderings (fixed module-wide):
 * single-Kerr scheme: {|0,+>, |0,->, |1,+>, |1,->}.
 * two-mode cat schemes: {|++>, |+->, |-+>, |-->}.
 
+The four cat schemes are built from one 2x2 block, K, the displaced thermal
+state in the cat basis (``_cat_block``).  The parity flip |a> -> |-a> fixes
+|+> and negates |->, so every Gaussian sandwich block <s| integral
+|w a><w' a| |s'> is B(w, w') = P_w K P_w' with P_+ = 1 and P_- = diag(1, -1),
+and each scheme is a fixed sandwich of K:
+
+* ``kerr_micro_thermal``: Z (mu (x) K) Z, with mu = 1/2 [[1, r], [r, 1]] and
+  Z = diag(1, 1, 1, -1) the controlled parity;
+* ``direct_kerr``: Z (K (x) K) Z;
+* ``tt``: (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)), pi = (1, -1, -1, 1);
+* ``bs``: D S (c (x) X) S^T D, with X the nine Gaussian integrals of the split
+  state, c = [[1, +-r], [+-r, 1]], D = diag(N (x) N) and S a fixed 4x6 matrix.
+
 All projected matrices are built from trace-one pre-projection states, so
 their traces lie in (0, 1] (local projections are not unitary).  The
 ``*_kernel`` variants of the beam-splitter and two-thermal schemes return the
@@ -35,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -151,28 +163,27 @@ def _jc_state(params: AtomFieldParams):
     return m, 1.0
 
 
-def _blocks_from_kernels(k, basis: CatBasis) -> dict:
-    np2 = basis.n_plus**2
-    nm2 = basis.n_minus**2
-    npm = basis.n_plus * basis.n_minus
-    hi = np2 * (k.c + k.r)
-    lo = nm2 * (k.c - k.r)
-    s = npm * k.s
-    return {
-        (1, 1): np.array([[hi, s], [s, lo]]),
-        (-1, -1): np.array([[hi, -s], [-s, lo]]),
-        (1, -1): np.array([[hi, -s], [s, -lo]]),
-        (-1, 1): np.array([[hi, s], [-s, -lo]]),
-    }
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b by one broadcast product: np.kron's bits, at a quarter of its cost."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def _assemble_micro_blocks(blocks: dict, r: float) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=np.complex128)
-    out[:2, :2] = blocks[(1, 1)]
-    out[2:, 2:] = blocks[(-1, -1)]
-    out[:2, 2:] = r * blocks[(1, -1)]
-    out[2:, :2] = r * blocks[(-1, 1)]
-    return 0.5 * out
+def _cat_block(t: ThermalParams, basis: CatBasis):
+    """K, the displaced thermal state in the cat basis (kernel-normalized), and log c.
+
+    K = [[N+^2 (c + r), N+N- s], [N+N- s, N-^2 (c - r)]]: the one place c - r is formed.
+    """
+    hat, log_c = scaled_cat_kernels(t, basis)
+    s = basis.n_plus * basis.n_minus * hat.s
+    hi = basis.n_plus**2 * (hat.c + hat.r)
+    return np.array([[hi, s], [s, basis.n_minus**2 * (hat.c - hat.r)]]), log_c
+
+
+# Z = diag(1, 1, 1, -1): the controlled parity on {|0,+>, |0,->, |1,+>, |1,->}
+# and the controlled phase on {|++>, |+->, |-+>, |-->}.
+_Z = np.array([1.0, 1.0, 1.0, -1.0])
+# pi: the parity flip of both cat modes, diag(1, -1) (x) diag(1, -1).
+_PI = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def kerr_micro_thermal_projected(
@@ -187,123 +198,80 @@ def kerr_micro_thermal_projected(
         1/2 [[ B(+,+),  r B(+,-) ],
              [ r B(-,+), B(-,-) ]]
 
-    with B(w, w') the 2x2 cat-basis blocks <s| O |s'> of the Gaussian sandwich
-    operators O = integral of |w a><w' a| against the thermal weight of ``t``:
-    B(+,+) is the displaced thermal state itself, B(-,-) its mirror image, and
-    the mixed pairs are the coherence operators created by a parity flip on
-    one side (:func:`mixent.states.thermal_cat_kernels`).  The state is
-    separable whenever d = 0 (the coherence operator is then transpose
-    invariant) or r = 0, and its NPT vanishes there exactly.  Entries are
-    linear in the sandwich kernels, so the NPT is computed from the
-    kernel-normalized matrix and survives underflow of the absolute scale.
+    with B(w, w') = P_w K P_w' the 2x2 cat-basis blocks of the Gaussian
+    sandwich operators integral |w a><w' a| against the thermal weight of
+    ``t`` (module docstring): the fixed sandwich Z (mu (x) K) Z of the micro
+    state mu under the controlled parity Z.  The state is separable whenever
+    d = 0 (the coherence operator is then transpose invariant) or r = 0, and
+    its NPT vanishes there exactly.  Entries are linear in the sandwich
+    kernels, so the NPT is computed from the kernel-normalized matrix and
+    survives underflow of the absolute scale.
     """
     return _output(*_kerr_micro_thermal_state(m, t, basis))
 
 
 def _kerr_micro_thermal_state(m: MicroState, t: ThermalParams, basis: CatBasis):
-    hat, log_c = scaled_cat_kernels(t, basis)
-    return _assemble_micro_blocks(_blocks_from_kernels(hat, basis), m.r), _exp_or_zero(log_c)
+    k, log_c = _cat_block(t, basis)
+    mu = np.array([[0.5, 0.5 * m.r], [0.5 * m.r, 0.5]])
+    return (_Z[:, None] * _kron(mu, k) * _Z).astype(np.complex128), _exp_or_zero(log_c)
 
 
-# Mode sandwich sign patterns (u1, u2, u3, u4) of the four beam-splitter
-# terms |u1 b><u2 b| (x) |u3 b><u4 b|, in the order they appear in the state.
-_BS_TERMS = ((1, 1, -1, -1), (-1, -1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1))
-
-
-def _bs_gaussian_log(a: float, b: float, v_eff: float, d_eff: float) -> float:
-    """log of integral[ P_th(v_eff, d_eff; beta) exp(-2|beta|^2 + a beta + b beta*) ].
-
-    Closed Gaussian form: (1/v_eff) exp[(-2 d_eff^2 + d_eff (a+b))/v_eff
-    + a b (v_eff - 1)/(2 v_eff)], continuous down to the point-mass limit
-    v_eff = 1.
-    """
-    return (
-        -math.log(v_eff)
-        + (-2.0 * d_eff**2 + d_eff * (a + b)) / v_eff
-        + a * b * (v_eff - 1.0) / (2.0 * v_eff)
-    )
-
-
-def _bs_table():
-    """Signed contraction of the nine beam-splitter exponentials, per entry and term.
-
-    The sixteen coherent components (i1, i2, i3, i4) of an entry give Gaussian
-    integrals at a = u1 e[i1] + u3 e[i3], b = u2 e[i2] + u4 e[i4] with
-    e = (gamma, -gamma), so (a, b) takes one of nine values in
-    {-2 gamma, 0, 2 gamma}^2.  For each output entry (s1, s2, s1', s2') and
-    each term of ``_BS_TERMS`` the table lists, in component order, the
-    sixteen indices 3 i_a + i_b into the nine exponentials followed by their
-    negatives (+9 where the cat signs multiply to -1).
-    """
-    csign = ((1.0, 1.0), (1.0, -1.0))  # cat coefficients of (|gamma>, |-gamma>)
-    e = (1, -1)
-    table = []
-    for s1, s2, s1p, s2p in product(range(2), repeat=4):
-        terms = []
-        for u1, u2, u3, u4 in _BS_TERMS:
-            indices = []
-            for i1, i2, i3, i4 in product(range(2), repeat=4):
-                coeff = csign[s1][i1] * csign[s1p][i2] * csign[s2][i3] * csign[s2p][i4]
-                ia = (u1 * e[i1] + u3 * e[i3]) // 2 + 1
-                ib = (u2 * e[i2] + u4 * e[i4]) // 2 + 1
-                indices.append(3 * ia + ib + (9 if coeff < 0.0 else 0))
-            terms.append(tuple(indices))
-        table.append(((s1, s2, s1p, s2p), tuple(terms)))
-    return tuple(table)
-
-
-_BS_TABLE = _bs_table()
+# S = (C (x) C)[R, R J] of the beam-splitter kernel D S (c (x) X) S^T D
+# (_bs_kernel_scaled): C = [[1, 1], [1, -1]] holds the cat coefficients of
+# (|g>, |-g>), R sums the coherent components (i1, i3) onto their grid point
+# a = g (e1 - e3), and J flips the grid.
+_BS_S = np.array(
+    [
+        [1.0, 2.0, 1.0, 1.0, 2.0, 1.0],
+        [1.0, 0.0, -1.0, -1.0, 0.0, 1.0],
+        [-1.0, 0.0, 1.0, 1.0, 0.0, -1.0],
+        [-1.0, 2.0, -1.0, -1.0, 2.0, -1.0],
+    ]
+)
+# The odd-cat entries carry N-^4 ~ 1/(16 gamma^4), which amplifies the roundoff
+# of the signed sums; below this gamma they miss the oracle tolerance.
+BS_GAMMA_FLOOR = 1e-2
 
 
 def _bs_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int):
     """Cat-projected beam-splitter kernel, returned as (normalized 4x4, log scale).
 
     Splitting halves the amplitude, which is absorbed by rescaling the
-    thermal weight to effective variance (V+1)/2 and displacement d/sqrt(2);
-    every entry then closes as a finite signed sum of Gaussian integrals over
-    the sixteen coherent components of the four projectors.  All exponentials
-    are shifted by the largest exponent so the entries stay representable at
-    any displacement; the shift comes back as the log scale.
-
-    Only nine distinct exponentials occur; they are evaluated once and summed
-    through ``_BS_TABLE`` one component at a time, then term by term, in the
-    order of the direct sixteen-component loop and with zero-weight terms
-    skipped.  That keeps every entry's rounding, so the structurally zero NPT
-    of a separable state stays exactly zero; a reordered sum (``einsum``,
-    ``np.sum``, ``math.fsum``) turns some of those zeros into roundoff.
+    thermal weight to effective variance v = (V+1)/2 and displacement
+    d' = d/sqrt(2).  The sixteen coherent components of the four projectors
+    then give Gaussian integrals
+    (1/v) exp[(-2 d'^2 + d' (a+b))/v + a b (v-1)/(2v) - 2 g^2] at only nine
+    points (a, b) in {-2 g, 0, 2 g}^2, the grid X.  With c = [[1, +-r], [+-r, 1]]
+    the term weights and D = diag(N (x) N) the cat norms, the kernel is
+    D S (c (x) X) S^T D (``_BS_S``).  Only the parts of the exponents that
+    differ between grid points are exponentiated, relative to their largest;
+    the common part and that largest come back as the log scale, so the
+    entries stay representable at any displacement and variance.
     """
     g = basis.gamma
+    if g < BS_GAMMA_FLOOR:
+        raise ValueError(f"bs needs gamma >= {BS_GAMMA_FLOOR:g}, got {g!r}")
     v_eff = (t.variance + 1.0) / 2.0
     d_eff = t.displacement / math.sqrt(2.0)
-    norms = (basis.n_plus, basis.n_minus)
-    weights = (1.0, 1.0, sign * m.r, sign * m.r)
-    shifts = (-2.0 * g, 0.0, 2.0 * g)
-
-    logs = [_bs_gaussian_log(a, b, v_eff, d_eff) for a in shifts for b in shifts]
-    log_shift = max(logs) - 2.0 * g * g
-    exps = [_exp_or_zero(x - 2.0 * g * g - log_shift) for x in logs]
-    signed = exps + [-x for x in exps]  # -x is exactly (-1.0) * x
-
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for (s1, s2, s1p, s2p), terms in _BS_TABLE:
-        total = 0.0
-        for w_t, indices in zip(weights, terms):
-            if w_t == 0.0:
-                continue
-            acc = 0.0
-            for k in indices:
-                acc += signed[k]
-            total += w_t * acc
-        out[2 * s1 + s2, 2 * s1p + s2p] = (
-            norms[s1] * norms[s1p] * norms[s2] * norms[s2p] * total
-        )
-    return out, log_shift
+    grid = np.array([-2.0 * g, 0.0, 2.0 * g])
+    a, b = grid[:, None], grid
+    e = d_eff / v_eff * (a + b) + a * b * ((v_eff - 1.0) / (2.0 * v_eff))
+    top = float(e.max())
+    c = np.array([[1.0, sign * m.r], [sign * m.r, 1.0]])
+    norms = np.array([basis.n_plus, basis.n_minus])
+    dd = (norms[:, None] * norms).reshape(4, 1)
+    out = dd * (_BS_S @ _kron(c, np.exp(e - top)) @ _BS_S.T) * dd.T
+    log_shift = top - math.log(v_eff) - 2.0 * d_eff**2 / v_eff - 2.0 * g * g
+    return out.astype(np.complex128), log_shift
 
 
 def bs_projected_kernel(
     m: MicroState, t: ThermalParams, basis: CatBasis, sign: int
 ) -> BipartiteMatrix:
-    """Unnormalized cat-projected beam-splitter state (term weights 1,1,+-r,+-r)."""
+    """Unnormalized cat-projected beam-splitter state (term weights 1,1,+-r,+-r).
+
+    Raises ``ValueError`` for gamma below ``BS_GAMMA_FLOOR``.
+    """
     sign = _check_sign(sign)
     normalized, log_shift = _bs_kernel_scaled(m, t, basis, sign)
     return BipartiteMatrix(2, 2, normalized * _exp_or_zero(log_shift))
@@ -319,16 +287,18 @@ def _conditioned(kernel, power: int, m, t, basis, sign):
     """State of a cat-pair scheme conditioned on a kernel of trace 2 +- 2 r sigma^power.
 
     sigma = exp(-2 d^2/V)/V is the trace of one mode's parity-flip sandwich
-    operator (:func:`_sigma_trace`).  An outcome whose probability falls below
-    the degeneracy floor raises :class:`~mixent.qlinalg.DegenerateStateError`.
+    operator (:func:`_sigma_trace`).  The kernel runs first, so parameters it
+    refuses raise ``ValueError`` even at a degenerate point.  An outcome whose
+    probability falls below the degeneracy floor raises
+    :class:`~mixent.qlinalg.DegenerateStateError`.
     """
     sign = _check_sign(sign)
+    normalized, log_scale = kernel(m, t, basis, sign)
     denom = 2.0 + sign * 2.0 * m.r * _sigma_trace(t) ** power
     if denom < _DEGENERATE_PROB:
         raise DegenerateStateError(
             "conditioning outcome has vanishing probability for these parameters"
         )
-    normalized, log_scale = kernel(m, t, basis, sign)
     return normalized, _exp_or_zero(log_scale) / denom
 
 
@@ -339,21 +309,16 @@ def bs_scheme_projected(
 
     The measurement normalizer is 1/(2 +- 2 r exp(-2 d^2/V)/V); the outcome
     with the minus sign has zero probability at (V=1, d=0, r=1) and raises
-    :class:`~mixent.qlinalg.DegenerateStateError` there.
+    :class:`~mixent.qlinalg.DegenerateStateError` there.  Gamma below
+    ``BS_GAMMA_FLOOR`` raises ``ValueError``.
     """
     return _output(*_bs_scheme_state(m, t, basis, sign))
 
 
 def _tt_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int):
-    hat, log_c = scaled_cat_kernels(t, basis)
-    blocks = _blocks_from_kernels(hat, basis)
-    k = (
-        np.kron(blocks[(1, 1)], blocks[(1, 1)])
-        + np.kron(blocks[(-1, -1)], blocks[(-1, -1)])
-        + sign * m.r * np.kron(blocks[(1, -1)], blocks[(1, -1)])
-        + sign * m.r * np.kron(blocks[(-1, 1)], blocks[(-1, 1)])
-    )
-    return k.astype(np.complex128), 2.0 * log_c
+    k, log_c = _cat_block(t, basis)
+    weights = 1.0 + _PI[:, None] * _PI + sign * m.r * (_PI[:, None] + _PI)
+    return (_kron(k, k) * weights).astype(np.complex128), 2.0 * log_c
 
 
 _bs_scheme_state = partial(_conditioned, _bs_kernel_scaled, 1)
@@ -366,8 +331,11 @@ def tt_projected_kernel(
     """Unnormalized cat-projected two-thermal state (term weights 1,1,+-r,+-r).
 
     Both thermal factors are independent, so every entry is a product of
-    single-mode cat sandwich blocks: thermal (x) thermal for the two direct
-    terms and parity-flip (x) parity-flip for the two coherence terms.
+    single-mode cat sandwich blocks: B(+,+) (x) B(+,+) + B(-,-) (x) B(-,-)
+    +- r (B(+,-) (x) B(+,-) + B(-,+) (x) B(-,+)).  With B(w, w') = P_w K P_w'
+    every term is K (x) K with the signs of pi on its rows, its columns or
+    both, so the kernel is (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)),
+    pi = (1, -1, -1, 1).
     """
     sign = _check_sign(sign)
     normalized, log_scale = _tt_kernel_scaled(m, t, basis, sign)
@@ -390,42 +358,17 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
 
     On the cat basis the full-period cross-Kerr unitary acts as a controlled
     phase, so each coherent pair |a>|b> spreads into the four parity
-    combinations with a single minus sign.  With X = c + r, Y = c - r and the
-    kernels of :func:`~mixent.states.thermal_cat_kernels`, the projection is
-    the congruence D P D of the sign-patterned polynomial matrix
-
-        P = [[ X^2,  X s,  s X, -s^2],
-             [ X s,  X Y,  s^2, -s Y],
-             [ s X,  s^2,  Y X, -Y s],
-             [-s^2, -s Y, -Y s,  Y^2]]
-
-    by the cat normalization D = diag(N+^2, N+N-, N+N-, N-^2).
+    combinations with a single minus sign, on |-->.  The projection is the
+    product state K (x) K of the single-mode cat block (:func:`_cat_block`)
+    under that phase: Z (K (x) K) Z with Z = diag(1, 1, 1, -1), which flips
+    the sign of the six off-diagonal entries that touch |-->.
     """
     return _output(*_direct_kerr_state(t, basis))
 
 
 def _direct_kerr_state(t: ThermalParams, basis: CatBasis):
-    hat, log_c = scaled_cat_kernels(t, basis)
-    x = hat.c + hat.r
-    y = hat.c - hat.r
-    s = hat.s
-    p = np.array(
-        [
-            [x * x, x * s, s * x, -s * s],
-            [x * s, x * y, s * s, -s * y],
-            [s * x, s * s, y * x, -y * s],
-            [-s * s, -s * y, -y * s, y * y],
-        ]
-    )
-    d = np.diag(
-        [
-            basis.n_plus**2,
-            basis.n_plus * basis.n_minus,
-            basis.n_plus * basis.n_minus,
-            basis.n_minus**2,
-        ]
-    )
-    return (d @ p @ d).astype(np.complex128), _exp_or_zero(2.0 * log_c)
+    k, log_c = _cat_block(t, basis)
+    return (_Z[:, None] * _kron(k, k) * _Z).astype(np.complex128), _exp_or_zero(2.0 * log_c)
 
 
 def _check_sign(sign: int) -> int:

@@ -366,6 +366,18 @@ class TestMain:
         assert err.startswith("error: gamma must give a finite N_-^2") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("validate", [[], ["--validate"]])
+    def test_bs_gamma_below_floor_exit_2(self, validate, tmp_path, capsys):
+        # the sweep starts at the zero-probability point of sign -, which must
+        # not turn the refused gamma into a NaN row
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--scheme", "bs", "--sweep", "gamma:1e-6:1:5", "--out", str(out), *validate]
+        argv += ["--set=r=1", "--set=V=1", "--set=d=0", "--set=sign=-"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bs needs gamma >= 0.01") and err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
     def test_non_integer_n_exit_2(self, n, capsys):
         argv = ["sweep", "--scheme", "jc", "--sweep", "gt:0:1:2"]

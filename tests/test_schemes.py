@@ -174,12 +174,69 @@ class TestBeamSplitterScheme:
         with pytest.raises(ValueError):
             bs_scheme_projected(mx.MicroState(0.5), mx.ThermalParams(2.0, 0.0), G2, 0)
 
+    @pytest.mark.parametrize("d", [1e16, 1e17, 1e50, 1e100, 1e150])
+    def test_huge_displacement_keeps_its_d_term(self, d):
+        # -2 d^2/V is common to all nine exponents; folded in before the
+        # shift it swamped d (a + b)/V from d ~ 1e17 on and the NPT read 0
+        m, t = mx.MicroState(1.0), mx.ThermalParams(10.0, d)
+        bs = bs_scheme_projected(m, t, G2, 1).npt_normalized
+        assert bs == pytest.approx(tt_scheme_projected(m, t, G2, 1).npt_normalized, abs=1e-12)
+        assert bs == pytest.approx(0.99999977493, abs=1e-10)
+
+    @pytest.mark.parametrize("v", [1e300, 1e306, 1e308, 1.7e308])
+    def test_largest_variances_stay_finite(self, v):
+        # a b (v_eff - 1) overflowed from V ~ 1e308 on and gave NaN rows
+        out = bs_scheme_projected(mx.MicroState(1.0), mx.ThermalParams(v, 3.0), G2, 1)
+        assert out.npt_normalized == pytest.approx(0.99865972302022, abs=1e-12)
+        assert 0.0 < out.trace < 1e-299
+
+    @pytest.mark.parametrize("gamma", [9.99e-3, 1e-4, 1e-20, 1e-150])
+    def test_gamma_below_floor_raises_value_error(self, gamma):
+        basis = mx.CatBasis(gamma)
+        # also at the zero-probability point of sign -1: the floor is checked first
+        for t, sign in ((mx.ThermalParams(10.0, 3.0), 1), (mx.ThermalParams(1.0, 0.0), -1)):
+            for build in (bs_scheme_projected, bs_projected_kernel):
+                with pytest.raises(ValueError, match=r"gamma >= 0\.01"):
+                    build(mx.MicroState(1.0), t, basis, sign)
+        # the floor itself is accepted
+        bs_projected_kernel(mx.MicroState(1.0), t, mx.CatBasis(schemes.BS_GAMMA_FLOOR), -1)
+
+    def test_small_gamma_matches_high_precision_sum(self):
+        # The odd-cat entries carry N_-^4 ~ 1/(16 gamma^4), so roundoff grows
+        # like eps/gamma^4 toward the floor; the NPT must still be within
+        # 1e-8 of the sixteen-component sum evaluated with 50 digits.
+        mpmath = pytest.importorskip("mpmath")
+        for gamma, v, d, r, sign in product((0.1, 0.01), (1.0, 10.0), (0.5, 3.0), (0.1, 1.0), (1, -1)):
+            got = bs_scheme_projected(
+                mx.MicroState(r), mx.ThermalParams(v, d), mx.CatBasis(gamma), sign
+            ).npt_normalized
+            ref = mpmath_bs_npt(mpmath, r, v, d, gamma, sign)
+            assert abs(got - ref) <= 1e-8, (gamma, v, d, r, sign, got, ref)
+
+
+# Mode sandwich sign patterns (u1, u2, u3, u4) of the four beam-splitter terms
+# |u1 b><u2 b| (x) |u3 b><u4 b|, weighted 1, 1, +-r, +-r.
+BS_TERMS = ((1, 1, -1, -1), (-1, -1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1))
+
+
+def bs_exponents(t, basis):
+    """The parts of the nine Gaussian exponents that differ, keyed by (a, b) in {-2g, 0, 2g}^2."""
+    v_eff = (t.variance + 1.0) / 2.0
+    d_eff = t.displacement / math.sqrt(2.0)
+    grid = (-2.0 * basis.gamma, 0.0, 2.0 * basis.gamma)
+    return {(a, b): d_eff / v_eff * (a + b) + a * b * (v_eff - 1.0) / (2.0 * v_eff) for a in grid for b in grid}
+
 
 def reference_bs_kernel(m, t, basis, sign):
     """The direct beam-splitter kernel: one Gaussian integral per coherent component.
 
-    This is the sixteen-component loop that ``_bs_kernel_scaled`` replaced;
-    the table-driven kernel must reproduce it bit for bit.
+    Each of the sixteen components (i1, i2, i3, i4) of an entry integrates to
+    (1/v) exp[(-2 d'^2 + d' (a+b))/v + a b (v-1)/(2v) - 2 g^2] at
+    a = u1 e1 + u3 e3, b = u2 e2 + u4 e4 (e = +-g), with v = (V+1)/2 and
+    d' = d/sqrt(2).  The parts that differ between components
+    (:func:`bs_exponents`) are exponentiated relative to their largest value,
+    which comes back in the log scale with the common part.  Returns
+    (4x4 kernel, log scale).
     """
     g = basis.gamma
     v_eff = (t.variance + 1.0) / 2.0
@@ -188,31 +245,75 @@ def reference_bs_kernel(m, t, basis, sign):
     weights = (1.0, 1.0, sign * m.r, sign * m.r)
     eps = (g, -g)
     csign = ((1.0, 1.0), (1.0, -1.0))
-    log_shift = max(
-        schemes._bs_gaussian_log(a, b, v_eff, d_eff)
-        for a in (-2.0 * g, 0.0, 2.0 * g)
-        for b in (-2.0 * g, 0.0, 2.0 * g)
-    ) - 2.0 * g * g
+    exponents = bs_exponents(t, basis)
+    top = max(exponents.values())
     out = np.zeros((4, 4), dtype=np.complex128)
     for s1, s2, s1p, s2p in product(range(2), repeat=4):
         total = 0.0
-        for w_t, (u1, u2, u3, u4) in zip(weights, schemes._BS_TERMS):
-            if w_t == 0.0:
-                continue
+        for w_t, (u1, u2, u3, u4) in zip(weights, BS_TERMS):
             acc = 0.0
             for i1, i2, i3, i4 in product(range(2), repeat=4):
                 a = u1 * eps[i1] + u3 * eps[i3]
                 b = u2 * eps[i2] + u4 * eps[i4]
                 coeff = csign[s1][i1] * csign[s1p][i2] * csign[s2][i3] * csign[s2p][i4]
-                log_val = schemes._bs_gaussian_log(a, b, v_eff, d_eff) - 2.0 * g * g - log_shift
-                acc += coeff * schemes._exp_or_zero(log_val)
+                acc += coeff * math.exp(exponents[a, b] - top)
             total += w_t * acc
         out[2 * s1 + s2, 2 * s1p + s2p] = norms[s1] * norms[s1p] * norms[s2] * norms[s2p] * total
-    return out, log_shift
+    return out, top - math.log(v_eff) - 2.0 * d_eff**2 / v_eff - 2.0 * g * g
+
+
+def mpmath_bs_npt(mpmath, r, v, d, gamma, sign, digits=50):
+    """NPT of the conditioned beam-splitter state from the sixteen-component sum in ``digits`` digits.
+
+    The integrals are taken at their true scale,
+    (1/v) exp[(-2 d'^2 + d' (a+b))/v + a b (v-1)/(2v) - 2 g^2], and the
+    partial transpose of the trace-normalized state is diagonalized with
+    ``mpmath.eigsy``.
+    """
+    with mpmath.workdps(digits):
+        r, v, d, g = (mpmath.mpf(x) for x in (r, v, d, gamma))
+        v_eff, d_eff = (v + 1) / 2, d / mpmath.sqrt(2)
+        norms = [1 / mpmath.sqrt(2 * (1 + s * mpmath.exp(-2 * g * g))) for s in (1, -1)]
+        grid = (-2 * g, 0, 2 * g)
+        gauss = {
+            (i, j): mpmath.exp(
+                (-2 * d_eff**2 + d_eff * (a + b)) / v_eff
+                + a * b * (v_eff - 1) / (2 * v_eff)
+                - 2 * g * g
+            ) / v_eff
+            for i, a in enumerate(grid)
+            for j, b in enumerate(grid)
+        }
+        weights = (1, 1, sign * r, sign * r)
+        e = (1, -1)  # components |gamma>, |-gamma> as multiples of gamma
+        csign = ((1, 1), (1, -1))
+        state = mpmath.matrix(4, 4)
+        for s1, s2, s1p, s2p in product(range(2), repeat=4):
+            total = mpmath.mpf(0)
+            for w_t, (u1, u2, u3, u4) in zip(weights, BS_TERMS):
+                for i1, i2, i3, i4 in product(range(2), repeat=4):
+                    coeff = csign[s1][i1] * csign[s1p][i2] * csign[s2][i3] * csign[s2p][i4]
+                    ia = (u1 * e[i1] + u3 * e[i3]) // 2 + 1
+                    ib = (u2 * e[i2] + u4 * e[i4]) // 2 + 1
+                    total += w_t * coeff * gauss[ia, ib]
+            state[2 * s1 + s2, 2 * s1p + s2p] = norms[s1] * norms[s1p] * norms[s2] * norms[s2p] * total
+        pt = mpmath.matrix(4, 4)
+        for i1, i2, j1, j2 in product(range(2), repeat=4):
+            pt[2 * i1 + i2, 2 * j1 + j2] = state[2 * i1 + j2, 2 * j1 + i2]
+        trace = sum(pt[i, i] for i in range(4))
+        lowest = min(mpmath.eigsy(pt / trace, eigvals_only=True))
+        return float(-2 * lowest) if lowest < 0 else 0.0
+
+
+def npt_or_nan(entries):
+    try:
+        return mx.npt(mx.BipartiteMatrix(2, 2, entries))
+    except DegenerateStateError:
+        return math.nan
 
 
 class TestBeamSplitterKernelBits:
-    """The nine-exponential kernel against the direct loop, bit for bit."""
+    """The sandwich kernel against the direct sixteen-component loop."""
 
     @staticmethod
     def draws():
@@ -237,30 +338,31 @@ class TestBeamSplitterKernelBits:
             yield r, v, d, gamma, int(rng.choice([1, -1]))
 
     def test_matches_direct_loop_bit_for_bit(self):
+        # Entries within 1e-11 of the largest, the log scale within 1e-13
+        # relative, and the same draws with an NPT of exactly 0.  (Until the
+        # NPT had an error-bound zero rule this pinned every bit.)
         covered = dict.fromkeys(("r=0", "r=1", "sign+", "sign-", "d=0", "V=1", "underflow"), 0)
-        count = 0
+        zeros = 0
         for r, v, d, gamma, sign in self.draws():
             args = (mx.MicroState(r), mx.ThermalParams(v, d), mx.CatBasis(gamma), sign)
+            at = (r, v, d, gamma, sign)
             out, log_shift = schemes._bs_kernel_scaled(*args)
             ref, ref_shift = reference_bs_kernel(*args)
-            # byte equality: np.array_equal, and the signs of zeros too
-            assert out.tobytes() == ref.tobytes(), (r, v, d, gamma, sign)
-            assert log_shift == ref_shift
-            count += 1
-            shifts = (-2.0 * gamma, 0.0, 2.0 * gamma)
-            logs = [
-                schemes._bs_gaussian_log(a, b, (v + 1.0) / 2.0, d / math.sqrt(2.0))
-                for a in shifts
-                for b in shifts
-            ]
+            assert np.abs(out - ref).max() <= 1e-11 * np.abs(ref).max(), at
+            assert abs(log_shift - ref_shift) <= 1e-13 * max(1.0, abs(ref_shift)), at
+            npt, ref_npt = npt_or_nan(out), npt_or_nan(ref)
+            assert (npt == 0.0) == (ref_npt == 0.0), (at, npt, ref_npt)
+            zeros += ref_npt == 0.0
             covered["r=0"] += r == 0.0
             covered["r=1"] += r == 1.0
             covered["sign+"] += sign == 1
             covered["sign-"] += sign == -1
             covered["d=0"] += d == 0.0
             covered["V=1"] += v == 1.0
-            covered["underflow"] += min(logs) - max(logs) < -745.0
-        assert count >= 200
+            exponents = bs_exponents(args[1], args[2]).values()
+            covered["underflow"] += min(exponents) - max(exponents) < -745.0
+        assert covered["sign+"] + covered["sign-"] >= 270
+        assert zeros >= 50, zeros
         assert min(covered.values()) >= 10, covered
 
 
