@@ -9,12 +9,14 @@ Eigenvalues come from LAPACK (``np.linalg.eigvalsh``).  Where a separable
 state's partial transpose has a smallest eigenvalue of exactly 0, LAPACK
 returns roundoff of either sign; one zero rule (``NPT_ZERO_BOUND``) turns every
 smallest eigenvalue inside the solver's error bound into an NPT of exactly 0.
-:func:`npt` solves one matrix; sweeps score a whole stack of two-qubit states
-with one ``eigvalsh`` call (``_npt_stack``), which gives the same bits.
+One scorer, ``_npt_stack``, computes every NPT with one ``eigvalsh`` call
+over a stack: sweeps pass it a block of rows, the scheme constructors one
+state, and :func:`npt` one matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,12 +141,6 @@ def _symmetrized_entries(a: np.ndarray) -> np.ndarray:
     return (a + adjoint) / 2.0
 
 
-def _npt_of_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """-2 min(w) over the last axis of ascending eigenvalues; exactly 0 inside the error bound."""
-    low = w[..., 0]
-    return np.where(-low > NPT_ZERO_BOUND * np.abs(w).max(axis=-1), -2.0 * low, 0.0)
-
-
 def min_eigenpair(m: BipartiteMatrix) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and its eigenvector, after silent symmetrization."""
     w, v = hermitian_eigensystem(_symmetrized_entries(m.entries))
@@ -156,7 +152,7 @@ def min_eigenvalue(m: BipartiteMatrix) -> float:
 
 
 def npt(m: BipartiteMatrix) -> float:
-    """Negativity of partial transpose, -2 min(0, eps).
+    """Negativity of partial transpose, -2 min(0, eps): :func:`_npt_stack` of one matrix.
 
     ``eps`` is the smallest eigenvalue of the partial transpose on factor B.
     The matrix is first normalized by its trace, which is the convention used
@@ -164,36 +160,44 @@ def npt(m: BipartiteMatrix) -> float:
     information).  An ``eps`` within ``NPT_ZERO_BOUND`` times the largest
     |eigenvalue| of 0 gives exactly 0.
     """
-    pt = partial_transpose(m, "B").entries
-    tr = np.trace(pt).real
-    # the floor keeps 1/tr finite; anything smaller is not a usable state
-    if not tr > 1e-300:
-        raise DegenerateStateError(f"cannot normalize matrix with trace {tr}")
-    return float(_npt_of_eigenvalues(np.linalg.eigvalsh(_symmetrized_entries(pt * (1.0 / tr)))))
+    value = float(_npt_stack(m.entries[None], m.dim_a, m.dim_b)[0])
+    if math.isnan(value):
+        raise DegenerateStateError(f"cannot normalize matrix with trace {m.trace().real}")
+    return value
 
 
-def _npt_stack(entries) -> np.ndarray:
-    """NPT of each matrix of an (N, 4, 4) stack, bit for bit as :func:`npt` gives it.
+def _npt_stack(entries, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
+    """NPT of each matrix of an (N, dim_a dim_b, dim_a dim_b) stack: the one NPT scorer.
 
-    A row that fails ``npt``'s trace floor gives NaN; among the others the
-    first non-finite or non-Hermitian one raises as ``npt`` does.  All rows go
-    through one stacked ``eigvalsh``, which solves each matrix as ``npt`` does.
+    A row with a trace not above 1e-300 (the floor keeps 1/tr finite) gives
+    NaN; among the others the first non-finite or non-Hermitian one raises.
     """
     stack = np.asarray(entries, dtype=np.complex128)
-    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
-        raise InvalidShapeError(f"expected an (N, 4, 4) stack, got shape {stack.shape}")
-    pt = stack.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(stack.shape)
+    size = dim_a * dim_b
+    if stack.ndim != 3 or stack.shape[1:] != (size, size):
+        raise InvalidShapeError(f"expected an (N, {size}, {size}) stack, got shape {stack.shape}")
+    pt = stack.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2)
+    pt = pt.reshape(stack.shape)
     tr = np.trace(pt, axis1=1, axis2=2).real
-    usable = tr > 1e-300
-    scaled = pt[usable] * (1.0 / tr[usable])[:, None, None]
-    adjoint = scaled.conj().swapaxes(1, 2)
-    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row is bad either way
-        bad = ~(np.abs(scaled - adjoint).max(axis=(1, 2)) < HERMITICITY_TOL)
-    if bad.any():
-        _symmetrized_entries(scaled[np.flatnonzero(bad)[0]])  # raises as npt does
-    values = np.full(len(stack), np.nan)
-    values[usable] = _npt_of_eigenvalues(np.linalg.eigvalsh((scaled + adjoint) / 2.0))
-    return values
+    whole = tr.min(initial=math.inf) > 1e-300  # NaN fails too
+    if not whole:
+        usable = tr > 1e-300
+        pt, tr = pt[usable], tr[usable]
+    with np.errstate(invalid="ignore"):  # inf * 0, inf - inf: a non-finite row is bad either way
+        scaled = pt * (1.0 / tr)[:, None, None]
+        adjoint = scaled.conj().swapaxes(1, 2)
+        defects = np.abs(scaled - adjoint)
+    if not defects.max(initial=0.0) < HERMITICITY_TOL:  # the first bad row raises
+        _symmetrized_entries(scaled[np.argmax(~(defects.max(axis=(1, 2)) < HERMITICITY_TOL))])
+    w = np.linalg.eigvalsh((scaled + adjoint) / 2.0)
+    # w ascends and sums to 1, so max |w| = max(-w[0], w[-1]) with w[-1] > 0, and the
+    # bound (a power of 2 below 1) times it is below -w[0] iff the bound times w[-1] is
+    values = np.where(-w[:, 0] > NPT_ZERO_BOUND * w[:, -1], -2.0 * w[:, 0], 0.0)
+    if whole:
+        return values
+    out = np.full(len(stack), np.nan)
+    out[usable] = values
+    return out
 
 
 def purity(m: BipartiteMatrix) -> float:

@@ -1,7 +1,8 @@
 """Closed-form locally projected states for five entanglement-generation schemes.
 
 Each constructor returns a Hermitian 4x4 :class:`~mixent.qlinalg.BipartiteMatrix`
-together with the NPT of its trace-normalized version.  The five schemes:
+together with the NPT of its trace-normalized version, from the one NPT scorer
+(``qlinalg._npt_stack``) that sweeps call on whole blocks.  The five schemes:
 
 * ``jc_projected`` -- resonant atom-field interaction, field projected onto
   two adjacent number states.
@@ -35,6 +36,9 @@ and each scheme is a fixed sandwich of K:
 * ``bs``: D S (c (x) X) S^T D, with X the nine Gaussian integrals of the split
   state, c = [[1, +-r], [+-r, 1]], D = diag(N (x) N) and S a fixed 4x6 matrix.
 
+Nothing cancels in K or the ``bs`` grid: c - r, O(gamma^2) at small gamma, is a
+sum of two terms >= 0; log c and the ``bs`` log scale are completed squares.
+
 All projected matrices are built from trace-one pre-projection states, so
 their traces lie in (0, 1] (local projections are not unitary).  The
 ``*_kernel`` variants of the beam-splitter and two-thermal schemes return the
@@ -58,6 +62,8 @@ from .states import (
     CatBasis,
     MicroState,
     ThermalParams,
+    _cat_exponents,
+    _log_cosh,
     scaled_cat_kernels,
 )
 
@@ -107,19 +113,12 @@ class SchemeOutput:
 
 
 def _output(normalized: np.ndarray, factor: float) -> SchemeOutput:
-    """The state normalized * factor, with the NPT of ``normalized``.
+    """The state normalized * factor, with the NPT of ``normalized`` (NaN below the trace floor).
 
     Each constructor is ``_output(*state)`` of its ``_*_state`` function, which sweeps call.
     """
-    try:
-        value = qlinalg.npt(BipartiteMatrix(2, 2, normalized))
-    except DegenerateStateError:
-        value = float("nan")
+    value = float(qlinalg._npt_stack(normalized[None])[0])
     return SchemeOutput(matrix=BipartiteMatrix(2, 2, normalized * factor), npt_normalized=value)
-
-
-def _exp_or_zero(log_value: float) -> float:
-    return math.exp(log_value) if log_value > -745.0 else 0.0
 
 
 def jc_projected(params: AtomFieldParams) -> SchemeOutput:
@@ -135,31 +134,21 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
 
 
 def _jc_state(params: AtomFieldParams):
-    p, gt, n = params.p, params.gt, params.n
-    q = 1.0 - p
-
-    def c(k: int) -> float:
-        return math.cos(gt * math.sqrt(k + 1.0))
-
-    def s(k: int) -> float:
-        return math.sin(gt * math.sqrt(k + 1.0)) if k >= -1 else 0.0
-
-    pw = params.photon_weight
-    m = np.zeros((4, 4), dtype=np.complex128)
-    # excited branch, weight p
-    m[0, 0] += p * pw(n - 1) * s(n - 1) ** 2
-    m[1, 1] += p * pw(n) * c(n) ** 2
-    m[1, 2] += 1j * p * pw(n) * c(n) * s(n)
-    m[2, 1] += -1j * p * pw(n) * c(n) * s(n)
-    m[2, 2] += p * pw(n) * s(n) ** 2
-    m[3, 3] += p * pw(n + 1) * c(n + 1) ** 2
-    # ground branch, weight q
-    m[0, 0] += q * pw(n) * c(n - 1) ** 2
-    m[1, 1] += q * pw(n + 1) * s(n) ** 2
-    m[1, 2] += -1j * q * pw(n + 1) * c(n) * s(n)
-    m[2, 1] += 1j * q * pw(n + 1) * c(n) * s(n)
-    m[2, 2] += q * pw(n + 1) * c(n) ** 2
-    m[3, 3] += q * pw(n + 2) * s(n + 1) ** 2
+    p, q, gt, n = params.p, 1.0 - params.p, params.gt, params.n
+    # C_k, S_k for k = n - 1, n, n + 1 and P_k for k = n - 1 .. n + 2
+    angles = [gt * math.sqrt(k + 1.0) for k in (n - 1, n, n + 1)]
+    c0, c1, c2 = map(math.cos, angles)
+    s0, s1, s2 = map(math.sin, angles)
+    w0, w1, w2, w3 = map(params.photon_weight, (n - 1, n, n + 1, n + 2))
+    # excited branch weight p, ground branch weight q; |e,n> <-> |g,n+1> coherence
+    coherence = 1j * (p * w1 * c1 * s1 - q * w2 * c1 * s1)
+    m = np.diag([
+        p * w0 * s0**2 + q * w1 * c0**2,
+        p * w1 * c1**2 + q * w2 * s1**2,
+        p * w1 * s1**2 + q * w2 * c1**2,
+        p * w2 * c2**2 + q * w3 * s2**2,
+    ]).astype(np.complex128)
+    m[1, 2], m[2, 1] = coherence, -coherence
     return m, 1.0
 
 
@@ -174,9 +163,12 @@ def _cat_block(t: ThermalParams, basis: CatBasis):
     K = [[N+^2 (c + r), N+N- s], [N+N- s, N-^2 (c - r)]]: the one place c - r is formed.
     """
     hat, log_c = scaled_cat_kernels(t, basis)
+    y, a = _cat_exponents(t, basis)
+    # c - r = 1 - exp(-a) sech(y), O(g^2) at small g, as a sum of two terms >= 0
+    odd = hat.s * math.tanh(y / 2.0) - math.expm1(-a) * math.exp(-_log_cosh(y))
     s = basis.n_plus * basis.n_minus * hat.s
     hi = basis.n_plus**2 * (hat.c + hat.r)
-    return np.array([[hi, s], [s, basis.n_minus**2 * (hat.c - hat.r)]]), log_c
+    return np.array([[hi, s], [s, basis.n_minus**2 * odd]]), log_c
 
 
 # Z = diag(1, 1, 1, -1): the controlled parity on {|0,+>, |0,->, |1,+>, |1,->}
@@ -213,7 +205,7 @@ def kerr_micro_thermal_projected(
 def _kerr_micro_thermal_state(m: MicroState, t: ThermalParams, basis: CatBasis):
     k, log_c = _cat_block(t, basis)
     mu = np.array([[0.5, 0.5 * m.r], [0.5 * m.r, 0.5]])
-    return (_Z[:, None] * _kron(mu, k) * _Z).astype(np.complex128), _exp_or_zero(log_c)
+    return (_Z[:, None] * _kron(mu, k) * _Z).astype(np.complex128), math.exp(log_c)
 
 
 # S = (C (x) C)[R, R J] of the beam-splitter kernel D S (c (x) X) S^T D
@@ -228,6 +220,9 @@ _BS_S = np.array(
         [-1.0, 2.0, -1.0, -1.0, 2.0, -1.0],
     ]
 )
+# alpha + beta and 1 - alpha beta at the grid points (a, b) = 2 g (alpha, beta)
+_BS_SUM = np.array([[-2.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
+_BS_FLIP = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]])
 # The odd-cat entries carry N-^4 ~ 1/(16 gamma^4), which amplifies the roundoff
 # of the signed sums; below this gamma they miss the oracle tolerance.
 BS_GAMMA_FLOOR = 1e-2
@@ -241,28 +236,28 @@ def _bs_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: in
     d' = d/sqrt(2).  The sixteen coherent components of the four projectors
     then give Gaussian integrals
     (1/v) exp[(-2 d'^2 + d' (a+b))/v + a b (v-1)/(2v) - 2 g^2] at only nine
-    points (a, b) in {-2 g, 0, 2 g}^2, the grid X.  With c = [[1, +-r], [+-r, 1]]
-    the term weights and D = diag(N (x) N) the cat norms, the kernel is
-    D S (c (x) X) S^T D (``_BS_S``).  Only the parts of the exponents that
-    differ between grid points are exponentiated, relative to their largest;
-    the common part and that largest come back as the log scale, so the
-    entries stay representable at any displacement and variance.
+    points (a, b) = 2 g (alpha, beta) in {-2 g, 0, 2 g}^2, the grid X.  With
+    c = [[1, +-r], [+-r, 1]] the term weights and D = diag(N (x) N) the cat
+    norms, the kernel is D S (c (x) X) S^T D (``_BS_S``).
+
+    The largest exponent, at a = b = 2 g sgn(d'), is the completed square
+    -2 (|d'| - g)^2/v - log v, the log scale; each other one lies below it by
+    2 g [|d'| (2 - sgn(d') (alpha + beta)) + g (1 - alpha beta)(v-1)] / v, a
+    sum of terms >= 0.  Nothing cancels at any displacement and variance.
     """
     g = basis.gamma
     if g < BS_GAMMA_FLOOR:
         raise ValueError(f"bs needs gamma >= {BS_GAMMA_FLOOR:g}, got {g!r}")
-    v_eff = (t.variance + 1.0) / 2.0
-    d_eff = t.displacement / math.sqrt(2.0)
-    grid = np.array([-2.0 * g, 0.0, 2.0 * g])
-    a, b = grid[:, None], grid
-    e = d_eff / v_eff * (a + b) + a * b * ((v_eff - 1.0) / (2.0 * v_eff))
-    top = float(e.max())
+    v = (t.variance + 1.0) / 2.0
+    u = abs(t.displacement) / math.sqrt(2.0)
+    spread = 2.0 - math.copysign(1.0, t.displacement) * _BS_SUM
+    with np.errstate(over="ignore"):  # an offset past the double range gives exp(-inf) = 0
+        x = np.exp(-2.0 * g * (u / v * spread + g * ((v - 1.0) / v) * _BS_FLIP))
     c = np.array([[1.0, sign * m.r], [sign * m.r, 1.0]])
     norms = np.array([basis.n_plus, basis.n_minus])
     dd = (norms[:, None] * norms).reshape(4, 1)
-    out = dd * (_BS_S @ _kron(c, np.exp(e - top)) @ _BS_S.T) * dd.T
-    log_shift = top - math.log(v_eff) - 2.0 * d_eff**2 / v_eff - 2.0 * g * g
-    return out.astype(np.complex128), log_shift
+    out = dd * (_BS_S @ _kron(c, x) @ _BS_S.T) * dd.T
+    return out.astype(np.complex128), -2.0 * ((u - g) * (u - g) / v) - math.log(v)
 
 
 def bs_projected_kernel(
@@ -272,15 +267,13 @@ def bs_projected_kernel(
 
     Raises ``ValueError`` for gamma below ``BS_GAMMA_FLOOR``.
     """
-    sign = _check_sign(sign)
-    normalized, log_shift = _bs_kernel_scaled(m, t, basis, sign)
-    return BipartiteMatrix(2, 2, normalized * _exp_or_zero(log_shift))
+    normalized, log_shift = _bs_kernel_scaled(m, t, basis, _check_sign(sign))
+    return BipartiteMatrix(2, 2, normalized * math.exp(log_shift))
 
 
 def _sigma_trace(t: ThermalParams) -> float:
     """Trace of the parity-flip sandwich operator: exp(-2 d^2 / V) / V."""
-    ex = -2.0 * t.displacement**2 / t.variance
-    return (math.exp(ex) if ex > -745.0 else 0.0) / t.variance
+    return math.exp(-2.0 * t.displacement**2 / t.variance) / t.variance
 
 
 def _conditioned(kernel, power: int, m, t, basis, sign):
@@ -299,7 +292,7 @@ def _conditioned(kernel, power: int, m, t, basis, sign):
         raise DegenerateStateError(
             "conditioning outcome has vanishing probability for these parameters"
         )
-    return normalized, _exp_or_zero(log_scale) / denom
+    return normalized, math.exp(log_scale) / denom
 
 
 def bs_scheme_projected(
@@ -337,9 +330,8 @@ def tt_projected_kernel(
     both, so the kernel is (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)),
     pi = (1, -1, -1, 1).
     """
-    sign = _check_sign(sign)
-    normalized, log_scale = _tt_kernel_scaled(m, t, basis, sign)
-    return BipartiteMatrix(2, 2, normalized * _exp_or_zero(log_scale))
+    normalized, log_scale = _tt_kernel_scaled(m, t, basis, _check_sign(sign))
+    return BipartiteMatrix(2, 2, normalized * math.exp(log_scale))
 
 
 def tt_scheme_projected(
@@ -368,7 +360,7 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
 
 def _direct_kerr_state(t: ThermalParams, basis: CatBasis):
     k, log_c = _cat_block(t, basis)
-    return (_Z[:, None] * _kron(k, k) * _Z).astype(np.complex128), _exp_or_zero(2.0 * log_c)
+    return (_Z[:, None] * _kron(k, k) * _Z).astype(np.complex128), math.exp(2.0 * log_c)
 
 
 def _check_sign(sign: int) -> int:

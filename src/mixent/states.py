@@ -240,26 +240,29 @@ def _log_cosh(y: float) -> float:
     return math.log(math.cosh(y))
 
 
+def _cat_exponents(t: ThermalParams, basis: CatBasis) -> tuple[float, float]:
+    """y = 4 g d/(V+1) and a = 2 g^2 (V-1)/(V+1); past the double range infinite, never NaN."""
+    g = basis.gamma
+    return 4.0 * g * t.displacement / (t.variance + 1.0), 2.0 * t.boltzmann_ratio * (g * g)
+
+
 def scaled_cat_kernels(t: ThermalParams, basis: CatBasis) -> tuple[CatKernels, float]:
     """Kernels normalized to c = 1, plus log(c) carried separately.
 
-    s/c = tanh(y) and r/c = exp(-2 g^2 (V-1)/(V+1))/cosh(y) are representable
-    for any parameters, while c itself underflows once 2 d^2/(V+1) passes the
-    exponent range.  Quantities that are invariant under a common positive
-    rescaling (NPT of the trace-normalized state, most prominently) should be
-    computed from the normalized kernels; absolute scales are recovered from
-    the returned log.
+    s/c = tanh(y) and r/c = exp(-a)/cosh(y) (:func:`_cat_exponents`) are
+    representable for any parameters, while c itself underflows once
+    2 (g - |d|)^2/(V+1) passes the exponent range.  Quantities that are
+    invariant under a common positive rescaling (NPT of the trace-normalized
+    state, most prominently) should be computed from the normalized kernels;
+    absolute scales are recovered from the returned log.
     """
     v = t.variance
-    d = t.displacement
-    g = basis.gamma
-    x = -2.0 * (g * g + d * d) / (v + 1.0)
-    y = 4.0 * g * d / (v + 1.0)
-    log_c = math.log(4.0 / (v + 1.0)) + x + _log_cosh(y)
-    s_hat = math.tanh(y)
-    log_r_hat = -2.0 * g * g * (v - 1.0) / (v + 1.0) - _log_cosh(y)
-    r_hat = math.exp(log_r_hat) if log_r_hat > -745.0 else 0.0
-    return CatKernels(c=1.0, s=s_hat, r=r_hat), log_c
+    y, a = _cat_exponents(t, basis)
+    # log(4/(V+1)) - 2 (g^2 + d^2)/(V+1) + log cosh(y), its 4 g |d|/(V+1) terms cancelled
+    gap = basis.gamma - abs(t.displacement)
+    log_c = math.log(2.0 / (v + 1.0)) - 2.0 * (gap * gap / (v + 1.0))
+    log_c += math.log1p(math.exp(-2.0 * abs(y)))
+    return CatKernels(c=1.0, s=math.tanh(y), r=math.exp(-a - _log_cosh(y))), log_c
 
 
 def thermal_cat_kernels(t: ThermalParams, basis: CatBasis) -> CatKernels:
@@ -271,5 +274,5 @@ def thermal_cat_kernels(t: ThermalParams, basis: CatBasis) -> CatKernels:
     range; use :func:`scaled_cat_kernels` for scale-invariant work).
     """
     hat, log_c = scaled_cat_kernels(t, basis)
-    c = math.exp(log_c) if log_c > -745.0 else 0.0
+    c = math.exp(log_c)
     return CatKernels(c=c, s=hat.s * c, r=hat.r * c)

@@ -378,12 +378,70 @@ class TestMain:
         assert err.startswith("error: bs needs gamma >= 0.01") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["kerr_micro_thermal", "bs", "tt", "direct_kerr"])
+    def test_large_gamma_times_d_exit_0(self, scheme, capsys):
+        # terms of size gamma d that cancel in log c and in the bs log scale
+        # rounded to a log c of about +1e8 here, and math.exp raised OverflowError
+        argv = ["sweep", "--scheme", scheme, "--set", "V=10", "--set", "gamma=1e12"]
+        argv += ["--sweep", "d:1e12:1.000000000002e12:3"]
+        argv += {"direct_kerr": [], "kerr_micro_thermal": ["--set", "r=1"]}.get(
+            scheme, ["--set", "r=1", "--set", "sign=+"]
+        )
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[2:]
+        rows = [[float(x) for x in line.split(",")] for line in lines]
+        assert len(rows) == 3
+        for _, npt, trace in rows:
+            assert 0.0 <= npt <= 1.0 + 4 * np.finfo(float).eps and 0.0 <= trace <= 1.0
+
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
     def test_non_integer_n_exit_2(self, n, capsys):
         argv = ["sweep", "--scheme", "jc", "--sweep", "gt:0:1:2"]
         argv += ["--set", "p=1", "--set", "lam=0.5", "--set", f"n={n}"]
         assert cli.main(argv) == 2
         assert "n must be an integer" in capsys.readouterr().err
+
+
+class TestDomainAudit:
+    """Each sweepable parameter at 10^k, k = -300, -292, ..., 300, and at 1.7e308.
+
+    The others stay at jc p=1, lam=0.5, gt=1, n=0 and cat r=1, V=10, d=3,
+    gamma=2, sign +.  ``cli.main`` turns a ``ValueError`` into one ``error:``
+    line and exit 2 and lets anything else through (exit 1 with a traceback);
+    the runs call ``cli.run_sweep`` directly, which keeps the whole grid well
+    under 3 s, and apply the same rule.
+    """
+
+    FIXED = {"p": 1.0, "lam": 0.5, "gt": 1.0, "n": 0}
+    FIXED.update({"r": 1.0, "V": 10.0, "d": 3.0, "gamma": 2.0, "sign": 1})
+    # the name each parameter's error message uses
+    WORDS = {"V": "variance", "d": "displacement"}
+    VALUES = [10.0**k for k in range(-300, 301, 8)] + [1.7e308]
+
+    def test_no_run_exits_1(self):
+        outcomes = {0: 0, 2: 0}
+        for scheme, sdef in cli.SCHEMES.items():
+            for name in sdef.sweepable:
+                fixed = {k: self.FIXED[k] for k in sdef.params if k != name}
+                for x in self.VALUES:
+                    sweep = (name, x, math.nextafter(x, math.inf), 2)
+                    spec = make_spec(scheme=scheme, fixed=fixed, sweep=sweep)
+                    at = (scheme, name, x)
+                    try:
+                        code, text, _ = cli.run_sweep(spec)
+                    except ValueError as exc:
+                        message = str(exc)
+                        assert "\n" not in message, (at, message)
+                        assert self.WORDS.get(name, name) in message, (at, message)
+                        outcomes[2] += 1
+                        continue
+                    assert code == 0, at
+                    outcomes[0] += 1
+                    for line in text.splitlines()[2:]:
+                        npt, trace = (float(v) for v in line.split(",")[1:])
+                        assert 0.0 <= npt <= 1.0 + 4 * np.finfo(float).eps, (at, line)
+                        assert 0.0 <= trace <= 1.0, (at, line)
+        assert outcomes[0] > 700 and outcomes[2] > 500, outcomes
 
 
 class TestPresets:

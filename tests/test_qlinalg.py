@@ -215,15 +215,29 @@ class TestNpt:
             assert (value > 1e-12) == entangled
 
 
+def reference_npt(entries, dim_a=2, dim_b=2):
+    """The NPT by the definition, one matrix at a time: the scorer's reference.
+
+    The partial transpose is built entry by entry, scaled by the reciprocal of
+    its trace (as the scorer does, so the bits agree), symmetrized and solved
+    by a 2-D ``eigvalsh``; then the zero rule.  NaN where the trace fails the
+    floor.
+    """
+    size = dim_a * dim_b
+    pt = np.empty((size, size), dtype=complex)
+    for a, b, a2, b2 in np.ndindex(dim_a, dim_b, dim_a, dim_b):
+        pt[a * dim_b + b, a2 * dim_b + b2] = entries[a * dim_b + b2, a2 * dim_b + b]
+    tr = np.trace(pt).real
+    if not tr > 1e-300:
+        return float("nan")
+    scaled = pt * (1.0 / tr)
+    w = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0)
+    return -2.0 * w[0] if -w[0] > qlinalg.NPT_ZERO_BOUND * np.abs(w).max() else 0.0
+
+
 def scalar_npts(stack):
-    """``npt`` of each matrix, NaN where its trace fails the floor: the stacked NPT's reference."""
-    values = []
-    for entries in stack:
-        try:
-            values.append(mx.npt(mx.BipartiteMatrix(2, 2, entries)))
-        except DegenerateStateError:
-            values.append(float("nan"))
-    return np.array(values)
+    """:func:`reference_npt` of each matrix of a stack."""
+    return np.array([reference_npt(entries) for entries in stack])
 
 
 def preset_states():
@@ -260,7 +274,7 @@ def drawn_states(rng, count):
 
 
 class TestNptStack:
-    """The stacked NPT of the sweeps is ``npt`` bit for bit."""
+    """The one scorer, ``_npt_stack``, against the one-matrix reference bit for bit."""
 
     def test_preset_sources(self):
         stack = np.array(list(preset_states()))
@@ -273,6 +287,27 @@ class TestNptStack:
         assert len(states) >= 1400
         expected = np.array([out.npt_normalized for out in outputs])
         assert qlinalg._npt_stack(np.array(states)).tobytes() == expected.tobytes()
+        assert scalar_npts(states).tobytes() == expected.tobytes()
+
+    def test_npt_is_the_scorer_on_one_matrix(self):
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            entries = random_state(rng, 4)
+            entries *= rng.choice([1.0, 1e-200, 1e200])
+            value = mx.npt(mx.BipartiteMatrix(2, 2, entries))
+            assert type(value) is float
+            assert value == reference_npt(entries) == qlinalg._npt_stack(entries[None])[0]
+        with pytest.raises(DegenerateStateError, match=r"cannot normalize matrix with trace 0\.0"):
+            mx.npt(mx.BipartiteMatrix(2, 2, np.zeros((4, 4))))
+        with pytest.raises(DegenerateStateError, match=r"with trace -4\.0"):
+            mx.npt(mx.BipartiteMatrix(2, 2, -np.eye(4)))
+        bad = np.eye(4, dtype=complex)
+        bad[0, 1] = 1e-6
+        with pytest.raises(HermiticityError):
+            mx.npt(mx.BipartiteMatrix(2, 2, bad))
+        bad[0, 1] = np.inf
+        with pytest.raises(NumericInputError):
+            mx.npt(mx.BipartiteMatrix(2, 2, bad))
 
     def test_mixed_real_phased_and_complex_rows(self):
         rng = np.random.default_rng(45)
@@ -325,6 +360,29 @@ class TestNptStack:
             qlinalg._npt_stack(stack)
         with pytest.raises(InvalidShapeError):
             qlinalg._npt_stack(np.eye(4))
+
+
+class TestGeneralDims:
+    """``npt`` and the scorer on a qubit (x) qutrit."""
+
+    def test_separable_product_is_zero(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            rho = np.kron(random_state(rng, 2), random_state(rng, 3))
+            assert mx.npt(mx.BipartiteMatrix(2, 3, rho)) == 0.0
+
+    def test_entangled_pure_state_matches_reference(self):
+        # (|0,0> + |1,1> + |1,2>)/sqrt(3): the smallest eigenvalue of the
+        # partial transpose is -sqrt(2)/3
+        psi = np.zeros(6, dtype=complex)
+        psi[[0, 4, 5]] = 1.0
+        rho = np.outer(psi, psi.conj()) / 3.0
+        value = mx.npt(mx.BipartiteMatrix(2, 3, rho))
+        assert value == pytest.approx(2.0 * np.sqrt(2.0) / 3.0, abs=1e-15)
+        assert value == reference_npt(rho, 2, 3)
+        assert qlinalg._npt_stack(rho[None], 2, 3)[0] == value
+        with pytest.raises(InvalidShapeError):
+            qlinalg._npt_stack(rho[None])  # the default factors are (2, 2)
 
 
 class TestZeroRule:

@@ -262,47 +262,107 @@ def reference_bs_kernel(m, t, basis, sign):
     return out, top - math.log(v_eff) - 2.0 * d_eff**2 / v_eff - 2.0 * g * g
 
 
-def mpmath_bs_npt(mpmath, r, v, d, gamma, sign, digits=50):
-    """NPT of the conditioned beam-splitter state from the sixteen-component sum in ``digits`` digits.
+def mpmath_bs_kernel(mpmath, r, v, d, gamma, sign):
+    """The beam-splitter kernel from the sixteen-component sum, at the caller's precision.
 
     The integrals are taken at their true scale,
-    (1/v) exp[(-2 d'^2 + d' (a+b))/v + a b (v-1)/(2v) - 2 g^2], and the
-    partial transpose of the trace-normalized state is diagonalized with
-    ``mpmath.eigsy``.
+    (1/v) exp[(-2 d'^2 + d' (a+b))/v + a b (v-1)/(2v) - 2 g^2].
     """
+    r, v, d, g = (mpmath.mpf(x) for x in (r, v, d, gamma))
+    v_eff, d_eff = (v + 1) / 2, d / mpmath.sqrt(2)
+    norms = [1 / mpmath.sqrt(2 * (1 + s * mpmath.exp(-2 * g * g))) for s in (1, -1)]
+    grid = (-2 * g, 0, 2 * g)
+    gauss = {
+        (i, j): mpmath.exp(
+            (-2 * d_eff**2 + d_eff * (a + b)) / v_eff
+            + a * b * (v_eff - 1) / (2 * v_eff)
+            - 2 * g * g
+        ) / v_eff
+        for i, a in enumerate(grid)
+        for j, b in enumerate(grid)
+    }
+    weights = (1, 1, sign * r, sign * r)
+    e = (1, -1)  # components |gamma>, |-gamma> as multiples of gamma
+    csign = ((1, 1), (1, -1))
+    state = mpmath.matrix(4, 4)
+    for s1, s2, s1p, s2p in product(range(2), repeat=4):
+        total = mpmath.mpf(0)
+        for w_t, (u1, u2, u3, u4) in zip(weights, BS_TERMS):
+            for i1, i2, i3, i4 in product(range(2), repeat=4):
+                coeff = csign[s1][i1] * csign[s1p][i2] * csign[s2][i3] * csign[s2p][i4]
+                ia = (u1 * e[i1] + u3 * e[i3]) // 2 + 1
+                ib = (u2 * e[i2] + u4 * e[i4]) // 2 + 1
+                total += w_t * coeff * gauss[ia, ib]
+        state[2 * s1 + s2, 2 * s1p + s2p] = norms[s1] * norms[s1p] * norms[s2] * norms[s2p] * total
+    return state
+
+
+def mpmath_npt(mpmath, state):
+    """NPT of a 4x4 ``mpmath`` matrix by ``eigsy`` of its trace-normalized partial transpose."""
+    pt = mpmath.matrix(4, 4)
+    for i1, i2, j1, j2 in product(range(2), repeat=4):
+        pt[2 * i1 + i2, 2 * j1 + j2] = state[2 * i1 + j2, 2 * j1 + i2]
+    trace = sum(pt[i, i] for i in range(4))
+    lowest = min(mpmath.eigsy(pt / trace, eigvals_only=True))
+    return float(-2 * lowest) if lowest < 0 else 0.0
+
+
+def mpmath_bs_npt(mpmath, r, v, d, gamma, sign, digits=50):
+    """NPT of the beam-splitter state from the sixteen-component sum in ``digits`` digits."""
     with mpmath.workdps(digits):
-        r, v, d, g = (mpmath.mpf(x) for x in (r, v, d, gamma))
-        v_eff, d_eff = (v + 1) / 2, d / mpmath.sqrt(2)
-        norms = [1 / mpmath.sqrt(2 * (1 + s * mpmath.exp(-2 * g * g))) for s in (1, -1)]
-        grid = (-2 * g, 0, 2 * g)
-        gauss = {
-            (i, j): mpmath.exp(
-                (-2 * d_eff**2 + d_eff * (a + b)) / v_eff
-                + a * b * (v_eff - 1) / (2 * v_eff)
-                - 2 * g * g
-            ) / v_eff
-            for i, a in enumerate(grid)
-            for j, b in enumerate(grid)
-        }
-        weights = (1, 1, sign * r, sign * r)
-        e = (1, -1)  # components |gamma>, |-gamma> as multiples of gamma
-        csign = ((1, 1), (1, -1))
-        state = mpmath.matrix(4, 4)
-        for s1, s2, s1p, s2p in product(range(2), repeat=4):
-            total = mpmath.mpf(0)
-            for w_t, (u1, u2, u3, u4) in zip(weights, BS_TERMS):
-                for i1, i2, i3, i4 in product(range(2), repeat=4):
-                    coeff = csign[s1][i1] * csign[s1p][i2] * csign[s2][i3] * csign[s2p][i4]
-                    ia = (u1 * e[i1] + u3 * e[i3]) // 2 + 1
-                    ib = (u2 * e[i2] + u4 * e[i4]) // 2 + 1
-                    total += w_t * coeff * gauss[ia, ib]
-            state[2 * s1 + s2, 2 * s1p + s2p] = norms[s1] * norms[s1p] * norms[s2] * norms[s2p] * total
-        pt = mpmath.matrix(4, 4)
-        for i1, i2, j1, j2 in product(range(2), repeat=4):
-            pt[2 * i1 + i2, 2 * j1 + j2] = state[2 * i1 + j2, 2 * j1 + i2]
-        trace = sum(pt[i, i] for i in range(4))
-        lowest = min(mpmath.eigsy(pt / trace, eigvals_only=True))
-        return float(-2 * lowest) if lowest < 0 else 0.0
+        return mpmath_npt(mpmath, mpmath_bs_kernel(mpmath, r, v, d, gamma, sign))
+
+
+def mpmath_cat_state(mpmath, scheme, r, v, d, gamma, sign=1):
+    """The projected state of a cat-block scheme at its true scale, in ``mpmath`` arithmetic.
+
+    c, s and r are the sandwich kernels of :class:`~mixent.states.CatKernels`
+    in their direct form, and c - r is a plain difference: with enough
+    digits nothing is lost to cancellation.
+    """
+    r, v, d, g = (mpmath.mpf(x) for x in (r, v, d, gamma))
+    scale = 4 / (v + 1)
+    y = 4 * g * d / (v + 1)
+    c = scale * mpmath.exp(-2 * (g * g + d * d) / (v + 1)) * mpmath.cosh(y)
+    s = scale * mpmath.exp(-2 * (g * g + d * d) / (v + 1)) * mpmath.sinh(y)
+    rk = scale * mpmath.exp(-2 * (v * g * g + d * d) / (v + 1))
+    n_plus = 1 / mpmath.sqrt(2 * (1 + mpmath.exp(-2 * g * g)))
+    n_minus = 1 / mpmath.sqrt(2 * (1 - mpmath.exp(-2 * g * g)))
+    k = mpmath.matrix([[n_plus**2 * (c + rk), n_plus * n_minus * s],
+                       [n_plus * n_minus * s, n_minus**2 * (c - rk)]])
+    if scheme == "kerr_micro_thermal":
+        first = mpmath.matrix([[0.5, r / 2], [r / 2, 0.5]])
+    else:
+        first = k
+    state = mpmath.matrix(4, 4)
+    pi = (1, -1, -1, 1)
+    for i, j in product(range(4), repeat=2):
+        entry = first[i // 2, j // 2] * k[i % 2, j % 2]
+        if scheme == "tt":
+            entry *= 1 + pi[i] * pi[j] + sign * r * (pi[i] + pi[j])
+        else:  # the controlled sign Z = diag(1, 1, 1, -1) on both sides
+            entry *= (-1 if i == 3 else 1) * (-1 if j == 3 else 1)
+        state[i, j] = entry
+    if scheme == "tt":
+        sigma = mpmath.exp(-2 * d * d / v) / v
+        state /= 2 + sign * 2 * r * sigma**2
+    return state
+
+
+def mpmath_trace(mpmath, scheme, r, v, d, gamma, sign):
+    """The trace of a cat scheme's projected state, with digits for exponents of size g d."""
+    digits = 40 + 2 * int(math.log10(max(1.0, gamma, abs(d))))
+    with mpmath.workdps(digits):
+        if scheme == "bs":
+            sigma = mpmath.exp(-2 * mpmath.mpf(d) ** 2 / v) / v
+            # bs works in d' = d/sqrt(2), rounded to a double; near d' = gamma
+            # the trace is so sensitive to d' that this one rounding moves it
+            # by far more than 1e-12, so the reference takes d' as rounded
+            d = mpmath.sqrt(2) * (d / math.sqrt(2.0))
+            state = mpmath_bs_kernel(mpmath, r, v, d, gamma, sign) / (2 + sign * 2 * r * sigma)
+        else:
+            state = mpmath_cat_state(mpmath, scheme, r, v, d, gamma, sign)
+        return sum(state[i, i] for i in range(4))
 
 
 def npt_or_nan(entries):
@@ -364,6 +424,54 @@ class TestBeamSplitterKernelBits:
         assert covered["sign+"] + covered["sign-"] >= 270
         assert zeros >= 50, zeros
         assert min(covered.values()) >= 10, covered
+
+
+EPS = np.finfo(float).eps
+
+
+class TestCatBlockRange:
+    """The four cat schemes toward gamma -> 0 and at large gamma d, against ``mpmath``."""
+
+    @staticmethod
+    def outputs(m, t, basis):
+        """(scheme, sign, output) of every cat scheme; bs only above its gamma floor."""
+        yield "kerr_micro_thermal", 1, kerr_micro_thermal_projected(m, t, basis)
+        yield "direct_kerr", 1, direct_kerr_projected(t, basis)
+        for sign in (1, -1):
+            yield "tt", sign, tt_scheme_projected(m, t, basis, sign)
+            if basis.gamma >= schemes.BS_GAMMA_FLOOR:
+                yield "bs", sign, bs_scheme_projected(m, t, basis, sign)
+
+    @pytest.mark.parametrize("r, v, d", [(1.0, 10.0, 3.0), (0.4, 2.0, 0.7)])
+    def test_small_gamma_matches_60_digits(self, r, v, d):
+        # c - r is O(gamma^2) next to N-^2 ~ 1/(4 gamma^2); formed as 1 - r/c it
+        # lost everything below gamma ~ 1e-8 (NPT 1.09 or NaN)
+        mpmath = pytest.importorskip("mpmath")
+        m, t = mx.MicroState(r), mx.ThermalParams(v, d)
+        for gamma in (10.0**-k for k in range(1, 13)):
+            for scheme, sign, out in self.outputs(m, t, mx.CatBasis(gamma)):
+                if scheme == "bs":
+                    continue
+                with mpmath.workdps(60):
+                    state = mpmath_cat_state(mpmath, scheme, r, v, d, gamma, sign)
+                    ref = mpmath_npt(mpmath, state)
+                at = (scheme, sign, gamma, out.npt_normalized, ref)
+                assert abs(out.npt_normalized - ref) <= 1e-12, at
+                assert 0.0 <= out.npt_normalized <= 1.0 + 4 * EPS, at
+
+    @pytest.mark.parametrize("gamma", [1e4, 1e8, 1e12, 1e100])
+    def test_trace_at_large_gamma_times_d(self, gamma):
+        # log c and the bs log scale carried g d-sized terms that cancel: at
+        # d = gamma the kerr trace read 0.22 at 1e8 and 1.0 from 1e10 on
+        mpmath = pytest.importorskip("mpmath")
+        m = mx.MicroState(1.0)
+        for d in (gamma, math.sqrt(2.0) * gamma):
+            t, basis = mx.ThermalParams(10.0, d), mx.CatBasis(gamma)
+            for scheme, sign, out in self.outputs(m, t, basis):
+                ref = float(mpmath_trace(mpmath, scheme, 1.0, 10.0, d, gamma, sign))
+                at = (scheme, sign, d, out.trace, ref)
+                assert abs(out.trace - ref) <= 1e-12 * ref, at
+                assert 0.0 <= out.npt_normalized <= 1.0 + 4 * EPS, at
 
 
 class TestTwoThermalScheme:
