@@ -39,6 +39,7 @@ are byte-identical across runs of the same binary.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -514,6 +515,7 @@ def _spec_from_args(args) -> SweepSpec:
     return replace(spec, validate_tol=_parse_tol(validate, SCHEMES[scheme].tolerance))
 
 
+@functools.cache  # one parser per process, built on first use so that import stays cheap
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mixent", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,10 +22,15 @@ the integrand resolved for any V; scaling by the thermal width alone misses
 the overlap peaks entirely once V >> 1.  In these coordinates each integrand
 term reduces to exp(2 zeta x) with |zeta| <= 2 gamma, for which
 ``QUADRATURE_ORDER`` = 80 points per axis are accurate to far below the
-validation tolerances.  Every block is one node sum over the cat projections
-of two kets, keyed by (w, w') in {+-1}^2: single-mode |w alpha> for the 2x2
+validation tolerances.  The grid is the product of one set of nodes per
+real axis: node (i, j) is alpha = re_i + i im_j with weight a_i b_j.  As d
+and gamma are real, the thermal weight and every coherent overlap
+<sigma gamma|kappa alpha> split into an x factor and a y factor, each of
+modulus <= 1.  Every block is one node sum over the cat projections of two
+kets, keyed by (w, w') in {+-1}^2: single-mode |w alpha> for the 2x2
 sandwich blocks, the split |w delta>|-w delta> (delta = alpha/sqrt(2)) for
-the 4x4 beam-splitter blocks.
+the 4x4 beam-splitter blocks.  Each entry of that sum over the order^2
+nodes is evaluated as products of two 1-D sums over order nodes.
 
 Every quadrature result is re-evaluated at twice the order; entries that move
 by more than ``DOUBLING_TOLERANCE`` raise :class:`OracleUnstableError`.
@@ -162,29 +167,60 @@ def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=256)
 def _thermal_nodes(variance: float, displacement: float, order: int):
-    """Quadrature nodes and positive weights for integral[P_th(V,d) f] d^2 alpha.
+    """Per-axis quadrature nodes and positive weights for integral[P_th(V,d) f] d^2 alpha.
 
-    The weight of every node folds the Gauss-Hermite weight, the Jacobian and
-    the thermal Gaussian into a single exponential; f is evaluated as is.  At
-    V = 1 the thermal weight is a point mass at d.
+    Returns (re, a, im, b): node (i, j) is alpha = re[i] + 1j im[j] with
+    weight a[i] b[j].  The thermal Gaussian is a product over the two axes,
+    so each axis weight folds its Gauss-Hermite weight, its Jacobian, its
+    thermal factor and half the normalization into a single exponential; f
+    is evaluated as is.  At V = 1 the thermal weight is a point mass at d.
     """
     if variance == 1.0:
-        return np.array([displacement + 0.0j]), np.array([1.0])
+        return np.array([displacement]), np.array([1.0]), np.array([0.0]), np.array([1.0])
     u = 2.0 / (variance - 1.0)
     scale = 1.0 / math.sqrt(u + 1.0)
     center = u * displacement / (u + 1.0)
     x, logw = _gh_rule(order)
-    alpha = center + scale * (x[:, None] + 1j * x[None, :])
-    log_pth = math.log(2.0 / (math.pi * (variance - 1.0))) - u * np.abs(
-        alpha - displacement
-    ) ** 2
-    logw2 = logw[:, None] + logw[None, :] + 2.0 * math.log(scale) + log_pth
-    return alpha.ravel(), np.exp(logw2.ravel())
+    # log(2/(pi (V-1))) as a difference: pi (V-1) overflows near V = 5.7e307
+    log_axis = 0.5 * (math.log(2.0 / math.pi) - math.log(variance - 1.0)) + math.log(scale)
+    re = center + scale * x
+    im = scale * x
+    a = np.exp(logw + log_axis - u * (re - displacement) ** 2)
+    b = np.exp(logw + log_axis - u * im**2)
+    return re, a, im, b
 
 
-def _node_blocks(kets: dict, weight: np.ndarray) -> dict:
-    """Weighted node sums sum_n weight_n k_w[:, n] conj(k_w'[:, n]), keyed by (w, w')."""
-    return {(w, wp): (kets[w] * weight) @ kets[wp].conj().T for w in kets for wp in kets}
+def _projection_factors(re: np.ndarray, im: np.ndarray, gamma: float, kappa: float) -> dict:
+    """Axis factors (fx_w, fy_w) of <sigma gamma|w kappa alpha>, rows sigma = +1, -1, keyed by w.
+
+    At alpha = re + i im the overlap is fx[sigma, i] fy[sigma, j] with
+    fx = exp(-(kappa re - sigma gamma)^2/2) and
+    fy = exp(-(kappa im)^2/2 + i sigma gamma kappa im), each of modulus <= 1
+    for any gamma.  w = -1 only swaps the rows, as <sigma g|-b> = <-sigma g|b>.
+    """
+    sigma = np.array([[1.0], [-1.0]])
+    fx = np.exp(-0.5 * (kappa * re - sigma * gamma) ** 2)
+    ky = kappa * im
+    fy = np.exp(-0.5 * ky**2 + 1j * (sigma * gamma) * ky)
+    return {1: (fx, fy), -1: (fx[::-1], fy[::-1])}
+
+
+def _cat_rows(basis: CatBasis) -> np.ndarray:
+    """C = [[N+, N+], [N-, -N-]]: cat projections (<+|, <-|) of (|gamma>, |-gamma>) overlaps."""
+    return np.array([[basis.n_plus, basis.n_plus], [basis.n_minus, -basis.n_minus]])
+
+
+def _node_blocks(c: np.ndarray, factors: dict, a: np.ndarray, b: np.ndarray) -> dict:
+    """Node sums sum_ij a_i b_j k_w(i, j) k_w'(i, j)^dagger, keyed by (w, w').
+
+    Each ket is k_w(i, j) = c (fx_w[:, i] o fy_w[:, j]), so each sum is
+    c ((fx_w a) fx_w'^T o (fy_w b) fy_w'^dagger) c^T: products of 1-D sums.
+    """
+    return {
+        (w, wp): c @ (((fx * a) @ fxp.T) * ((fy * b) @ fyp.conj().T)) @ c.T
+        for w, (fx, fy) in factors.items()
+        for wp, (fxp, fyp) in factors.items()
+    }
 
 
 @lru_cache(maxsize=128)
@@ -193,10 +229,10 @@ def _sandwich_block(variance: float, displacement: float, gamma: float, order: i
 
     All four blocks, keyed by (w, w'), from one pair of projections at +-alpha.
     """
-    alpha, weight = _thermal_nodes(variance, displacement, order)
+    re, a, im, b = _thermal_nodes(variance, displacement, order)
     basis = CatBasis(gamma)
-    kets = {w: np.vstack(basis.coherent_projection(w * alpha)) for w in (1, -1)}
-    return _node_blocks(kets, weight)
+    factors = _projection_factors(re, im, gamma, 1.0)
+    return _node_blocks(_cat_rows(basis), factors, a, b)
 
 
 @lru_cache(maxsize=256)
@@ -204,17 +240,19 @@ def _bs_term_matrices(variance: float, displacement: float, gamma: float, order:
     """Quadrature values of the 4x4 cat blocks <s1 s2| integral[P |k_w><k_w'|] |s1' s2'>.
 
     The 50:50 splitter sends |w a> to k_w = |w delta>|-w delta>, delta = a/sqrt(2);
-    rows (s1, s2) of its projections are the products of the single-mode
-    projections at w delta and -w delta.  (1, 1) is the direct term, (-1, -1)
-    its mirror, the mixed pairs the coherences.
+    rows (s1, s2) of its projections take C (x) C over the products of the
+    single-mode axis factors at w delta and -w delta.  (1, 1) is the direct
+    term, (-1, -1) its mirror, the mixed pairs the coherences.
     """
-    alpha, weight = _thermal_nodes(variance, displacement, order)
+    re, a, im, b = _thermal_nodes(variance, displacement, order)
     basis = CatBasis(gamma)
-    delta = alpha / math.sqrt(2.0)
-    proj = {w: np.vstack(basis.coherent_projection(w * delta)) for w in (1, -1)}
-    kets = {w: (proj[w][:, None] * proj[-w][None, :]).reshape(4, -1) for w in (1, -1)}
-    del proj  # not held through the node sum: 1.6 MB at order 160
-    return _node_blocks(kets, weight)
+    single = _projection_factors(re, im, gamma, 1.0 / math.sqrt(2.0))
+    factors = {
+        w: tuple((p[:, None] * m[None, :]).reshape(4, -1) for p, m in zip(single[w], single[-w]))
+        for w in (1, -1)
+    }
+    c = _cat_rows(basis)
+    return _node_blocks(np.kron(c, c), factors, a, b)
 
 
 def _quad_kerr_micro_thermal(micro, thermal, basis, order):
@@ -292,7 +330,7 @@ def quadrature_projected(
     coarse = _quad_once(scheme, micro, thermal, basis, sign, order)
     dev = np.abs(coarse - fine)
     worst = float(dev.max())
-    if worst > DOUBLING_TOLERANCE:
+    if not worst <= DOUBLING_TOLERANCE:  # NaN fails too
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise OracleUnstableError(
             f"{scheme}: quadrature self-convergence failed at entry ({i},{j}): "

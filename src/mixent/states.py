@@ -243,7 +243,13 @@ def _log_cosh(y: float) -> float:
 def _cat_exponents(t: ThermalParams, basis: CatBasis) -> tuple[float, float]:
     """y = 4 g d/(V+1) and a = 2 g^2 (V-1)/(V+1); past the double range infinite, never NaN."""
     g = basis.gamma
-    return 4.0 * g * t.displacement / (t.variance + 1.0), 2.0 * t.boltzmann_ratio * (g * g)
+    y = 4.0 * g * t.displacement
+    # 4 g d can overflow where y is O(1) (V near 1e308); only then divide first
+    if math.isfinite(y):
+        y = y / (t.variance + 1.0)
+    else:
+        y = 4.0 * g * (t.displacement / (t.variance + 1.0))
+    return y, 2.0 * t.boltzmann_ratio * (g * g)
 
 
 def scaled_cat_kernels(t: ThermalParams, basis: CatBasis) -> tuple[CatKernels, float]:

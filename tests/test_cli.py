@@ -334,6 +334,24 @@ class TestMain:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
         assert [float(row[1]) for row in rows[1:]] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("scheme", ["kerr_micro_thermal", "bs", "tt", "direct_kerr"])
+    @pytest.mark.parametrize("variance", ["6e307", "1.7e308"])
+    def test_validated_sweep_at_huge_variance(self, scheme, variance, capsys):
+        # pi (V - 1) overflows here; the oracle's thermal normalization took
+        # its log and the validated sweep exited 2 with "math domain error"
+        argv = ["sweep", "--scheme", scheme, "--set", f"V={variance}", "--set", "gamma=2"]
+        argv += ["--sweep", "d:0:3:2"]
+        argv += {"direct_kerr": [], "kerr_micro_thermal": ["--set", "r=1"]}.get(
+            scheme, ["--set", "r=1", "--set", "sign=+"]
+        )
+        code = cli.main(argv)
+        plain = capsys.readouterr()
+        assert cli.main(argv + ["--validate"]) == code
+        validated = capsys.readouterr()
+        assert validated.err == plain.err
+        rows = [line.split(",")[:3] for line in validated.out.splitlines()[2:]]
+        assert rows == [line.split(",") for line in plain.out.splitlines()[2:]]
+
     # each scheme's sweep reaches a value whose square (gt sqrt(2) for jc) overflows
     OVERFLOWING = {
         "jc": (["p=1", "lam=0.5", "n=0"], "gt:0:1.7e308:3", "gt * sqrt(n + 2) must be finite"),

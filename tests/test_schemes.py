@@ -473,6 +473,17 @@ class TestCatBlockRange:
                 assert abs(out.trace - ref) <= 1e-12 * ref, at
                 assert 0.0 <= out.npt_normalized <= 1.0 + 4 * EPS, at
 
+    def test_trace_where_four_gamma_d_overflows(self):
+        # 4 g d = 4e308 overflows while 4 g d/(V+1) = 4: y read inf, so s/c
+        # read 1 for tanh(4) and log c lost its log1p(exp(-8))
+        mpmath = pytest.importorskip("mpmath")
+        v, d, gamma = 1e308, 1e154, 1e154
+        out = kerr_micro_thermal_projected(
+            mx.MicroState(1.0), mx.ThermalParams(v, d), mx.CatBasis(gamma)
+        )
+        ref = float(mpmath_trace(mpmath, "kerr_micro_thermal", 1.0, v, d, gamma, 1))
+        assert abs(out.trace - ref) <= 1e-12 * ref, (out.trace, ref)
+
 
 class TestTwoThermalScheme:
     def test_mixed_micro_separable(self):
