@@ -24,11 +24,12 @@ probability, is 0.  Under ``--validate`` such rows still carry the oracle
 columns, from the unnormalized kernel.  The library constructors raise
 :class:`~mixent.qlinalg.DegenerateStateError` for these points instead.
 
-A sweep runs in blocks of ``SWEEP_BLOCK`` rows: it computes the states of a
-block row by row and scores them with one stacked NPT.  The ``--out`` path is
-checked before the first row and written once the rows are done; a run that
-ends in an error leaves a file that was there before as it was, and removes
-one it created.
+A sweep runs in blocks of ``SWEEP_BLOCK`` rows: it checks a block's parameters
+at its smallest and largest swept value, computes its states with one call of
+the scheme's block function and scores them with one stacked NPT.  The
+``--out`` path is checked before the first row and written once the rows are
+done; a run that ends in an error leaves a file that was there before as it
+was, and removes one it created.
 
 Exit codes: 0 success, 2 invalid specification or unwritable ``--out``, 3
 oracle deviation above tolerance.  CSV files start with the schema comment
@@ -48,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle, qlinalg, schemes
-from .qlinalg import BipartiteMatrix, DegenerateStateError
+from .qlinalg import BipartiteMatrix
 from .states import AtomFieldParams, CatBasis, MicroState, ThermalParams
 
 __all__ = ["SweepSpec", "main", "run_sweep", "run_validation", "PRESETS"]
@@ -97,7 +98,8 @@ def _as_sign(value):
 
 
 # An argument builder turns a parameter dict into the keyword arguments of the
-# scheme's oracle, in the order of its constructor's positional arguments.
+# scheme's oracle, in the order of its constructor's positional arguments; the
+# parameter dataclasses it builds check the values.
 
 
 def _jc_args(v):
@@ -112,6 +114,13 @@ def _cat_args(v):
     return args
 
 
+def _bs_args(v):
+    """``_cat_args`` and the bs gamma floor, which sweeps check with the other rules."""
+    args = _cat_args(v)
+    schemes._check_bs_gamma(args["basis"].gamma)
+    return args
+
+
 def _quadrature(scheme):
     return lambda args: oracle.quadrature_projected(scheme, **args)
 
@@ -120,17 +129,17 @@ def _quadrature(scheme):
 class _SchemeDef:
     """How the CLI evaluates and validates one scheme.
 
-    ``state`` and ``closed`` name functions of :mod:`mixent.schemes`, looked
-    up at call time: the private function that computes the constructor's
-    state, and the closed form that the oracle reproduces where that is not
-    the state itself (None where it is).  Both take the builder's arguments
-    positionally, the oracle takes them as keywords.
+    ``block`` computes the states of N rows from one column of values per
+    parameter, in the order of ``params``: the scheme's block function in
+    :mod:`mixent.schemes`, resolved at call time.  ``closed`` is the closed
+    form that the oracle reproduces where that is not the state itself (None
+    where it is).  Both ``closed`` and ``oracle`` take the builder's arguments.
     """
 
     params: tuple
     args: callable
-    state: str
-    closed: str | None
+    block: callable
+    closed: callable | None
     oracle: callable
     tolerance: float
 
@@ -143,7 +152,7 @@ SCHEMES = {
     "jc": _SchemeDef(
         ("p", "lam", "gt", "n"),
         _jc_args,
-        "_jc_state",
+        lambda *columns: schemes.jc_block(*columns),
         None,
         lambda args: oracle.jc_fock_projected(**args),
         _JC_TOL,
@@ -151,31 +160,31 @@ SCHEMES = {
     "kerr_micro_thermal": _SchemeDef(
         ("r", "V", "d", "gamma"),
         _cat_args,
-        "_kerr_micro_thermal_state",
+        lambda *columns: schemes.kerr_micro_thermal_block(*columns),
         None,
         _quadrature("kerr_micro_thermal"),
         _KERR_TOL,
     ),
     "bs": _SchemeDef(
         ("r", "V", "d", "gamma", "sign"),
-        _cat_args,
-        "_bs_scheme_state",
-        "bs_projected_kernel",
+        _bs_args,
+        lambda *columns: schemes.bs_scheme_block(*columns),
+        lambda args: schemes.bs_projected_kernel(*args.values()),
         _quadrature("bs"),
         _KERR_TOL,
     ),
     "tt": _SchemeDef(
         ("r", "V", "d", "gamma", "sign"),
         _cat_args,
-        "_tt_scheme_state",
-        "tt_projected_kernel",
+        lambda *columns: schemes.tt_scheme_block(*columns),
+        lambda args: schemes.tt_projected_kernel(*args.values()),
         _quadrature("tt"),
         _KERR_TOL,
     ),
     "direct_kerr": _SchemeDef(
         ("V", "d", "gamma"),
         _cat_args,
-        "_direct_kerr_state",
+        lambda *columns: schemes.direct_kerr_block(*columns),
         None,
         _quadrature("direct_kerr"),
         _KERR_TOL,
@@ -251,24 +260,13 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _call(name: str, args: dict):
-    return getattr(schemes, name)(*args.values())
-
-
-def _closed_vs_oracle(sdef: _SchemeDef, args: dict, built: BipartiteMatrix | None = None):
+def _closed_vs_oracle(sdef: _SchemeDef, args: dict, state: np.ndarray | None):
     """The oracle matrix for ``args`` and the closed form's largest deviation from it.
 
-    ``built`` is the state's matrix for ``args`` if the caller has it; it is
-    reused where the closed form is the state itself.
+    ``state`` is the row's state matrix: the closed form where the scheme has
+    no ``closed``.
     """
-    if sdef.closed:
-        closed = _call(sdef.closed, args)
-    else:
-        closed = built or BipartiteMatrix(2, 2, np.multiply(*_call(sdef.state, args)))
+    closed = sdef.closed(args) if sdef.closed else BipartiteMatrix(2, 2, state)
     ref = sdef.oracle(args)
     return ref, qlinalg.max_abs_deviation(closed, ref)
 
@@ -278,36 +276,55 @@ def _closed_vs_oracle(sdef: _SchemeDef, args: dict, built: BipartiteMatrix | Non
 SWEEP_BLOCK = 256
 
 
-def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: np.ndarray, first: int):
+def _check_rows(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> None:
+    """Raise what the first bad row of a block raises, if it has one.
+
+    Every parameter rule is an interval in the swept value, so the block is
+    good if its smallest and largest values build.  If not, its rows are built
+    in order (under ``--validate`` each with its oracle, as before) until one
+    raises.
+    """
+    name = spec.sweep[0]
+    ends = (xs[int(np.argmin(xs))], xs[int(np.argmax(xs))])  # NaN is both
+    try:
+        for x in ends:
+            sdef.args({**spec.fixed, name: x})
+    except ValueError:
+        for x in xs:
+            args = sdef.args({**spec.fixed, name: x})
+            if spec.validate_tol is not None:
+                sdef.oracle(args)
+        raise
+
+
+def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: list, first: int):
     """CSV lines of the rows ``first, first + 1, ...`` at ``xs``, and their failures.
 
     A row with no state (a zero-probability conditioning outcome) is the zero
     matrix at scale NaN: its ``npt`` and ``trace`` are NaN, its kernel is still
     checked by the oracle.
     """
-    validate = spec.validate_tol is not None
-    normalized, factors, refs, deviations = [], [], [], []
-    for x in xs:
-        args = sdef.args({**spec.fixed, spec.sweep[0]: float(x)})
-        try:
-            matrix, factor = _call(sdef.state, args)
-            built = BipartiteMatrix(2, 2, matrix * factor) if validate else None
-        except DegenerateStateError:
-            matrix, factor, built = np.zeros((4, 4), dtype=np.complex128), math.nan, None
-        normalized.append(matrix)
-        factors.append(factor)
-        if validate:
-            ref, deviation = _closed_vs_oracle(sdef, args, built)
+    _check_rows(spec, sdef, xs)
+    name = spec.sweep[0]
+    # the checked fixed values as the parameter dataclasses store them
+    convert = {"sign": _as_sign, "n": lambda v: _as_int(v, "n")}
+    fixed = {k: convert.get(k, lambda v: complex(v).real)(v) for k, v in spec.fixed.items()}
+    columns = [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
+    normalized, factors = sdef.block(*columns)
+    states = normalized * factors[:, None, None]
+    traces = np.trace(states, axis1=1, axis2=2).real
+    columns = [xs, qlinalg._npt_stack(normalized).tolist(), traces.tolist()]
+    failed = []
+    if spec.validate_tol is not None:
+        refs, deviations = [], []
+        for i, x in enumerate(xs):
+            ref, deviation = _closed_vs_oracle(sdef, sdef.args({**spec.fixed, name: x}), states[i])
             refs.append(ref.entries)
             deviations.append(deviation)
-    normalized = np.array(normalized)
-    traces = np.trace(normalized * np.array(factors)[:, None, None], axis1=1, axis2=2).real
-    columns = [xs, qlinalg._npt_stack(normalized), traces]
-    if validate:
-        columns += [qlinalg._npt_stack(np.array(refs)), deviations]
-    lines = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
-    failed = [(i, d) for i, d in enumerate(deviations, first) if d > spec.validate_tol]
-    return lines, failed
+        columns += [qlinalg._npt_stack(np.array(refs)).tolist(), deviations]
+        failed = [(i, d) for i, d in enumerate(deviations, first) if d > spec.validate_tol]
+    template = ",".join(["%.17g"] * len(columns))
+    return [template % row for row in zip(*columns)], failed
 
 
 def run_sweep(spec: SweepSpec):
@@ -326,7 +343,7 @@ def run_sweep(spec: SweepSpec):
         header += ["oracle_npt", "max_dev"]
     lines = [CSV_SCHEMA, ",".join(header)]
     failures = []
-    xs = np.linspace(float(start), float(stop), int(count))
+    xs = np.linspace(float(start), float(stop), int(count)).tolist()
     created = spec.out and not os.path.lexists(spec.out)
     if spec.out:
         _write_out(spec.out, "", "a")  # fails early; appending nothing keeps a file as it is
@@ -400,8 +417,13 @@ def validate_grid(name: str, tol: float | None = None):
     sdef = SCHEMES[VALIDATION_GRIDS[name]]
     tol = sdef.tolerance if tol is None else tol
     worst_dev, worst_at = -1.0, None
-    for values in _grid_points(name):
-        dev = _closed_vs_oracle(sdef, sdef.args(values))[1]
+    points = _grid_points(name)
+    states = [None] * len(points)
+    if not sdef.closed:  # the states are the closed forms
+        normalized, factors = sdef.block(*([p[k] for p in points] for k in sdef.params))
+        states = normalized * factors[:, None, None]
+    for values, state in zip(points, states):
+        dev = _closed_vs_oracle(sdef, sdef.args(values), state)[1]
         if dev > worst_dev:
             worst_dev, worst_at = dev, values
     return worst_dev, worst_at, tol
@@ -562,7 +584,7 @@ def main(argv=None) -> int:
                 fixed = " ".join(f"{k}={v}" for k, v in sorted(spec.fixed.items()))
                 print(
                     f"{name}: scheme={spec.scheme} {fixed} "
-                    f"sweep {swept}:{_fmt(start)}..{_fmt(stop)} x{count}"
+                    f"sweep {swept}:{start:.17g}..{stop:.17g} x{count}"
                 )
             return 0
         if args.command == "sweep":

@@ -2,7 +2,11 @@
 
 Each constructor returns a Hermitian 4x4 :class:`~mixent.qlinalg.BipartiteMatrix`
 together with the NPT of its trace-normalized version, from the one NPT scorer
-(``qlinalg._npt_stack``) that sweeps call on whole blocks.  The five schemes:
+(``qlinalg._npt_stack``) that sweeps call on whole blocks.  Each constructor is
+its scheme's block function (``jc_block``, ``kerr_micro_thermal_block``,
+``bs_scheme_block``, ``tt_scheme_block``, ``direct_kerr_block``) at one row; a
+sweep calls the same function on a block of rows, so both give the same bits.
+The five schemes:
 
 * ``jc_projected`` -- resonant atom-field interaction, field projected onto
   two adjacent number states.
@@ -24,10 +28,10 @@ Basis orderings (fixed module-wide):
 * two-mode cat schemes: {|++>, |+->, |-+>, |-->}.
 
 The four cat schemes are built from one 2x2 block, K, the displaced thermal
-state in the cat basis (``_cat_block``).  The parity flip |a> -> |-a> fixes
+state in the cat basis (``_cat_row``).  The parity flip |a> -> |-a> fixes
 |+> and negates |->, so every Gaussian sandwich block <s| integral
 |w a><w' a| |s'> is B(w, w') = P_w K P_w' with P_+ = 1 and P_- = diag(1, -1),
-and each scheme is a fixed sandwich of K:
+and each scheme is a fixed sandwich of K, written once over a leading axis of rows:
 
 * ``kerr_micro_thermal``: Z (mu (x) K) Z, with mu = 1/2 [[1, r], [r, 1]] and
   Z = diag(1, 1, 1, -1) the controlled parity;
@@ -35,6 +39,15 @@ and each scheme is a fixed sandwich of K:
 * ``tt``: (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)), pi = (1, -1, -1, 1);
 * ``bs``: D S (c (x) X) S^T D, with X the nine Gaussian integrals of the split
   state, c = [[1, +-r], [+-r, 1]], D = diag(N (x) N) and S a fixed 4x6 matrix.
+
+A block function takes one list per parameter, in the CLI's parameter order,
+holding N rows of Python floats (ints for ``n`` and ``sign``); it does not check
+them.  It returns the kernel-normalized (N, 4, 4) stack and the (N,) factors
+to the state; a degenerate row (vanishing conditioning probability) is the
+zero matrix at factor NaN.  A row's own arithmetic runs on Python floats with
+``math``: numpy's ``exp``, ``log`` and powers can differ from it in the last bit,
+and floats beat arrays at one row.  The sandwiches and the ``bs`` grid's ``exp``
+run on arrays.
 
 Nothing cancels in K or the ``bs`` grid: c - r, O(gamma^2) at small gamma, is a
 sum of two terms >= 0; log c and the ``bs`` log scale are completed squares.
@@ -51,19 +64,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import qlinalg
 from .qlinalg import BipartiteMatrix, DegenerateStateError
-from .states import (
+# scaled_cat_kernels is not called here: bench/layertrace.py wraps it by this module's name
+from .states import (  # noqa: F401
     AtomFieldParams,
     CatBasis,
     MicroState,
     ThermalParams,
-    _cat_exponents,
-    _log_cosh,
+    _cat_norms,
+    _scaled_row,
     scaled_cat_kernels,
 )
 
@@ -112,13 +125,14 @@ class SchemeOutput:
         return self.matrix.trace().real
 
 
-def _output(normalized: np.ndarray, factor: float) -> SchemeOutput:
-    """The state normalized * factor, with the NPT of ``normalized`` (NaN below the trace floor).
-
-    Each constructor is ``_output(*state)`` of its ``_*_state`` function, which sweeps call.
-    """
-    value = float(qlinalg._npt_stack(normalized[None])[0])
-    return SchemeOutput(matrix=BipartiteMatrix(2, 2, normalized * factor), npt_normalized=value)
+def _output(normalized: np.ndarray, factors: np.ndarray) -> SchemeOutput:
+    """The one row of a block function's result; a NaN (degenerate) factor raises."""
+    factor = float(factors[0])
+    if math.isnan(factor):
+        message = "conditioning outcome has vanishing probability for these parameters"
+        raise DegenerateStateError(message)
+    value = float(qlinalg._npt_stack(normalized)[0])
+    return SchemeOutput(matrix=BipartiteMatrix(2, 2, normalized[0] * factor), npt_normalized=value)
 
 
 def jc_projected(params: AtomFieldParams) -> SchemeOutput:
@@ -130,45 +144,52 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
     (one exchange quantum).  For n = 0 the |g,n> population from below
     vanishes because S_{-1} = sin(0) = 0.
     """
-    return _output(*_jc_state(params))
+    return _output(*jc_block([params.p], [params.lam], [params.gt], [params.n]))
 
 
-def _jc_state(params: AtomFieldParams):
-    p, q, gt, n = params.p, 1.0 - params.p, params.gt, params.n
-    # C_k, S_k for k = n - 1, n, n + 1 and P_k for k = n - 1 .. n + 2
-    angles = [gt * math.sqrt(k + 1.0) for k in (n - 1, n, n + 1)]
-    c0, c1, c2 = map(math.cos, angles)
-    s0, s1, s2 = map(math.sin, angles)
-    w0, w1, w2, w3 = map(params.photon_weight, (n - 1, n, n + 1, n + 2))
+def jc_block(p, lam, gt, n):
+    """States of ``jc_projected`` for N rows: (N, 4, 4) stack and (N,) factors, all 1."""
+    states = np.array([_jc_row(*row) for row in zip(p, lam, gt, n)], dtype=np.complex128)
+    return states, np.ones(len(p))
+
+
+def _jc_row(p: float, lam: float, gt: float, n: int) -> tuple:
+    """The 4x4 state of one row as nested tuples of Python floats."""
+    q = 1.0 - p
+    # C_k, S_k at gt sqrt(k + 1) for k = n - 1, n, n + 1; P_k = (1-lam) lam^k, k = n - 1 .. n + 2
+    a0, a1, a2 = gt * math.sqrt(n), gt * math.sqrt(n + 1.0), gt * math.sqrt(n + 2.0)
+    c0, c1, c2 = math.cos(a0), math.cos(a1), math.cos(a2)
+    s0, s1, s2 = math.sin(a0), math.sin(a1), math.sin(a2)
+    w = 1.0 - lam
+    w0 = w * lam ** (n - 1) if n > 0 else 0.0
+    w1, w2, w3 = w * lam**n, w * lam ** (n + 1), w * lam ** (n + 2)
     # excited branch weight p, ground branch weight q; |e,n> <-> |g,n+1> coherence
     coherence = 1j * (p * w1 * c1 * s1 - q * w2 * c1 * s1)
-    m = np.diag([
-        p * w0 * s0**2 + q * w1 * c0**2,
-        p * w1 * c1**2 + q * w2 * s1**2,
-        p * w1 * s1**2 + q * w2 * c1**2,
-        p * w2 * c2**2 + q * w3 * s2**2,
-    ]).astype(np.complex128)
-    m[1, 2], m[2, 1] = coherence, -coherence
-    return m, 1.0
+    return (
+        (p * w0 * s0**2 + q * w1 * c0**2, 0.0, 0.0, 0.0),
+        (0.0, p * w1 * c1**2 + q * w2 * s1**2, coherence, 0.0),
+        (0.0, -coherence, p * w1 * s1**2 + q * w2 * c1**2, 0.0),
+        (0.0, 0.0, 0.0, p * w2 * c2**2 + q * w3 * s2**2),
+    )
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b by one broadcast product: np.kron's bits, at a quarter of its cost."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    """a (x) b of each row of two (N, m, m) stacks, by one broadcast product."""
+    out = a[:, :, None, :, None] * b[:, None, :, None, :]
+    return out.reshape(len(a), a.shape[1] * b.shape[1], -1)
 
 
-def _cat_block(t: ThermalParams, basis: CatBasis):
-    """K, the displaced thermal state in the cat basis (kernel-normalized), and log c.
+def _cat_row(v: float, d: float, g: float) -> tuple[float, float, float, float]:
+    """K's entries N+^2 (c + r), N+N- s, N-^2 (c - r) (kernel-normalized) and log c at one row."""
+    s, r, odd, log_c = _scaled_row(v, d, g)
+    n_plus, n_minus = _cat_norms(g)
+    return n_plus**2 * (1.0 + r), n_plus * n_minus * s, n_minus**2 * odd, log_c
 
-    K = [[N+^2 (c + r), N+N- s], [N+N- s, N-^2 (c - r)]]: the one place c - r is formed.
-    """
-    hat, log_c = scaled_cat_kernels(t, basis)
-    y, a = _cat_exponents(t, basis)
-    # c - r = 1 - exp(-a) sech(y), O(g^2) at small g, as a sum of two terms >= 0
-    odd = hat.s * math.tanh(y / 2.0) - math.expm1(-a) * math.exp(-_log_cosh(y))
-    s = basis.n_plus * basis.n_minus * hat.s
-    hi = basis.n_plus**2 * (hat.c + hat.r)
-    return np.array([[hi, s], [s, basis.n_minus**2 * odd]]), log_c
+
+def _cat_stack(V, d, gamma):
+    """K of each row as an (N, 2, 2) stack, and the list of log c."""
+    rows = [_cat_row(*row) for row in zip(V, d, gamma)]
+    return np.array([((hi, s), (s, lo)) for hi, s, lo, _ in rows]), [row[3] for row in rows]
 
 
 # Z = diag(1, 1, 1, -1): the controlled parity on {|0,+>, |0,->, |1,+>, |1,->}
@@ -176,6 +197,11 @@ def _cat_block(t: ThermalParams, basis: CatBasis):
 _Z = np.array([1.0, 1.0, 1.0, -1.0])
 # pi: the parity flip of both cat modes, diag(1, -1) (x) diag(1, -1).
 _PI = np.array([1.0, -1.0, -1.0, 1.0])
+# Z . Z as one product: flipping a sign twice or once is exact either way
+_ZZ = _Z[:, None] * _Z
+# the tt weights 1 + pi pi^T +- r (pi 1^T + 1 pi^T)
+_TT_EVEN = 1.0 + _PI[:, None] * _PI
+_TT_ODD = _PI[:, None] + _PI
 
 
 def kerr_micro_thermal_projected(
@@ -199,17 +225,18 @@ def kerr_micro_thermal_projected(
     kernels, so the NPT is computed from the kernel-normalized matrix and
     survives underflow of the absolute scale.
     """
-    return _output(*_kerr_micro_thermal_state(m, t, basis))
+    return _output(*kerr_micro_thermal_block([m.r], [t.variance], [t.displacement], [basis.gamma]))
 
 
-def _kerr_micro_thermal_state(m: MicroState, t: ThermalParams, basis: CatBasis):
-    k, log_c = _cat_block(t, basis)
-    mu = np.array([[0.5, 0.5 * m.r], [0.5 * m.r, 0.5]])
-    return (_Z[:, None] * _kron(mu, k) * _Z).astype(np.complex128), math.exp(log_c)
+def kerr_micro_thermal_block(r, V, d, gamma):
+    """States of ``kerr_micro_thermal_projected`` for N rows: Z (mu (x) K) Z and c."""
+    k, log_c = _cat_stack(V, d, gamma)
+    mu = np.array([((0.5, 0.5 * x), (0.5 * x, 0.5)) for x in r])
+    return (_kron(mu, k) * _ZZ).astype(np.complex128), np.array([math.exp(x) for x in log_c])
 
 
 # S = (C (x) C)[R, R J] of the beam-splitter kernel D S (c (x) X) S^T D
-# (_bs_kernel_scaled): C = [[1, 1], [1, -1]] holds the cat coefficients of
+# (_bs_kernels): C = [[1, 1], [1, -1]] holds the cat coefficients of
 # (|g>, |-g>), R sums the coherent components (i1, i3) onto their grid point
 # a = g (e1 - e3), and J flips the grid.
 _BS_S = np.array(
@@ -221,15 +248,21 @@ _BS_S = np.array(
     ]
 )
 # alpha + beta and 1 - alpha beta at the grid points (a, b) = 2 g (alpha, beta)
-_BS_SUM = np.array([[-2.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
-_BS_FLIP = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]])
+_BS_SUM = (-2.0, -1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 2.0)
+_BS_FLIP = (0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 0.0)
 # The odd-cat entries carry N-^4 ~ 1/(16 gamma^4), which amplifies the roundoff
 # of the signed sums; below this gamma they miss the oracle tolerance.
 BS_GAMMA_FLOOR = 1e-2
 
 
-def _bs_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int):
-    """Cat-projected beam-splitter kernel, returned as (normalized 4x4, log scale).
+def _check_bs_gamma(g: float) -> float:
+    if g < BS_GAMMA_FLOOR:
+        raise ValueError(f"bs needs gamma >= {BS_GAMMA_FLOOR:g}, got {g!r}")
+    return g
+
+
+def _bs_kernels(r, V, d, gamma, sign):
+    """Cat-projected beam-splitter kernels of N rows: normalized (N, 4, 4) and log scales.
 
     Splitting halves the amplitude, which is absorbed by rescaling the
     thermal weight to effective variance v = (V+1)/2 and displacement
@@ -244,20 +277,26 @@ def _bs_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: in
     -2 (|d'| - g)^2/v - log v, the log scale; each other one lies below it by
     2 g [|d'| (2 - sgn(d') (alpha + beta)) + g (1 - alpha beta)(v-1)] / v, a
     sum of terms >= 0.  Nothing cancels at any displacement and variance.
+    Raises ``ValueError`` for gamma below ``BS_GAMMA_FLOOR``.
     """
-    g = basis.gamma
-    if g < BS_GAMMA_FLOOR:
-        raise ValueError(f"bs needs gamma >= {BS_GAMMA_FLOOR:g}, got {g!r}")
-    v = (t.variance + 1.0) / 2.0
-    u = abs(t.displacement) / math.sqrt(2.0)
-    spread = 2.0 - math.copysign(1.0, t.displacement) * _BS_SUM
-    with np.errstate(over="ignore"):  # an offset past the double range gives exp(-inf) = 0
-        x = np.exp(-2.0 * g * (u / v * spread + g * ((v - 1.0) / v) * _BS_FLIP))
-    c = np.array([[1.0, sign * m.r], [sign * m.r, 1.0]])
-    norms = np.array([basis.n_plus, basis.n_minus])
-    dd = (norms[:, None] * norms).reshape(4, 1)
-    out = dd * (_BS_S @ _kron(c, x) @ _BS_S.T) * dd.T
-    return out.astype(np.complex128), -2.0 * ((u - g) * (u - g) / v) - math.log(v)
+    rows = np.array([_bs_row(*row) for row in zip(r, V, d, gamma, sign)])
+    x = np.exp(rows[:, :9]).reshape(-1, 3, 3)  # an exponent past the double range is -inf
+    c, dd = rows[:, 9:13].reshape(-1, 2, 2), rows[:, 13:17]
+    out = dd[:, :, None] * (_BS_S @ _kron(c, x) @ _BS_S.T) * dd[:, None, :]
+    return out.astype(np.complex128), rows[:, 17].tolist()
+
+
+def _bs_row(r: float, v: float, d: float, g: float, sign: int) -> list:
+    """One row of the bs kernel in Python floats: X's nine exponents, c, diag D, log scale."""
+    n_plus, n_minus = _cat_norms(_check_bs_gamma(g))
+    v = (v + 1.0) / 2.0
+    u = abs(d) / math.sqrt(2.0)
+    sgn, scale, flip = math.copysign(1.0, d), -2.0 * g, g * ((v - 1.0) / v)
+    row = [scale * (u / v * (2.0 - sgn * a) + flip * b) for a, b in zip(_BS_SUM, _BS_FLIP)]
+    row += [1.0, sign * r, sign * r, 1.0]
+    row += [n_plus * n_plus, n_plus * n_minus, n_minus * n_plus, n_minus * n_minus]
+    row.append(-2.0 * ((u - g) * (u - g) / v) - math.log(v))
+    return row
 
 
 def bs_projected_kernel(
@@ -267,32 +306,25 @@ def bs_projected_kernel(
 
     Raises ``ValueError`` for gamma below ``BS_GAMMA_FLOOR``.
     """
-    normalized, log_shift = _bs_kernel_scaled(m, t, basis, _check_sign(sign))
-    return BipartiteMatrix(2, 2, normalized * math.exp(log_shift))
+    normalized, log_scale = _bs_kernels(*_pair_columns(m, t, basis, sign))
+    return BipartiteMatrix(2, 2, normalized[0] * math.exp(log_scale[0]))
 
 
-def _sigma_trace(t: ThermalParams) -> float:
-    """Trace of the parity-flip sandwich operator: exp(-2 d^2 / V) / V."""
-    return math.exp(-2.0 * t.displacement**2 / t.variance) / t.variance
-
-
-def _conditioned(kernel, power: int, m, t, basis, sign):
-    """State of a cat-pair scheme conditioned on a kernel of trace 2 +- 2 r sigma^power.
+def _conditioned(normalized, log_scales, r, V, d, sign, power):
+    """A cat-pair scheme's states from its kernels, conditioned on trace 2 +- 2 r sigma^power.
 
     sigma = exp(-2 d^2/V)/V is the trace of one mode's parity-flip sandwich
-    operator (:func:`_sigma_trace`).  The kernel runs first, so parameters it
-    refuses raise ``ValueError`` even at a degenerate point.  An outcome whose
-    probability falls below the degeneracy floor raises
-    :class:`~mixent.qlinalg.DegenerateStateError`.
+    operator.  A row whose outcome probability falls below the degeneracy
+    floor becomes the zero matrix at factor NaN.
     """
-    sign = _check_sign(sign)
-    normalized, log_scale = kernel(m, t, basis, sign)
-    denom = 2.0 + sign * 2.0 * m.r * _sigma_trace(t) ** power
-    if denom < _DEGENERATE_PROB:
-        raise DegenerateStateError(
-            "conditioning outcome has vanishing probability for these parameters"
-        )
-    return normalized, math.exp(log_scale) / denom
+    factors = []
+    for log_scale, r_, v, x, s in zip(log_scales, r, V, d, sign):
+        denom = 2.0 + s * 2.0 * r_ * (math.exp(-2.0 * x**2 / v) / v) ** power
+        factors.append(math.exp(log_scale) / denom if denom >= _DEGENERATE_PROB else math.nan)
+    degenerate = [i for i, f in enumerate(factors) if math.isnan(f)]
+    if degenerate:
+        normalized[degenerate] = 0.0
+    return normalized, np.array(factors)
 
 
 def bs_scheme_projected(
@@ -305,17 +337,19 @@ def bs_scheme_projected(
     :class:`~mixent.qlinalg.DegenerateStateError` there.  Gamma below
     ``BS_GAMMA_FLOOR`` raises ``ValueError``.
     """
-    return _output(*_bs_scheme_state(m, t, basis, sign))
+    return _output(*bs_scheme_block(*_pair_columns(m, t, basis, sign)))
 
 
-def _tt_kernel_scaled(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int):
-    k, log_c = _cat_block(t, basis)
-    weights = 1.0 + _PI[:, None] * _PI + sign * m.r * (_PI[:, None] + _PI)
-    return (_kron(k, k) * weights).astype(np.complex128), 2.0 * log_c
+def bs_scheme_block(r, V, d, gamma, sign):
+    """States of ``bs_scheme_projected`` for N rows (module docstring)."""
+    return _conditioned(*_bs_kernels(r, V, d, gamma, sign), r, V, d, sign, 1)
 
 
-_bs_scheme_state = partial(_conditioned, _bs_kernel_scaled, 1)
-_tt_scheme_state = partial(_conditioned, _tt_kernel_scaled, 2)
+def _tt_kernels(r, V, d, gamma, sign):
+    """(K (x) K) o weights of N rows, and their log scales 2 log c."""
+    k, log_c = _cat_stack(V, d, gamma)
+    weights = _TT_EVEN + np.array([s * x for s, x in zip(sign, r)])[:, None, None] * _TT_ODD
+    return (_kron(k, k) * weights).astype(np.complex128), [2.0 * x for x in log_c]
 
 
 def tt_projected_kernel(
@@ -330,8 +364,8 @@ def tt_projected_kernel(
     both, so the kernel is (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)),
     pi = (1, -1, -1, 1).
     """
-    normalized, log_scale = _tt_kernel_scaled(m, t, basis, _check_sign(sign))
-    return BipartiteMatrix(2, 2, normalized * math.exp(log_scale))
+    normalized, log_scale = _tt_kernels(*_pair_columns(m, t, basis, sign))
+    return BipartiteMatrix(2, 2, normalized[0] * math.exp(log_scale[0]))
 
 
 def tt_scheme_projected(
@@ -342,7 +376,12 @@ def tt_scheme_projected(
     The conditional state before projection has trace 2 +- 2 r (exp(-2 d^2/V)/V)^2,
     the squared single-mode factor appearing once per thermal mode.
     """
-    return _output(*_tt_scheme_state(m, t, basis, sign))
+    return _output(*tt_scheme_block(*_pair_columns(m, t, basis, sign)))
+
+
+def tt_scheme_block(r, V, d, gamma, sign):
+    """States of ``tt_scheme_projected`` for N rows (module docstring)."""
+    return _conditioned(*_tt_kernels(r, V, d, gamma, sign), r, V, d, sign, 2)
 
 
 def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
@@ -351,19 +390,21 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
     On the cat basis the full-period cross-Kerr unitary acts as a controlled
     phase, so each coherent pair |a>|b> spreads into the four parity
     combinations with a single minus sign, on |-->.  The projection is the
-    product state K (x) K of the single-mode cat block (:func:`_cat_block`)
+    product state K (x) K of the single-mode cat block (:func:`_cat_row`)
     under that phase: Z (K (x) K) Z with Z = diag(1, 1, 1, -1), which flips
     the sign of the six off-diagonal entries that touch |-->.
     """
-    return _output(*_direct_kerr_state(t, basis))
+    return _output(*direct_kerr_block([t.variance], [t.displacement], [basis.gamma]))
 
 
-def _direct_kerr_state(t: ThermalParams, basis: CatBasis):
-    k, log_c = _cat_block(t, basis)
-    return (_Z[:, None] * _kron(k, k) * _Z).astype(np.complex128), math.exp(2.0 * log_c)
+def direct_kerr_block(V, d, gamma):
+    """States of ``direct_kerr_projected`` for N rows: Z (K (x) K) Z and c^2."""
+    k, log_c = _cat_stack(V, d, gamma)
+    return (_kron(k, k) * _ZZ).astype(np.complex128), np.array([math.exp(2.0 * x) for x in log_c])
 
 
-def _check_sign(sign: int) -> int:
+def _pair_columns(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int) -> tuple:
+    """The one-row columns of a cat-pair scheme's arguments; sign must be +1 or -1."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return int(sign)
+    return [m.r], [t.variance], [t.displacement], [basis.gamma], [int(sign)]

@@ -94,6 +94,14 @@ class ThermalParams:
         return (self.variance - 1.0) / (self.variance + 1.0)
 
 
+def _cat_norms(g: float) -> tuple[float, float]:
+    """N+ and N- of the cat basis of amplitude g; 1 - exp(-2 g^2) via expm1 for small g."""
+    return (
+        1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * g**2))),
+        1.0 / math.sqrt(2.0 * (-math.expm1(-2.0 * g**2))),
+    )
+
+
 @dataclass(frozen=True)
 class CatBasis:
     """Orthonormal even/odd superpositions of |gamma> and |-gamma>.
@@ -115,12 +123,11 @@ class CatBasis:
 
     @property
     def n_plus(self) -> float:
-        return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * self.gamma**2)))
+        return _cat_norms(self.gamma)[0]
 
     @property
     def n_minus(self) -> float:
-        # 1 - exp(-2 g^2) via expm1 to keep precision at small gamma
-        return 1.0 / math.sqrt(2.0 * (-math.expm1(-2.0 * self.gamma**2)))
+        return _cat_norms(self.gamma)[1]
 
     def coherent_projection(self, alpha):
         """(<+|alpha>, <-|alpha>) for a scalar or array of amplitudes."""
@@ -240,35 +247,40 @@ def _log_cosh(y: float) -> float:
     return math.log(math.cosh(y))
 
 
-def _cat_exponents(t: ThermalParams, basis: CatBasis) -> tuple[float, float]:
-    """y = 4 g d/(V+1) and a = 2 g^2 (V-1)/(V+1); past the double range infinite, never NaN."""
-    g = basis.gamma
-    y = 4.0 * g * t.displacement
+def _scaled_row(v: float, d: float, g: float) -> tuple[float, float, float, float]:
+    """s/c, r/c, (c - r)/c and log c at one (V, d, gamma): Python floats and ``math``.
+
+    With y = 4 g d/(V+1) and a = 2 g^2 (V-1)/(V+1), s/c = tanh(y) and
+    r/c = exp(-a)/cosh(y).  y is infinite past the double range, never NaN.
+    (c - r)/c = 1 - exp(-a) sech(y), O(g^2) at small g, is a sum of two terms
+    >= 0, and log c is a completed square: nothing cancels.
+    """
+    y = 4.0 * g * d
     # 4 g d can overflow where y is O(1) (V near 1e308); only then divide first
-    if math.isfinite(y):
-        y = y / (t.variance + 1.0)
-    else:
-        y = 4.0 * g * (t.displacement / (t.variance + 1.0))
-    return y, 2.0 * t.boltzmann_ratio * (g * g)
+    y = y / (v + 1.0) if math.isfinite(y) else 4.0 * g * (d / (v + 1.0))
+    a = 2.0 * ((v - 1.0) / (v + 1.0)) * (g * g)
+    log_cosh = _log_cosh(y)
+    s = math.tanh(y)
+    odd = s * math.tanh(y / 2.0) - math.expm1(-a) * math.exp(-log_cosh)
+    # log(4/(V+1)) - 2 (g^2 + d^2)/(V+1) + log cosh(y), its 4 g |d|/(V+1) terms cancelled
+    gap = g - abs(d)
+    log_c = math.log(2.0 / (v + 1.0)) - 2.0 * (gap * gap / (v + 1.0))
+    log_c += math.log1p(math.exp(-2.0 * abs(y)))
+    return s, math.exp(-a - log_cosh), odd, log_c
 
 
 def scaled_cat_kernels(t: ThermalParams, basis: CatBasis) -> tuple[CatKernels, float]:
     """Kernels normalized to c = 1, plus log(c) carried separately.
 
-    s/c = tanh(y) and r/c = exp(-a)/cosh(y) (:func:`_cat_exponents`) are
-    representable for any parameters, while c itself underflows once
-    2 (g - |d|)^2/(V+1) passes the exponent range.  Quantities that are
-    invariant under a common positive rescaling (NPT of the trace-normalized
-    state, most prominently) should be computed from the normalized kernels;
-    absolute scales are recovered from the returned log.
+    s/c and r/c (:func:`_scaled_row`) are representable for any parameters,
+    while c itself underflows once 2 (g - |d|)^2/(V+1) passes the exponent
+    range.  Quantities that are invariant under a common positive rescaling
+    (NPT of the trace-normalized state, most prominently) should be computed
+    from the normalized kernels; absolute scales are recovered from the
+    returned log.
     """
-    v = t.variance
-    y, a = _cat_exponents(t, basis)
-    # log(4/(V+1)) - 2 (g^2 + d^2)/(V+1) + log cosh(y), its 4 g |d|/(V+1) terms cancelled
-    gap = basis.gamma - abs(t.displacement)
-    log_c = math.log(2.0 / (v + 1.0)) - 2.0 * (gap * gap / (v + 1.0))
-    log_c += math.log1p(math.exp(-2.0 * abs(y)))
-    return CatKernels(c=1.0, s=math.tanh(y), r=math.exp(-a - _log_cosh(y))), log_c
+    s, r, _, log_c = _scaled_row(t.variance, t.displacement, basis.gamma)
+    return CatKernels(c=1.0, s=s, r=r), log_c
 
 
 def thermal_cat_kernels(t: ThermalParams, basis: CatBasis) -> CatKernels:

@@ -127,7 +127,10 @@ class TestSweep:
 
     @staticmethod
     def per_row_csv(spec):
-        """The sweep's CSV built one row at a time from the public constructors."""
+        """The sweep's CSV built one row at a time from the public constructors.
+
+        A row where the constructor raises DegenerateStateError reads nan, nan.
+        """
         sdef = cli.SCHEMES[spec.scheme]
         name, start, stop, count = spec.sweep
         validate = spec.validate_tol is not None
@@ -135,7 +138,11 @@ class TestSweep:
         lines = ["# mixent-csv v1", ",".join(header)]
         for x in np.linspace(start, stop, count):
             args = sdef.args({**spec.fixed, name: float(x)})
-            out = CONSTRUCTORS[spec.scheme](*args.values())
+            try:
+                out = CONSTRUCTORS[spec.scheme](*args.values())
+            except DegenerateStateError:
+                lines.append(f"{float(x):.17g},nan,nan")
+                continue
             row = [x, out.npt_normalized, out.trace]
             if validate:
                 ref = sdef.oracle(args)
@@ -143,12 +150,36 @@ class TestSweep:
             lines.append(",".join(f"{float(v):.17g}" for v in row))
         return "\n".join(lines) + "\n"
 
+    # one sweep per scheme and sign, each over three blocks; the last two
+    # cross d = 0 at V = 1, r = 1, sign -, a zero-probability row in the
+    # middle of the first block
+    BLOCK_SWEEPS = [
+        ("jc", {"p": 0.7, "lam": 0.9, "n": 3}, ("gt", 0.0, 40.0)),
+        ("kerr_micro_thermal", {"r": 0.6, "V": 7.0, "gamma": 2.0}, ("d", -20.0, 40.0)),
+        ("bs", {"r": 0.8, "d": 3.0, "gamma": 1.5, "sign": 1}, ("V", 1.0, 1000.0)),
+        ("bs", {"r": 0.8, "V": 5.0, "gamma": 1.5, "sign": -1}, ("d", -10.0, 30.0)),
+        ("tt", {"r": 0.8, "V": 5.0, "gamma": 1.5, "sign": 1}, ("d", -10.0, 30.0)),
+        ("tt", {"r": 0.3, "V": 5.0, "d": 2.0, "sign": -1}, ("gamma", 0.5, 4.0)),
+        ("direct_kerr", {"V": 30.0, "gamma": 2.0}, ("d", 0.0, 40.0)),
+        ("bs", {"r": 1.0, "V": 1.0, "gamma": 2.0, "sign": -1}, ("d", -1.0, 3.0)),
+        ("tt", {"r": 1.0, "V": 1.0, "gamma": 2.0, "sign": -1}, ("d", -1.0, 3.0)),
+    ]
+
     def test_block_boundaries_match_per_row_reference(self):
         count = 2 * cli.SWEEP_BLOCK + 1
-        spec = cli.SweepSpec("direct_kerr", {"V": 30.0, "gamma": 2.0}, ("d", 0.0, 40.0, count))
-        text = cli.run_sweep(spec)[1]
-        assert len(text.splitlines()) == 2 + count
-        assert text == self.per_row_csv(spec)
+        for scheme, fixed, sweep in self.BLOCK_SWEEPS:
+            spec = cli.SweepSpec(scheme, fixed, (*sweep, count))
+            text = cli.run_sweep(spec)[1]
+            assert len(text.splitlines()) == 2 + count
+            assert text == self.per_row_csv(spec), (scheme, fixed)
+            nan_rows = [line for line in text.splitlines() if "nan" in line]
+            assert nan_rows == (["0,nan,nan"] if fixed.get("V") == 1.0 else []), (scheme, fixed)
+
+    def test_row_template_matches_per_value_format(self):
+        # a sweep formats each row with one "%.17g,..." template
+        values = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -2.5e-300)
+        template = ",".join(["%.17g"] * len(values))
+        assert template % values == ",".join(f"{x:.17g}" for x in values)
 
     @pytest.mark.parametrize("scheme", ["jc", "kerr_micro_thermal"])
     def test_validated_blocks_match_per_row_reference(self, scheme, monkeypatch):
@@ -295,7 +326,7 @@ class TestMain:
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch):
         calls = []
-        for name in ("_direct_kerr_state", "_kerr_micro_thermal_state"):
+        for name in ("direct_kerr_block", "kerr_micro_thermal_block"):
             state = getattr(schemes, name)
             monkeypatch.setattr(schemes, name, lambda *a, f=state: calls.append(1) or f(*a))
         missing = tmp_path / "nonexistent" / "x.csv"
@@ -312,20 +343,29 @@ class TestMain:
         assert not calls  # the path is checked before the first row is computed
 
     def test_error_after_open_removes_only_a_created_file(self, tmp_path, capsys):
-        # p leaves [0, 1] in the second block of rows: a file the run created
-        # is removed, a file or a symlink that was there is neither emptied
-        # nor removed
+        # p, r and lam leave their ranges in the middle of the second block of
+        # rows, V < 1 in the middle of the first: a file the run created is
+        # removed, a file or a symlink that was there is neither emptied nor
+        # removed
         target = tmp_path / "old.csv"
         target.write_text("old\n")
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        argv = ["sweep", "--scheme", "jc", "--set", "gt=1", "--set", "lam=0.5", "--set", "n=0"]
-        argv += ["--sweep", f"p:0:1.9:{2 * cli.SWEEP_BLOCK}", "--out"]
-        for out in (tmp_path / "p.csv", target, link):
-            assert cli.main(argv + [str(out)]) == 2
-            assert "p must lie in [0, 1]" in capsys.readouterr().err
-        assert not (tmp_path / "p.csv").exists()
-        assert target.read_text() == "old\n" and link.is_symlink()
+        jc = ["--scheme", "jc", "--set", "gt=1", "--set", "n=0"]
+        kerr = ["--scheme", "kerr_micro_thermal", "--set", "gamma=2", "--set", "d=3"]
+        rules = [
+            (jc + ["--set", "lam=0.5"], "p:0:1.9", lambda x: x > 1.0, "p must lie in [0, 1]"),
+            (jc + ["--set", "p=0.5"], "lam:0:1.5", lambda x: x >= 1.0, "lam must lie in [0, 1)"),
+            (kerr + ["--set", "V=10"], "r:0:1.5", lambda x: x > 1.0, "r must lie in [0, 1]"),
+            (kerr + ["--set", "r=1"], "V:0:4", lambda x: x < 1.0, "variance must be >= 1"),
+        ]
+        for fixed, sweep, bad, message in rules:
+            sweep, first = self.crossing(sweep, bad)
+            for out in (tmp_path / "new.csv", target, link):
+                assert cli.main(["sweep", *fixed, "--sweep", sweep, "--out", str(out)]) == 2
+                assert capsys.readouterr().err == f"error: {message}, got {first}\n", sweep
+            assert not (tmp_path / "new.csv").exists()
+            assert target.read_text() == "old\n" and link.is_symlink()
 
     def test_sweep_to_the_largest_variance(self, capsys):
         # near V = 1e308 the partial transpose has entries below 2^-1024
@@ -352,6 +392,18 @@ class TestMain:
         rows = [line.split(",")[:3] for line in validated.out.splitlines()[2:]]
         assert rows == [line.split(",") for line in plain.out.splitlines()[2:]]
 
+    @staticmethod
+    def crossing(sweep, bad):
+        """A sweep "name:start:stop" over two blocks of rows, and its first value where ``bad`` holds.
+
+        A sweep checks the parameters of each block at its smallest and largest
+        value; these sweeps put the first bad row inside a block.
+        """
+        name, start, stop = sweep.split(":")
+        count = 2 * cli.SWEEP_BLOCK
+        xs = np.linspace(float(start), float(stop), count)
+        return f"{sweep}:{count}", float(next(x for x in xs if bad(float(x))))
+
     # each scheme's sweep reaches a value whose square (gt sqrt(2) for jc) overflows
     OVERFLOWING = {
         "jc": (["p=1", "lam=0.5", "n=0"], "gt:0:1.7e308:3", "gt * sqrt(n + 2) must be finite"),
@@ -364,37 +416,52 @@ class TestMain:
     @pytest.mark.parametrize("scheme", sorted(OVERFLOWING))
     def test_overflowing_parameter_exit_2(self, scheme, tmp_path, capsys):
         fixed, sweep, message = self.OVERFLOWING[scheme]
+        # the same overflow, first reached in the middle of the second block
+        name, start, stop, _ = sweep.split(":")
+        if scheme == "jc":
+            long_sweep, first = self.crossing(
+                f"{name}:{start}:{stop}", lambda x: not math.isfinite(x * math.sqrt(2.0))
+            )
+        else:
+            long_sweep, first = self.crossing(f"{name}:{start}:2e154", lambda x: not math.isfinite(x * x))
         out = tmp_path / "out.csv"
-        argv = ["sweep", "--scheme", scheme, "--sweep", sweep, "--out", str(out)]
-        assert cli.main(argv + [f"--set={item}" for item in fixed]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
-        assert not out.exists()
+        for sweep, value in ((sweep, None), (long_sweep, first)):
+            argv = ["sweep", "--scheme", scheme, "--sweep", sweep, "--out", str(out)]
+            assert cli.main(argv + [f"--set={item}" for item in fixed]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+            assert value is None or f"got {'gt=' * (scheme == 'jc')}{value!r}" in err, (value, err)
+            assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["kerr_micro_thermal", "bs", "tt", "direct_kerr"])
     @pytest.mark.parametrize("gammas", ["1e-170:2e-170:2", "1e-158:2e-158:2"])
     def test_tiny_gamma_exit_2(self, scheme, gammas, tmp_path, capsys):
-        # gamma^2 underflows (1e-170) or N_-^2 overflows (1e-158)
+        # gamma^2 underflows (1e-170) or N_-^2 overflows (1e-158); the long
+        # sweep leaves the refused range in the middle of its first block
         fixed = {"kerr_micro_thermal": ["r=1", "V=10", "d=3"], "direct_kerr": ["V=10", "d=3"]}
+        start = gammas.split(":")[0]
         out = tmp_path / "out.csv"
-        argv = ["sweep", "--scheme", scheme, "--sweep", f"gamma:{gammas}", "--out", str(out)]
-        argv += [f"--set={item}" for item in fixed.get(scheme, ["r=1", "V=10", "d=3", "sign=+"])]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: gamma must give a finite N_-^2") and err.count("\n") == 1, err
-        assert not out.exists()
+        for sweep in (f"gamma:{gammas}", self.crossing(f"gamma:{start}:1.5e-154", bool)[0]):
+            argv = ["sweep", "--scheme", scheme, "--sweep", sweep, "--out", str(out)]
+            argv += [f"--set={item}" for item in fixed.get(scheme, ["r=1", "V=10", "d=3", "sign=+"])]
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: gamma must give a finite N_-^2, got {float(start)!r}\n", err
+            assert not out.exists()
 
     @pytest.mark.parametrize("validate", [[], ["--validate"]])
     def test_bs_gamma_below_floor_exit_2(self, validate, tmp_path, capsys):
         # the sweep starts at the zero-probability point of sign -, which must
         # not turn the refused gamma into a NaN row
+        # the long sweep crosses the floor in the middle of its first block
         out = tmp_path / "out.csv"
-        argv = ["sweep", "--scheme", "bs", "--sweep", "gamma:1e-6:1:5", "--out", str(out), *validate]
-        argv += ["--set=r=1", "--set=V=1", "--set=d=0", "--set=sign=-"]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: bs needs gamma >= 0.01") and err.count("\n") == 1, err
-        assert not out.exists()
+        for sweep in ("gamma:1e-6:1:5", self.crossing("gamma:1e-6:0.04", bool)[0]):
+            argv = ["sweep", "--scheme", "bs", "--sweep", sweep, "--out", str(out), *validate]
+            argv += ["--set=r=1", "--set=V=1", "--set=d=0", "--set=sign=-"]
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == "error: bs needs gamma >= 0.01, got 1e-06\n", err
+            assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["kerr_micro_thermal", "bs", "tt", "direct_kerr"])
     def test_large_gamma_times_d_exit_0(self, scheme, capsys):

@@ -245,9 +245,8 @@ def preset_states():
     for spec in cli.PRESETS.values():
         sdef = cli.SCHEMES[spec.scheme]
         name, start, stop, count = spec.sweep
-        for x in np.linspace(start, stop, count):
-            args = sdef.args({**spec.fixed, name: float(x)})
-            yield getattr(schemes, sdef.state)(*args.values())[0]
+        xs = np.linspace(start, stop, count).tolist()
+        yield from sdef.block(*(xs if k == name else [spec.fixed[k]] * count for k in sdef.params))[0]
 
 
 def drawn_states(rng, count):
@@ -267,10 +266,27 @@ def drawn_states(rng, count):
             ("direct_kerr", (thermal, basis)),
         ][i % 5]
         try:
-            state = getattr(schemes, f"_{name}_state")(*args)
+            output = getattr(schemes, f"{name}_projected")(*args)
         except DegenerateStateError:
             continue
-        yield state[0], getattr(schemes, f"{name}_projected")(*args)
+        yield one_row(name, *args)[0][0], output
+
+
+def one_row(name, *args):
+    """The block function of the constructor ``name`` at the one row of its arguments."""
+    columns = []
+    for arg in args:
+        if isinstance(arg, mx.AtomFieldParams):
+            columns += [[arg.p], [arg.lam], [arg.gt], [arg.n]]
+        elif isinstance(arg, mx.ThermalParams):
+            columns += [[arg.variance], [arg.displacement]]
+        elif isinstance(arg, mx.MicroState):
+            columns.append([arg.r])
+        elif isinstance(arg, mx.CatBasis):
+            columns.append([arg.gamma])
+        else:  # sign
+            columns.append([arg])
+    return getattr(schemes, f"{name}_block")(*columns)
 
 
 class TestNptStack:
@@ -347,7 +363,7 @@ class TestNptStack:
         # ones of order 1; their NPT is exactly 0, not NaN or roundoff
         for v in (1e307, 3e307, 1e308, 1.7e308):
             args = (mx.MicroState(1.0), mx.ThermalParams(v, 1.0), mx.CatBasis(2.0))
-            state, _ = schemes._kerr_micro_thermal_state(*args)
+            state = one_row("kerr_micro_thermal", *args)[0][0]
             assert mx.npt(mx.BipartiteMatrix(2, 2, state)) == 0.0, v
             assert schemes.kerr_micro_thermal_projected(*args).npt_normalized == 0.0, v
             assert qlinalg._npt_stack(np.array([state, state.T])).tolist() == [0.0, 0.0], v

@@ -406,7 +406,7 @@ class TestBeamSplitterKernelBits:
         for r, v, d, gamma, sign in self.draws():
             args = (mx.MicroState(r), mx.ThermalParams(v, d), mx.CatBasis(gamma), sign)
             at = (r, v, d, gamma, sign)
-            out, log_shift = schemes._bs_kernel_scaled(*args)
+            out, log_shift = (x[0] for x in schemes._bs_kernels([r], [v], [d], [gamma], [sign]))
             ref, ref_shift = reference_bs_kernel(*args)
             assert np.abs(out - ref).max() <= 1e-11 * np.abs(ref).max(), at
             assert abs(log_shift - ref_shift) <= 1e-13 * max(1.0, abs(ref_shift)), at
@@ -623,6 +623,7 @@ class TestSchemeOutputInvariants:
 
     @staticmethod
     def point_state(variant, rng):
+        """(kernel-normalized state, factor) of one draw; the factor is NaN where degenerate."""
         if variant == "jc":
             params = mx.AtomFieldParams(
                 p=rng.uniform(0.0, 1.0),
@@ -630,27 +631,28 @@ class TestSchemeOutputInvariants:
                 gt=rng.uniform(0.0, 8.0 * math.pi),
                 n=int(rng.integers(0, 21)),
             )
-            return schemes._jc_state(params)
+            columns = [params.p], [params.lam], [params.gt], [params.n]
+            return tuple(x[0] for x in schemes.jc_block(*columns))
         d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 3.0)
         thermal = mx.ThermalParams(10.0 ** rng.uniform(0.0, 6.0), d)
         basis = mx.CatBasis(10.0 ** rng.uniform(-0.5, 0.7))
+        cat = [thermal.variance], [thermal.displacement], [basis.gamma]
         if variant == "direct":
-            return schemes._direct_kerr_state(thermal, basis)
+            return tuple(x[0] for x in schemes.direct_kerr_block(*cat))
         micro = mx.MicroState(rng.uniform(0.0, 1.0))
         if variant == "kerr":
-            return schemes._kerr_micro_thermal_state(micro, thermal, basis)
-        state = schemes._bs_scheme_state if variant[:2] == "bs" else schemes._tt_scheme_state
-        return state(micro, thermal, basis, 1 if variant[2] == "+" else -1)
+            return tuple(x[0] for x in schemes.kerr_micro_thermal_block([micro.r], *cat))
+        block = schemes.bs_scheme_block if variant[:2] == "bs" else schemes.tt_scheme_block
+        return tuple(x[0] for x in block([micro.r], *cat, [1 if variant[2] == "+" else -1]))
 
     def test_states_are_positive_semidefinite(self):
         rng = np.random.default_rng(47)
         for variant in self.POINT_VARIANTS:
             stack = []
             for _ in range(1000):
-                try:
-                    stack.append(self.point_state(variant, rng)[0])
-                except DegenerateStateError:
-                    pass
+                state, factor = self.point_state(variant, rng)
+                if not math.isnan(factor):
+                    stack.append(state)
             stack = np.array(stack)
             assert len(stack) >= 990, variant
             traces = np.trace(stack, axis1=1, axis2=2).real
