@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle, qlinalg, schemes
-from .qlinalg import BipartiteMatrix
 from .states import AtomFieldParams, CatBasis, MicroState, ThermalParams
 
 __all__ = ["SweepSpec", "main", "run_sweep", "run_validation", "PRESETS"]
@@ -131,9 +130,11 @@ class _SchemeDef:
 
     ``block`` computes the states of N rows from one column of values per
     parameter, in the order of ``params``: the scheme's block function in
-    :mod:`mixent.schemes`, resolved at call time.  ``closed`` is the closed
-    form that the oracle reproduces where that is not the state itself (None
-    where it is).  Both ``closed`` and ``oracle`` take the builder's arguments.
+    :mod:`mixent.schemes`, resolved at call time.  ``closed`` is the block
+    function, over the same columns, of the closed form that the oracle
+    reproduces where that is not the state itself (None where it is): it
+    returns the (N, 4, 4) stack.  ``oracle`` takes the builder's arguments of
+    one row.
     """
 
     params: tuple
@@ -169,7 +170,7 @@ SCHEMES = {
         ("r", "V", "d", "gamma", "sign"),
         _bs_args,
         lambda *columns: schemes.bs_scheme_block(*columns),
-        lambda args: schemes.bs_projected_kernel(*args.values()),
+        lambda *columns: schemes.bs_kernel_block(*columns),
         _quadrature("bs"),
         _KERR_TOL,
     ),
@@ -177,7 +178,7 @@ SCHEMES = {
         ("r", "V", "d", "gamma", "sign"),
         _cat_args,
         lambda *columns: schemes.tt_scheme_block(*columns),
-        lambda args: schemes.tt_projected_kernel(*args.values()),
+        lambda *columns: schemes.tt_kernel_block(*columns),
         _quadrature("tt"),
         _KERR_TOL,
     ),
@@ -248,6 +249,8 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
         raise SpecError(f"sweep bounds must be finite, got {start} .. {stop}")
     if not start < stop:
         raise SpecError(f"sweep needs start < stop, got {start} .. {stop}")
+    if not math.isfinite(float(stop) - float(start)):
+        raise SpecError(f"sweep span {start} .. {stop} overflows: stop - start is not finite")
     given = set(spec.fixed) | {name}
     missing = [k for k in sdef.params if k not in given]
     if missing:
@@ -260,15 +263,20 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-def _closed_vs_oracle(sdef: _SchemeDef, args: dict, state: np.ndarray | None):
-    """The oracle matrix for ``args`` and the closed form's largest deviation from it.
+def _closed_vs_oracle(sdef: _SchemeDef, columns: list, states, args):
+    """The oracle matrices of N rows and each closed form's largest deviation from its row's.
 
-    ``state`` is the row's state matrix: the closed form where the scheme has
-    no ``closed``.
+    ``columns`` holds the rows' parameter columns and ``args`` yields the
+    builder's arguments of each row.  ``states`` is the (N, 4, 4) stack of the
+    rows' states: the closed forms where the scheme has no ``closed``.  The
+    closed forms come from one block call; the oracle runs row by row, in
+    order, and only its matrices are kept.
     """
-    closed = sdef.closed(args) if sdef.closed else BipartiteMatrix(2, 2, state)
-    ref = sdef.oracle(args)
-    return ref, qlinalg.max_abs_deviation(closed, ref)
+    closed = sdef.closed(*columns) if sdef.closed else states
+    refs = np.empty_like(closed)
+    for i, row in enumerate(args):
+        refs[i] = sdef.oracle(row).entries
+    return refs, np.abs(closed - refs).max(axis=(1, 2))
 
 
 # Rows evaluated together: one stacked NPT per block, and memory bounded by
@@ -309,19 +317,17 @@ def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: list, first: int):
     # the checked fixed values as the parameter dataclasses store them
     convert = {"sign": _as_sign, "n": lambda v: _as_int(v, "n")}
     fixed = {k: convert.get(k, lambda v: complex(v).real)(v) for k, v in spec.fixed.items()}
-    columns = [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
-    normalized, factors = sdef.block(*columns)
+    params = [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
+    normalized, factors = sdef.block(*params)
     states = normalized * factors[:, None, None]
     traces = np.trace(states, axis1=1, axis2=2).real
     columns = [xs, qlinalg._npt_stack(normalized).tolist(), traces.tolist()]
     failed = []
     if spec.validate_tol is not None:
-        refs, deviations = [], []
-        for i, x in enumerate(xs):
-            ref, deviation = _closed_vs_oracle(sdef, sdef.args({**spec.fixed, name: x}), states[i])
-            refs.append(ref.entries)
-            deviations.append(deviation)
-        columns += [qlinalg._npt_stack(np.array(refs)).tolist(), deviations]
+        args = (sdef.args({**spec.fixed, name: x}) for x in xs)
+        refs, deviations = _closed_vs_oracle(sdef, params, states, args)
+        deviations = deviations.tolist()
+        columns += [qlinalg._npt_stack(refs).tolist(), deviations]
         failed = [(i, d) for i, d in enumerate(deviations, first) if d > spec.validate_tol]
     template = ",".join(["%.17g"] * len(columns))
     return [template % row for row in zip(*columns)], failed
@@ -416,17 +422,15 @@ def validate_grid(name: str, tol: float | None = None):
     """Closed form vs oracle over one named grid; returns (max_dev, worst, tol)."""
     sdef = SCHEMES[VALIDATION_GRIDS[name]]
     tol = sdef.tolerance if tol is None else tol
-    worst_dev, worst_at = -1.0, None
     points = _grid_points(name)
-    states = [None] * len(points)
+    columns = [[p[k] for p in points] for k in sdef.params]
+    states = None
     if not sdef.closed:  # the states are the closed forms
-        normalized, factors = sdef.block(*([p[k] for p in points] for k in sdef.params))
+        normalized, factors = sdef.block(*columns)
         states = normalized * factors[:, None, None]
-    for values, state in zip(points, states):
-        dev = _closed_vs_oracle(sdef, sdef.args(values), state)[1]
-        if dev > worst_dev:
-            worst_dev, worst_at = dev, values
-    return worst_dev, worst_at, tol
+    deviations = _closed_vs_oracle(sdef, columns, states, (sdef.args(p) for p in points))[1]
+    worst = int(np.argmax(deviations))  # the first of equal maxima
+    return float(deviations[worst]), points[worst], tol
 
 
 def run_validation(preset: str, tol: float | None = None, out=None) -> int:

@@ -30,7 +30,12 @@ modulus <= 1.  Every block is one node sum over the cat projections of two
 kets, keyed by (w, w') in {+-1}^2: single-mode |w alpha> for the 2x2
 sandwich blocks, the split |w delta>|-w delta> (delta = alpha/sqrt(2)) for
 the 4x4 beam-splitter blocks.  Each entry of that sum over the order^2
-nodes is evaluated as products of two 1-D sums over order nodes.
+nodes is evaluated as products of two 1-D sums over order nodes.  The kets
+at w = -1 have the rows of the w = +1 kets reversed, so each node set takes
+one x product and one y product, and the four (w, w') blocks are slices of
+them.  The schemes' 4x4 matrices are assembled from the blocks with a
+broadcast Kronecker product, one product per entry as in ``np.kron``, and
+sums in the order of their formulas.
 
 Every quadrature result is re-evaluated at twice the order; entries that move
 by more than ``DOUBLING_TOLERANCE`` raise :class:`OracleUnstableError`.
@@ -43,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qlinalg import BipartiteMatrix
+from .qlinalg import BipartiteMatrix, _kron
 from .states import AtomFieldParams, CatBasis, MicroState, ThermalParams
 
 __all__ = [
@@ -147,7 +152,7 @@ def jc_fock_projected(params: AtomFieldParams) -> BipartiteMatrix:
     n_max = params.n + 2
     dim = n_max + 1
     field = np.diag(_thermal_weights(params.lam, n_max))
-    rho0 = np.kron(np.diag([1.0 - params.p, params.p]), field)
+    rho0 = _kron(np.diag([1.0 - params.p, params.p]), field)
     u = jc_propagator(params, n_max)
     rho1 = u @ rho0 @ u.conj().T
     idx = [params.n, dim + params.n, params.n + 1, dim + params.n + 1]
@@ -190,19 +195,20 @@ def _thermal_nodes(variance: float, displacement: float, order: int):
     return re, a, im, b
 
 
-def _projection_factors(re: np.ndarray, im: np.ndarray, gamma: float, kappa: float) -> dict:
-    """Axis factors (fx_w, fy_w) of <sigma gamma|w kappa alpha>, rows sigma = +1, -1, keyed by w.
+def _projection_factors(re: np.ndarray, im: np.ndarray, gamma: float, kappa: float) -> tuple:
+    """Axis factors (fx, fy) of <sigma gamma|kappa alpha>, rows sigma = +1, -1.
 
     At alpha = re + i im the overlap is fx[sigma, i] fy[sigma, j] with
     fx = exp(-(kappa re - sigma gamma)^2/2) and
     fy = exp(-(kappa im)^2/2 + i sigma gamma kappa im), each of modulus <= 1
-    for any gamma.  w = -1 only swaps the rows, as <sigma g|-b> = <-sigma g|b>.
+    for any gamma.  The factors of -kappa alpha are the rows reversed, as
+    <sigma g|-b> = <-sigma g|b>.
     """
     sigma = np.array([[1.0], [-1.0]])
     fx = np.exp(-0.5 * (kappa * re - sigma * gamma) ** 2)
     ky = kappa * im
     fy = np.exp(-0.5 * ky**2 + 1j * (sigma * gamma) * ky)
-    return {1: (fx, fy), -1: (fx[::-1], fy[::-1])}
+    return fx, fy
 
 
 def _cat_rows(basis: CatBasis) -> np.ndarray:
@@ -210,16 +216,24 @@ def _cat_rows(basis: CatBasis) -> np.ndarray:
     return np.array([[basis.n_plus, basis.n_plus], [basis.n_minus, -basis.n_minus]])
 
 
-def _node_blocks(c: np.ndarray, factors: dict, a: np.ndarray, b: np.ndarray) -> dict:
+# rows of the kets at w = +1 and w = -1: the w = -1 factors are the w = +1 rows reversed
+_ROWS = {1: slice(None), -1: slice(None, None, -1)}
+
+
+def _node_blocks(c: np.ndarray, fx: np.ndarray, fy: np.ndarray, a, b) -> dict:
     """Node sums sum_ij a_i b_j k_w(i, j) k_w'(i, j)^dagger, keyed by (w, w').
 
-    Each ket is k_w(i, j) = c (fx_w[:, i] o fy_w[:, j]), so each sum is
-    c ((fx_w a) fx_w'^T o (fy_w b) fy_w'^dagger) c^T: products of 1-D sums.
+    The ket at w = +1 is k(i, j) = c (fx[:, i] o fy[:, j]) and the ket at
+    w = -1 has the rows of fx and fy reversed.  So one x sum (fx a) fx^T and
+    one y sum (fy b) fy^dagger serve all four blocks: the (w, w') block is
+    c (x[p][:, q] o y[p][:, q]) c^T, with p and q the rows of w and w'.
     """
+    x = (fx * a) @ fx.T
+    y = (fy * b) @ fy.conj().T
     return {
-        (w, wp): c @ (((fx * a) @ fxp.T) * ((fy * b) @ fyp.conj().T)) @ c.T
-        for w, (fx, fy) in factors.items()
-        for wp, (fxp, fyp) in factors.items()
+        (w, wp): c @ (x[p][:, q] * y[p][:, q]) @ c.T
+        for w, p in _ROWS.items()
+        for wp, q in _ROWS.items()
     }
 
 
@@ -231,8 +245,7 @@ def _sandwich_block(variance: float, displacement: float, gamma: float, order: i
     """
     re, a, im, b = _thermal_nodes(variance, displacement, order)
     basis = CatBasis(gamma)
-    factors = _projection_factors(re, im, gamma, 1.0)
-    return _node_blocks(_cat_rows(basis), factors, a, b)
+    return _node_blocks(_cat_rows(basis), *_projection_factors(re, im, gamma, 1.0), a, b)
 
 
 @lru_cache(maxsize=256)
@@ -246,19 +259,19 @@ def _bs_term_matrices(variance: float, displacement: float, gamma: float, order:
     """
     re, a, im, b = _thermal_nodes(variance, displacement, order)
     basis = CatBasis(gamma)
-    single = _projection_factors(re, im, gamma, 1.0 / math.sqrt(2.0))
-    factors = {
-        w: tuple((p[:, None] * m[None, :]).reshape(4, -1) for p, m in zip(single[w], single[-w]))
-        for w in (1, -1)
-    }
+    fx, fy = _projection_factors(re, im, gamma, 1.0 / math.sqrt(2.0))
+    # row (s1, s2) is f[s1] o f_-[s2], with f_- = f[::-1]; at w = -1 it is row
+    # (-s1, -s2) of w = +1, so reversing all four rows gives w = -1 again
+    fx, fy = ((f[:, None] * f[::-1][None, :]).reshape(4, -1) for f in (fx, fy))
     c = _cat_rows(basis)
-    return _node_blocks(np.kron(c, c), factors, a, b)
+    return _node_blocks(_kron(c, c), fx, fy, a, b)
 
 
 def _quad_kerr_micro_thermal(micro, thermal, basis, order):
     r = micro.r
     b = _sandwich_block(thermal.variance, thermal.displacement, basis.gamma, order)
-    return 0.5 * np.block([[b[1, 1], r * b[1, -1]], [r * b[-1, 1], b[-1, -1]]])
+    blocks = np.array([[b[1, 1], r * b[1, -1]], [r * b[-1, 1], b[-1, -1]]])
+    return 0.5 * blocks.transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def _quad_bs(micro, thermal, basis, sign, order):
@@ -268,23 +281,27 @@ def _quad_bs(micro, thermal, basis, sign, order):
 
 def _quad_tt(micro, thermal, basis, sign, order):
     b = _sandwich_block(thermal.variance, thermal.displacement, basis.gamma, order)
-    return (
-        np.kron(b[1, 1], b[1, 1])
-        + np.kron(b[-1, -1], b[-1, -1])
-        + sign * micro.r * (np.kron(b[1, -1], b[1, -1]) + np.kron(b[-1, 1], b[-1, 1]))
-    )
+    blocks = np.array([b[1, 1], b[-1, -1], b[1, -1], b[-1, 1]])
+    k = _kron(blocks, blocks)
+    return k[0] + k[1] + sign * micro.r * (k[2] + k[3])
+
+
+# U|a>|b> spreads into the four parity combinations (+,+), (-,+), (+,-) with
+# weight 1/2 and (-,-) with weight -1/2; the projected state is the signed sum
+# of tensor products of single-mode sandwich blocks, over (ket, bra) pairs.
+_DIRECT_SIGNS = {(1, 1): 0.5, (-1, 1): 0.5, (1, -1): 0.5, (-1, -1): -0.5}
+_DIRECT_TERMS = [(ket, bra) for ket in _DIRECT_SIGNS for bra in _DIRECT_SIGNS]
+_DIRECT_WEIGHTS = np.array([_DIRECT_SIGNS[ket] * _DIRECT_SIGNS[bra] for ket, bra in _DIRECT_TERMS])
 
 
 def _quad_direct_kerr(thermal, basis, order):
-    # U|a>|b> spreads into the four parity combinations (+,+), (-,+), (+,-)
-    # with weight 1/2 and (-,-) with weight -1/2; the projected state is the
-    # signed sum of tensor products of single-mode sandwich blocks.
     b = _sandwich_block(thermal.variance, thermal.displacement, basis.gamma, order)
-    signs = {(1, 1): 0.5, (-1, 1): 0.5, (1, -1): 0.5, (-1, -1): -0.5}
+    first = np.array([b[w1, w1p] for (w1, _), (w1p, _) in _DIRECT_TERMS])
+    second = np.array([b[w2, w2p] for (_, w2), (_, w2p) in _DIRECT_TERMS])
+    terms = _DIRECT_WEIGHTS[:, None, None] * _kron(first, second)
     out = np.zeros((4, 4), dtype=np.complex128)
-    for (w1, w2), s_ket in signs.items():
-        for (w1p, w2p), s_bra in signs.items():
-            out += s_ket * s_bra * np.kron(b[w1, w1p], b[w2, w2p])
+    for term in terms:  # summed from zero in term order, one rounding per term
+        out += term
     return out
 
 

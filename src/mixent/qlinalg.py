@@ -200,6 +200,15 @@ def _npt_stack(entries, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b over the last two axes, with any leading axes, by one broadcast product.
+
+    Each entry is one product, as in ``np.kron``, so the bits are the same.
+    """
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
 def purity(m: BipartiteMatrix) -> float:
     """Tr[(m / Tr m)^2] of a Hermitian matrix with positive trace."""
     a = _symmetrized_entries(m.entries)

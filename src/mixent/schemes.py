@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg
-from .qlinalg import BipartiteMatrix, DegenerateStateError
+from .qlinalg import BipartiteMatrix, DegenerateStateError, _kron
 # scaled_cat_kernels is not called here: bench/layertrace.py wraps it by this module's name
 from .states import (  # noqa: F401
     AtomFieldParams,
@@ -171,12 +171,6 @@ def _jc_row(p: float, lam: float, gt: float, n: int) -> tuple:
         (0.0, -coherence, p * w1 * s1**2 + q * w2 * c1**2, 0.0),
         (0.0, 0.0, 0.0, p * w2 * c2**2 + q * w3 * s2**2),
     )
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b of each row of two (N, m, m) stacks, by one broadcast product."""
-    out = a[:, :, None, :, None] * b[:, None, :, None, :]
-    return out.reshape(len(a), a.shape[1] * b.shape[1], -1)
 
 
 def _cat_row(v: float, d: float, g: float) -> tuple[float, float, float, float]:
@@ -306,8 +300,17 @@ def bs_projected_kernel(
 
     Raises ``ValueError`` for gamma below ``BS_GAMMA_FLOOR``.
     """
-    normalized, log_scale = _bs_kernels(*_pair_columns(m, t, basis, sign))
-    return BipartiteMatrix(2, 2, normalized[0] * math.exp(log_scale[0]))
+    return BipartiteMatrix(2, 2, bs_kernel_block(*_pair_columns(m, t, basis, sign))[0])
+
+
+def bs_kernel_block(r, V, d, gamma, sign):
+    """Kernels of ``bs_projected_kernel`` for N rows, as an (N, 4, 4) stack."""
+    return _scaled(*_bs_kernels(r, V, d, gamma, sign))
+
+
+def _scaled(normalized, log_scales):
+    """Kernels from their normalized stack and log scales."""
+    return normalized * np.array([math.exp(s) for s in log_scales])[:, None, None]
 
 
 def _conditioned(normalized, log_scales, r, V, d, sign, power):
@@ -364,8 +367,12 @@ def tt_projected_kernel(
     both, so the kernel is (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)),
     pi = (1, -1, -1, 1).
     """
-    normalized, log_scale = _tt_kernels(*_pair_columns(m, t, basis, sign))
-    return BipartiteMatrix(2, 2, normalized[0] * math.exp(log_scale[0]))
+    return BipartiteMatrix(2, 2, tt_kernel_block(*_pair_columns(m, t, basis, sign))[0])
+
+
+def tt_kernel_block(r, V, d, gamma, sign):
+    """Kernels of ``tt_projected_kernel`` for N rows, as an (N, 4, 4) stack."""
+    return _scaled(*_tt_kernels(r, V, d, gamma, sign))
 
 
 def tt_scheme_projected(

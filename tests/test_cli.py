@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,9 @@ CONSTRUCTORS = {
     "tt": schemes.tt_scheme_projected,
     "direct_kerr": schemes.direct_kerr_projected,
 }
+
+# the closed forms that the oracle reproduces where they are not the states
+KERNELS = {"bs": schemes.bs_projected_kernel, "tt": schemes.tt_projected_kernel}
 
 VALIDATED_SWEEPS = {
     "jc": ({"p": 0.7, "lam": 0.9, "n": 3}, ("gt", 0.0, 3.0, 4)),
@@ -146,7 +151,10 @@ class TestSweep:
             row = [x, out.npt_normalized, out.trace]
             if validate:
                 ref = sdef.oracle(args)
-                row += [mx.npt(ref), mx.max_abs_deviation(out.matrix, ref)]
+                closed = out.matrix
+                if spec.scheme in KERNELS:
+                    closed = KERNELS[spec.scheme](*args.values())
+                row += [mx.npt(ref), mx.max_abs_deviation(closed, ref)]
             lines.append(",".join(f"{float(v):.17g}" for v in row))
         return "\n".join(lines) + "\n"
 
@@ -181,13 +189,46 @@ class TestSweep:
         template = ",".join(["%.17g"] * len(values))
         assert template % values == ",".join(f"{x:.17g}" for x in values)
 
-    @pytest.mark.parametrize("scheme", ["jc", "kerr_micro_thermal"])
-    def test_validated_blocks_match_per_row_reference(self, scheme, monkeypatch):
+    @pytest.mark.parametrize(
+        "scheme, sign",
+        [
+            pytest.param("jc", None, id="jc"),
+            pytest.param("kerr_micro_thermal", None, id="kerr_micro_thermal"),
+            pytest.param("bs", 1, id="bs+"),
+            pytest.param("bs", -1, id="bs-"),
+            pytest.param("tt", 1, id="tt+"),
+            pytest.param("tt", -1, id="tt-"),
+            pytest.param("direct_kerr", None, id="direct_kerr"),
+        ],
+    )
+    def test_validated_blocks_match_per_row_reference(self, scheme, sign, monkeypatch):
+        # the block closed forms and deviations, byte for byte against the
+        # per-row public kernels, oracle and max_abs_deviation
         monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
         fixed, (name, start, stop, _) = VALIDATED_SWEEPS[scheme]
+        if sign is not None:
+            fixed = {**fixed, "sign": sign}
         spec = make_spec(scheme=scheme, fixed=fixed, sweep=(name, start, stop, 7), validate_tol=1.0)
         text = cli.run_sweep(spec)[1]
         assert text == self.per_row_csv(spec)
+
+    @pytest.mark.parametrize("grid", sorted(cli.VALIDATION_GRIDS))
+    def test_validate_grid_matches_per_point_loop(self, grid):
+        # the grid's deviation and its first worst point, as a loop over the
+        # public closed forms, the oracle and max_abs_deviation finds them
+        scheme = cli.VALIDATION_GRIDS[grid]
+        sdef = cli.SCHEMES[scheme]
+        worst_dev, worst_at = -1.0, None
+        for values in cli._grid_points(grid):
+            args = sdef.args(values)
+            if scheme in KERNELS:
+                closed = KERNELS[scheme](*args.values())
+            else:
+                closed = CONSTRUCTORS[scheme](*args.values()).matrix
+            dev = mx.max_abs_deviation(closed, sdef.oracle(args))
+            if dev > worst_dev:
+                worst_dev, worst_at = dev, values
+        assert cli.validate_grid(grid) == (worst_dev, worst_at, sdef.tolerance)
 
 
 class TestSpecValidation:
@@ -208,6 +249,16 @@ class TestSpecValidation:
             cli.run_sweep(make_spec(sweep=("d", 1.0, 1.0, 4)))
         with pytest.raises(cli.SpecError, match="sweep bounds must be finite"):
             cli.run_sweep(make_spec(sweep=("d", 0.0, math.inf, 3)))
+
+    def test_overflowing_span_exit_2(self, capsys):
+        # stop - start overflows for finite bounds of opposite sign; the span is
+        # refused before numpy's linspace warns and makes NaN rows of it
+        argv = ["sweep", "--scheme", "jc", "--set", "p=1", "--set", "lam=0.5", "--set", "n=0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + ["--sweep", "gt:-1.7e308:1.7e308:3"]) == 2
+        message = "sweep span -1.7e+308 .. 1.7e+308 overflows: stop - start is not finite"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_and_unknown_parameters(self):
         with pytest.raises(cli.SpecError):
@@ -341,6 +392,14 @@ class TestMain:
         assert not missing.parent.exists()
         assert list(tmp_path.iterdir()) == []
         assert not calls  # the path is checked before the first row is computed
+
+    def test_out_to_a_device(self, capsys):
+        # a character device takes the CSV like a file; nothing is truncated or removed
+        argv = ["sweep", "--scheme", "direct_kerr", "--set", "gamma=2", "--set", "V=10"]
+        assert cli.main(argv + ["--sweep", "d:0:20:3", "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(["preset", "run", "fig2a", "--out", os.devnull]) == 0
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
     def test_error_after_open_removes_only_a_created_file(self, tmp_path, capsys):
         # p, r and lam leave their ranges in the middle of the second block of

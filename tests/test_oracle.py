@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
-from mixent import cli, oracle
+from mixent import cli, oracle, qlinalg
 from mixent.oracle import (
     OracleUnstableError,
     TruncationTailError,
@@ -207,8 +207,9 @@ class TestAxisFactors:
             # whose rounding alone moves it by up to about 3e-13 relative
             np.testing.assert_allclose(np.outer(a, b).ravel(), weight, rtol=1e-11, atol=0.0)
             for kappa in (1.0, 1.0 / math.sqrt(2.0)):
-                factors = oracle._projection_factors(re, im, g, kappa)
-                for w, (fx, fy) in factors.items():
+                fx, fy = oracle._projection_factors(re, im, g, kappa)
+                # the factors of -kappa alpha are the rows reversed
+                for w, (fx, fy) in ((1, (fx, fy)), (-1, (fx[::-1], fy[::-1]))):
                     for row, sigma in enumerate((1, -1)):
                         got = fx[row][:, None] * fy[row][None, :]
                         ref = mx.coherent_overlap(sigma * g, w * kappa * alpha).reshape(got.shape)
@@ -234,6 +235,113 @@ class TestBeamSplitterBlocks:
                 for key, ref in zip(((1, 1), (-1, -1), (1, -1), (-1, 1)), terms):
                     dev = np.abs(blocks[key] - ref).max()
                     assert dev <= 2 * order * EPS * scale, (v, d, g, order, key, dev / scale)
+
+
+def kron_reference(scheme, b, r, sign):
+    """A scheme's 4x4 from its blocks, written literally with np.kron and np.block."""
+    if scheme == "kerr_micro_thermal":
+        return 0.5 * np.block([[b[1, 1], r * b[1, -1]], [r * b[-1, 1], b[-1, -1]]])
+    if scheme == "bs":
+        return b[1, 1] + b[-1, -1] + sign * r * (b[1, -1] + b[-1, 1])
+    if scheme == "tt":
+        return (
+            np.kron(b[1, 1], b[1, 1])
+            + np.kron(b[-1, -1], b[-1, -1])
+            + sign * r * (np.kron(b[1, -1], b[1, -1]) + np.kron(b[-1, 1], b[-1, 1]))
+        )
+    signs = {(1, 1): 0.5, (-1, 1): 0.5, (1, -1): 0.5, (-1, -1): -0.5}
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for (w1, w2), s_ket in signs.items():
+        for (w1p, w2p), s_bra in signs.items():
+            out += s_ket * s_bra * np.kron(b[w1, w1p], b[w2, w2p])
+    return out
+
+
+def quad_once(scheme, r, sign, v, d, g, order):
+    micro = mx.MicroState(r) if scheme != "direct_kerr" else None
+    return oracle._quad_once(scheme, micro, mx.ThermalParams(v, d), mx.CatBasis(g), sign, order)
+
+
+def per_pair_node_blocks(c, fx, fy, a, b):
+    """The four node sums, one explicit x and y product per (w, w') pair."""
+    rows = {1: (fx, fy), -1: (fx[::-1], fy[::-1])}
+    return {
+        (w, wp): c @ (((fx_w * a) @ fx_wp.T) * ((fy_w * b) @ fy_wp.conj().T)) @ c.T
+        for w, (fx_w, fy_w) in rows.items()
+        for wp, (fx_wp, fy_wp) in rows.items()
+    }
+
+
+class TestAssembly:
+    # each entry of the oracle's broadcast kron is one product, as in np.kron,
+    # and every sum keeps the order of the literal form: equal on any BLAS
+    SCHEMES = ("kerr_micro_thermal", "bs", "tt", "direct_kerr")
+
+    def test_assemblies_equal_kron_reference_on_node_blocks(self):
+        rng = np.random.default_rng(29)
+        points = [(p["V"], p["d"], p["gamma"]) for p in cli._kerr_family_grid()][::7]
+        for _ in range(6):
+            v = 10.0 ** rng.uniform(0.0, 4.0)
+            points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
+        for v, d, g in points:
+            for order in (80, 160):
+                for scheme in self.SCHEMES:
+                    blocks = oracle._bs_term_matrices if scheme == "bs" else _sandwich_block
+                    b = blocks(v, d, g, order)
+                    for r, sign in ((0.0, 1), (0.3, -1), (1.0, 1), (rng.uniform(), -1)):
+                        got = quad_once(scheme, r, sign, v, d, g, order)
+                        ref = kron_reference(scheme, b, r, sign)
+                        assert np.array_equal(got, ref), (scheme, v, d, g, order, r, sign)
+
+    def test_assemblies_equal_kron_reference_on_random_blocks(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            size = {"sandwich": 2, "bs": 4}
+            blocks = {
+                kind: {
+                    key: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                    for key in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                }
+                for kind, n in size.items()
+            }
+            # exact zeros and huge and tiny magnitudes too
+            blocks["sandwich"][1, -1][0, 1] = 0.0
+            blocks["sandwich"][-1, 1] *= 10.0 ** rng.uniform(-150, 150)
+            monkeypatch.setattr(oracle, "_sandwich_block", lambda *a, b=blocks: b["sandwich"])
+            monkeypatch.setattr(oracle, "_bs_term_matrices", lambda *a, b=blocks: b["bs"])
+            r, sign = rng.uniform(), int(rng.choice([1, -1]))
+            for scheme in self.SCHEMES:
+                b = blocks["bs" if scheme == "bs" else "sandwich"]
+                got = quad_once(scheme, r, sign, 10.0, 1.0, 2.0, 80)
+                assert np.array_equal(got, kron_reference(scheme, b, r, sign)), scheme
+
+    def test_node_blocks_match_per_pair_products(self):
+        # one x and one y product with reversed rows against a product per
+        # pair: the same sums, up to the order a matrix product adds in
+        rng = np.random.default_rng(41)
+        cases = []
+        for v, d, g in ((1.0, 1.5, 2.0), (10.0, 3.0, 1.0), (1000.0, -40.0, 3.0), (2.0, 0.0, 0.4)):
+            for order in (80, 160):
+                re, a, im, b = oracle._thermal_nodes(v, d, order)
+                c = oracle._cat_rows(mx.CatBasis(g))
+                fx, fy = oracle._projection_factors(re, im, g, 1.0)
+                cases.append((c, fx, fy, a, b))
+                fx, fy = oracle._projection_factors(re, im, g, 1.0 / math.sqrt(2.0))
+                pair = [(f[:, None] * f[::-1][None, :]).reshape(4, -1) for f in (fx, fy)]
+                cases.append((qlinalg._kron(c, c), *pair, a, b))
+        for rows in (2, 4):
+            n = 80
+            fx = rng.uniform(size=(rows, n))
+            fy = np.exp(1j * rng.uniform(0.0, 6.3, size=(rows, n))) * rng.uniform(size=(rows, n))
+            c = rng.normal(size=(rows, rows))
+            cases.append((c, fx, fy, rng.uniform(size=n), rng.uniform(size=n)))
+        for c, fx, fy, a, b in cases:
+            got = oracle._node_blocks(c, fx, fy, a, b)
+            refs = per_pair_node_blocks(c, fx, fy, a, b)
+            assert sorted(got) == sorted(refs)
+            scale = max(np.abs(ref).max() for ref in refs.values())
+            for key, ref in refs.items():
+                assert np.abs(got[key] - ref).max() <= 4 * EPS * scale, key
 
 
 class TestQuadratureOracle:

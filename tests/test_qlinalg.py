@@ -289,6 +289,20 @@ def one_row(name, *args):
     return getattr(schemes, f"{name}_block")(*columns)
 
 
+class TestKron:
+    """The broadcast Kronecker product of the oracle and the scheme blocks, against ``np.kron``."""
+
+    def test_broadcast_kron_equals_np_kron(self):
+        rng = np.random.default_rng(37)
+        for shape_a, shape_b in (((2, 2), (2, 2)), ((2, 2), (7, 7)), ((3, 2), (2, 5))):
+            a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+            b = rng.normal(size=shape_b)
+            assert np.array_equal(qlinalg._kron(a, b), np.kron(a, b))
+        stack = rng.normal(size=(5, 2, 2))
+        got = qlinalg._kron(stack, stack[::-1])
+        assert np.array_equal(got, np.array([np.kron(x, y) for x, y in zip(stack, stack[::-1])]))
+
+
 class TestNptStack:
     """The one scorer, ``_npt_stack``, against the one-matrix reference bit for bit."""
 
