@@ -26,13 +26,18 @@ columns, from the unnormalized kernel.  The library constructors raise
 
 A sweep runs in blocks of ``SWEEP_BLOCK`` rows: it checks a block's parameters
 at its smallest and largest swept value, computes its states with one call of
-the scheme's block function and scores them with one stacked NPT.  The
-``--out`` path is checked before the first row and written once the rows are
-done; a run that ends in an error leaves a file that was there before as it
-was, and removes one it created.
+the scheme's block function and scores them with one stacked NPT.  Under
+``--validate`` the block's oracle matrices come from one call of the oracle's
+block function, and a validation grid is one block.  Where a block has a bad
+parameter its rows are built one at a time, each with its oracle, so the
+first faulty row decides the error.  The ``--out`` path is checked before the
+first row (an existing FIFO with ``os.access``, so that its reader sees no
+early end of file) and written once the rows are done; a run that ends in an
+error leaves a file that was there before as it was, and removes one it
+created.
 
 Exit codes: 0 success, 2 invalid specification or unwritable ``--out``, 3
-oracle deviation above tolerance.  CSV files start with the schema comment
+oracle deviation above tolerance or an unstable oracle.  CSV files start with the schema comment
 ``# mixent-csv v1``, use 17 significant digits and ``\\n`` line endings, and
 are byte-identical across runs of the same binary.
 """
@@ -40,9 +45,11 @@ are byte-identical across runs of the same binary.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, replace
 
@@ -97,8 +104,9 @@ def _as_sign(value):
 
 
 # An argument builder turns a parameter dict into the keyword arguments of the
-# scheme's oracle, in the order of its constructor's positional arguments; the
-# parameter dataclasses it builds check the values.
+# scheme's public one-row oracle, in the order of its constructor's positional
+# arguments; the parameter dataclasses it builds check the values.  Sweeps build
+# them only to check their rows.
 
 
 def _jc_args(v):
@@ -120,10 +128,6 @@ def _bs_args(v):
     return args
 
 
-def _quadrature(scheme):
-    return lambda args: oracle.quadrature_projected(scheme, **args)
-
-
 @dataclass(frozen=True)
 class _SchemeDef:
     """How the CLI evaluates and validates one scheme.
@@ -133,8 +137,10 @@ class _SchemeDef:
     :mod:`mixent.schemes`, resolved at call time.  ``closed`` is the block
     function, over the same columns, of the closed form that the oracle
     reproduces where that is not the state itself (None where it is): it
-    returns the (N, 4, 4) stack.  ``oracle`` takes the builder's arguments of
-    one row.
+    returns the (N, 4, 4) stack.  ``oracle`` is the oracle's block function
+    over the same columns (``oracle.jc_fock_block`` or
+    ``oracle.quadrature_block``), resolved at call time; it returns the
+    (N, 4, 4) stack too.
     """
 
     params: tuple
@@ -155,7 +161,7 @@ SCHEMES = {
         _jc_args,
         lambda *columns: schemes.jc_block(*columns),
         None,
-        lambda args: oracle.jc_fock_projected(**args),
+        lambda *columns: oracle.jc_fock_block(*columns),
         _JC_TOL,
     ),
     "kerr_micro_thermal": _SchemeDef(
@@ -163,7 +169,7 @@ SCHEMES = {
         _cat_args,
         lambda *columns: schemes.kerr_micro_thermal_block(*columns),
         None,
-        _quadrature("kerr_micro_thermal"),
+        lambda r, V, d, gamma: oracle.quadrature_block("kerr_micro_thermal", r, V, d, gamma, None),
         _KERR_TOL,
     ),
     "bs": _SchemeDef(
@@ -171,7 +177,7 @@ SCHEMES = {
         _bs_args,
         lambda *columns: schemes.bs_scheme_block(*columns),
         lambda *columns: schemes.bs_kernel_block(*columns),
-        _quadrature("bs"),
+        lambda *columns: oracle.quadrature_block("bs", *columns),
         _KERR_TOL,
     ),
     "tt": _SchemeDef(
@@ -179,7 +185,7 @@ SCHEMES = {
         _cat_args,
         lambda *columns: schemes.tt_scheme_block(*columns),
         lambda *columns: schemes.tt_kernel_block(*columns),
-        _quadrature("tt"),
+        lambda *columns: oracle.quadrature_block("tt", *columns),
         _KERR_TOL,
     ),
     "direct_kerr": _SchemeDef(
@@ -187,7 +193,7 @@ SCHEMES = {
         _cat_args,
         lambda *columns: schemes.direct_kerr_block(*columns),
         None,
-        _quadrature("direct_kerr"),
+        lambda V, d, gamma: oracle.quadrature_block("direct_kerr", None, V, d, gamma, None),
         _KERR_TOL,
     ),
 }
@@ -263,19 +269,16 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-def _closed_vs_oracle(sdef: _SchemeDef, columns: list, states, args):
+def _closed_vs_oracle(sdef: _SchemeDef, columns: list, states):
     """The oracle matrices of N rows and each closed form's largest deviation from its row's.
 
-    ``columns`` holds the rows' parameter columns and ``args`` yields the
-    builder's arguments of each row.  ``states`` is the (N, 4, 4) stack of the
-    rows' states: the closed forms where the scheme has no ``closed``.  The
-    closed forms come from one block call; the oracle runs row by row, in
-    order, and only its matrices are kept.
+    ``columns`` holds the rows' parameter columns and ``states`` the (N, 4, 4)
+    stack of their states: the closed forms where the scheme has no
+    ``closed``.  The closed forms and the oracle matrices each come from one
+    block call.
     """
     closed = sdef.closed(*columns) if sdef.closed else states
-    refs = np.empty_like(closed)
-    for i, row in enumerate(args):
-        refs[i] = sdef.oracle(row).entries
+    refs = sdef.oracle(*columns)
     return refs, np.abs(closed - refs).max(axis=(1, 2))
 
 
@@ -284,13 +287,25 @@ def _closed_vs_oracle(sdef: _SchemeDef, columns: list, states, args):
 SWEEP_BLOCK = 256
 
 
+def _columns(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> list:
+    """The parameter columns of the rows at ``xs``, in the order of ``sdef.params``.
+
+    The fixed values are converted as the parameter dataclasses store them.
+    """
+    name = spec.sweep[0]
+    convert = {"sign": _as_sign, "n": lambda v: _as_int(v, "n")}
+    fixed = {k: convert.get(k, lambda v: complex(v).real)(v) for k, v in spec.fixed.items()}
+    return [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
+
+
 def _check_rows(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> None:
     """Raise what the first bad row of a block raises, if it has one.
 
     Every parameter rule is an interval in the swept value, so the block is
     good if its smallest and largest values build.  If not, its rows are built
-    in order (under ``--validate`` each with its oracle, as before) until one
-    raises.
+    in order until one raises; under ``--validate`` each row runs the block
+    oracle at that one row, so an unstable oracle at an earlier row raises
+    before a bad parameter at a later one.
     """
     name = spec.sweep[0]
     ends = (xs[int(np.argmin(xs))], xs[int(np.argmax(xs))])  # NaN is both
@@ -299,9 +314,9 @@ def _check_rows(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> None:
             sdef.args({**spec.fixed, name: x})
     except ValueError:
         for x in xs:
-            args = sdef.args({**spec.fixed, name: x})
+            sdef.args({**spec.fixed, name: x})
             if spec.validate_tol is not None:
-                sdef.oracle(args)
+                sdef.oracle(*_columns(spec, sdef, [x]))
         raise
 
 
@@ -313,19 +328,14 @@ def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: list, first: int):
     checked by the oracle.
     """
     _check_rows(spec, sdef, xs)
-    name = spec.sweep[0]
-    # the checked fixed values as the parameter dataclasses store them
-    convert = {"sign": _as_sign, "n": lambda v: _as_int(v, "n")}
-    fixed = {k: convert.get(k, lambda v: complex(v).real)(v) for k, v in spec.fixed.items()}
-    params = [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
+    params = _columns(spec, sdef, xs)
     normalized, factors = sdef.block(*params)
     states = normalized * factors[:, None, None]
     traces = np.trace(states, axis1=1, axis2=2).real
     columns = [xs, qlinalg._npt_stack(normalized).tolist(), traces.tolist()]
     failed = []
     if spec.validate_tol is not None:
-        args = (sdef.args({**spec.fixed, name: x}) for x in xs)
-        refs, deviations = _closed_vs_oracle(sdef, params, states, args)
+        refs, deviations = _closed_vs_oracle(sdef, params, states)
         deviations = deviations.tolist()
         columns += [qlinalg._npt_stack(refs).tolist(), deviations]
         failed = [(i, d) for i, d in enumerate(deviations, first) if d > spec.validate_tol]
@@ -352,7 +362,7 @@ def run_sweep(spec: SweepSpec):
     xs = np.linspace(float(start), float(stop), int(count)).tolist()
     created = spec.out and not os.path.lexists(spec.out)
     if spec.out:
-        _write_out(spec.out, "", "a")  # fails early; appending nothing keeps a file as it is
+        _check_out(spec.out)
     try:
         for first in range(0, len(xs), SWEEP_BLOCK):
             block, failed = _sweep_block(spec, sdef, xs[first : first + SWEEP_BLOCK], first)
@@ -366,6 +376,23 @@ def run_sweep(spec: SweepSpec):
             os.remove(spec.out)
         raise
     return (3 if failures else 0), csv_text, failures
+
+
+def _check_out(path: str) -> None:
+    """Fail early if ``path`` cannot be written, leaving it as it is.
+
+    A new or regular path is opened to append nothing.  An existing FIFO is
+    checked with ``os.access`` instead: opening and closing it would hand its
+    reader an end of file before the CSV is written.
+    """
+    try:
+        fifo = stat.S_ISFIFO(os.stat(path).st_mode)
+    except OSError:
+        fifo = False
+    if not fifo:
+        _write_out(path, "", "a")
+    elif not os.access(path, os.W_OK):
+        raise SpecError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
 
 
 def _write_out(path: str, text: str, mode: str = "w") -> None:
@@ -428,7 +455,7 @@ def validate_grid(name: str, tol: float | None = None):
     if not sdef.closed:  # the states are the closed forms
         normalized, factors = sdef.block(*columns)
         states = normalized * factors[:, None, None]
-    deviations = _closed_vs_oracle(sdef, columns, states, (sdef.args(p) for p in points))[1]
+    deviations = _closed_vs_oracle(sdef, columns, states)[1]
     worst = int(np.argmax(deviations))  # the first of equal maxima
     return float(deviations[worst]), points[worst], tol
 

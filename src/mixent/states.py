@@ -118,16 +118,19 @@ class CatBasis:
             raise ValueError(f"gamma must be > 0, got {g}")
         object.__setattr__(self, "gamma", g)
         # below gamma ~ 3.7e-155, 1 - exp(-2 gamma^2) is 0 or so small that N_-^2 overflows
-        if not (-math.expm1(-2.0 * g**2) > 0.0 and math.isfinite(self.n_minus * self.n_minus)):
+        norms = _cat_norms(g) if -math.expm1(-2.0 * g**2) > 0.0 else (math.nan, math.nan)
+        if not math.isfinite(norms[1] * norms[1]):
             raise ValueError(f"gamma must give a finite N_-^2, got {g!r}")
+        # computed once; an attribute, not a field, so repr, == and hash see gamma alone
+        object.__setattr__(self, "_norms", norms)
 
     @property
     def n_plus(self) -> float:
-        return _cat_norms(self.gamma)[0]
+        return self._norms[0]
 
     @property
     def n_minus(self) -> float:
-        return _cat_norms(self.gamma)[1]
+        return self._norms[1]
 
     def coherent_projection(self, alpha):
         """(<+|alpha>, <-|alpha>) for a scalar or array of amplitudes."""

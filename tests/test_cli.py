@@ -3,6 +3,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,10 +14,11 @@ import numpy as np
 import pytest
 
 import mixent as mx
-from mixent import cli, schemes
+from mixent import cli, oracle, schemes
 from mixent.qlinalg import DegenerateStateError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "presets.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_spec(**kw):
@@ -38,6 +43,13 @@ CONSTRUCTORS = {
 
 # the closed forms that the oracle reproduces where they are not the states
 KERNELS = {"bs": schemes.bs_projected_kernel, "tt": schemes.tt_projected_kernel}
+
+
+def one_row_oracle(scheme, args):
+    """The public one-row oracle of a scheme, called with its argument builder's output."""
+    if scheme == "jc":
+        return mx.jc_fock_projected(**args)
+    return mx.quadrature_projected(scheme, **args)
 
 VALIDATED_SWEEPS = {
     "jc": ({"p": 0.7, "lam": 0.9, "n": 3}, ("gt", 0.0, 3.0, 4)),
@@ -150,7 +162,7 @@ class TestSweep:
                 continue
             row = [x, out.npt_normalized, out.trace]
             if validate:
-                ref = sdef.oracle(args)
+                ref = one_row_oracle(spec.scheme, args)
                 closed = out.matrix
                 if spec.scheme in KERNELS:
                     closed = KERNELS[spec.scheme](*args.values())
@@ -225,7 +237,7 @@ class TestSweep:
                 closed = KERNELS[scheme](*args.values())
             else:
                 closed = CONSTRUCTORS[scheme](*args.values()).matrix
-            dev = mx.max_abs_deviation(closed, sdef.oracle(args))
+            dev = mx.max_abs_deviation(closed, one_row_oracle(scheme, args))
             if dev > worst_dev:
                 worst_dev, worst_at = dev, values
         assert cli.validate_grid(grid) == (worst_dev, worst_at, sdef.tolerance)
@@ -401,6 +413,40 @@ class TestMain:
         assert cli.main(["preset", "run", "fig2a", "--out", os.devnull]) == 0
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_to_a_fifo(self, tmp_path, capsys):
+        # checking the path must not open the pipe: that hands the reader an
+        # end of file, and the real write then blocks with no reader
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        argv = ["sweep", "--scheme", "direct_kerr", "--set", "gamma=2", "--set", "V=10"]
+        argv += ["--sweep", "d:0:20:3"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        received = []
+
+        def read():
+            with open(fifo) as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        command = [sys.executable, "-m", "mixent.cli", *argv, "--out", str(fifo)]
+        try:
+            done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        finally:
+            if reader.is_alive():  # no writer came: give the reader its end of file
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:
+                    pass
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert done.returncode == 0, done.stderr
+        assert received == [expected]
+
     def test_error_after_open_removes_only_a_created_file(self, tmp_path, capsys):
         # p, r and lam leave their ranges in the middle of the second block of
         # rows, V < 1 in the middle of the first: a file the run created is
@@ -425,6 +471,45 @@ class TestMain:
                 assert capsys.readouterr().err == f"error: {message}, got {first}\n", sweep
             assert not (tmp_path / "new.csv").exists()
             assert target.read_text() == "old\n" and link.is_symlink()
+
+    def test_validated_error_precedence(self, capsys):
+        # under --validate the rows of a block with a bad parameter are built in
+        # order with their oracle: at V = 1000, gamma = 12 the oracle fails its
+        # doubling check, so the first of the two faults decides the exit code
+        argv = ["sweep", "--scheme", "kerr_micro_thermal", "--set", "V=1000", "--set", "gamma=12"]
+        argv += ["--set", "d=0", "--validate"]
+        assert cli.main(argv + ["--sweep", "r:0:1.5:5"]) == 3  # unstable at r = 0, bad at r = 1.125
+        err = capsys.readouterr().err
+        assert err.startswith("oracle error: kerr_micro_thermal: quadrature self-convergence")
+        assert err.endswith("(V=1000.0, d=0.0, gamma=12.0)\n") and err.count("\n") == 1
+        assert cli.main(argv + ["--sweep", "r:-0.5:1:5"]) == 2  # bad at r = -0.5, unstable after
+        assert capsys.readouterr().err == "error: r must lie in [0, 1], got -0.5\n"
+
+    def test_validated_sweep_memory_is_bounded(self, monkeypatch):
+        # a validated sweep's peak memory is set by its block, not by its
+        # length, and every oracle cache is bounded; 64-row blocks keep it short
+        caches = (oracle._thermal_nodes, oracle._sandwich_block, oracle._bs_term_matrices)
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 64)
+
+        def peak(scheme, blocks):
+            for cache in caches:
+                cache.cache_clear()
+            fixed = {"r": 0.5, "V": 10.0, "gamma": 2.0, "sign": 1}
+            sweep = ("d", 0.0, 30.0, 64 * blocks)
+            spec = make_spec(scheme=scheme, fixed=fixed, sweep=sweep, validate_tol=1e-8)
+            tracemalloc.start()
+            try:
+                assert cli.run_sweep(spec)[0] == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for scheme in ("bs", "tt"):
+            short, long = peak(scheme, 2), peak(scheme, 12)
+            assert long <= 1.5 * short, (scheme, short, long)
+            for cache in caches:
+                info = cache.cache_info()
+                assert info.maxsize is not None and info.currsize <= info.maxsize, info
 
     def test_sweep_to_the_largest_variance(self, capsys):
         # near V = 1e308 the partial transpose has entries below 2^-1024

@@ -10,7 +10,6 @@ from mixent import cli, oracle, qlinalg
 from mixent.oracle import (
     OracleUnstableError,
     TruncationTailError,
-    _sandwich_block,
     fock_space_for,
     jc_fock_projected,
     jc_propagator,
@@ -21,6 +20,19 @@ from mixent.states import thermal_cat_kernels
 
 G2 = mx.CatBasis(2.0)
 EPS = np.finfo(float).eps
+
+
+def one_set(blocks, v, d, g, order):
+    """The blocks of a single node set from the stacked cache function ``blocks``."""
+    return {key: block[0] for key, block in blocks((v,), (d,), (g,), order).items()}
+
+
+def one_set_nodes(v, d, order):
+    return [axis[0] for axis in oracle._thermal_nodes((v,), (d,), order)]
+
+
+def one_set_factors(re, im, g, kappa):
+    return [f[0] for f in oracle._projection_factors(re[None], im[None], np.array([g]), kappa)]
 
 
 class TestFockSpace:
@@ -161,7 +173,7 @@ class TestSandwichBlocks:
             points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
         for v, d, g in points:
             for order in (80, 160):
-                blocks = _sandwich_block(v, d, g, order)
+                blocks = one_set(oracle._sandwich_block, v, d, g, order)
                 assert sorted(blocks) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
                 refs = {key: reference_sandwich_block(v, d, g, order, *key) for key in blocks}
                 scale = max(np.abs(ref).max() for ref in refs.values())
@@ -200,14 +212,14 @@ class TestAxisFactors:
             v = 10.0 ** rng.uniform(0.0, 4.0)
             points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
         for v, d, g in points:
-            re, a, im, b = oracle._thermal_nodes(v, d, order)
+            re, a, im, b = one_set_nodes(v, d, order)
             alpha, weight = grid_thermal_nodes(v, d, order)
             assert np.array_equal((re[:, None] + 1j * im[None, :]).ravel(), alpha)
             # each weight is the exponential of logs that reach several hundred,
             # whose rounding alone moves it by up to about 3e-13 relative
             np.testing.assert_allclose(np.outer(a, b).ravel(), weight, rtol=1e-11, atol=0.0)
             for kappa in (1.0, 1.0 / math.sqrt(2.0)):
-                fx, fy = oracle._projection_factors(re, im, g, kappa)
+                fx, fy = one_set_factors(re, im, g, kappa)
                 # the factors of -kappa alpha are the rows reversed
                 for w, (fx, fy) in ((1, (fx, fy)), (-1, (fx[::-1], fy[::-1]))):
                     for row, sigma in enumerate((1, -1)):
@@ -229,7 +241,7 @@ class TestBeamSplitterBlocks:
             points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
         for v, d, g in points:
             for order in (80, 160):
-                blocks = oracle._bs_term_matrices(v, d, g, order)
+                blocks = one_set(oracle._bs_term_matrices, v, d, g, order)
                 terms = einsum_bs_terms(v, d, g, order)
                 scale = max(np.abs(t).max() for t in terms)
                 for key, ref in zip(((1, 1), (-1, -1), (1, -1), (-1, 1)), terms):
@@ -258,8 +270,8 @@ def kron_reference(scheme, b, r, sign):
 
 
 def quad_once(scheme, r, sign, v, d, g, order):
-    micro = mx.MicroState(r) if scheme != "direct_kerr" else None
-    return oracle._quad_once(scheme, micro, mx.ThermalParams(v, d), mx.CatBasis(g), sign, order)
+    """One row's matrix from the oracle's assembly at one order."""
+    return oracle._quad_once(scheme, [r], [sign], ((v,), (d,), (g,)), np.array([0]), order)[0]
 
 
 def per_pair_node_blocks(c, fx, fy, a, b):
@@ -286,8 +298,8 @@ class TestAssembly:
         for v, d, g in points:
             for order in (80, 160):
                 for scheme in self.SCHEMES:
-                    blocks = oracle._bs_term_matrices if scheme == "bs" else _sandwich_block
-                    b = blocks(v, d, g, order)
+                    blocks = oracle._bs_term_matrices if scheme == "bs" else oracle._sandwich_block
+                    b = one_set(blocks, v, d, g, order)
                     for r, sign in ((0.0, 1), (0.3, -1), (1.0, 1), (rng.uniform(), -1)):
                         got = quad_once(scheme, r, sign, v, d, g, order)
                         ref = kron_reference(scheme, b, r, sign)
@@ -307,8 +319,9 @@ class TestAssembly:
             # exact zeros and huge and tiny magnitudes too
             blocks["sandwich"][1, -1][0, 1] = 0.0
             blocks["sandwich"][-1, 1] *= 10.0 ** rng.uniform(-150, 150)
-            monkeypatch.setattr(oracle, "_sandwich_block", lambda *a, b=blocks: b["sandwich"])
-            monkeypatch.setattr(oracle, "_bs_term_matrices", lambda *a, b=blocks: b["bs"])
+            for name, kind in (("_sandwich_block", "sandwich"), ("_bs_term_matrices", "bs")):
+                stacks = {key: block[None] for key, block in blocks[kind].items()}
+                monkeypatch.setattr(oracle, name, lambda *a, b=stacks: b)
             r, sign = rng.uniform(), int(rng.choice([1, -1]))
             for scheme in self.SCHEMES:
                 b = blocks["bs" if scheme == "bs" else "sandwich"]
@@ -322,11 +335,11 @@ class TestAssembly:
         cases = []
         for v, d, g in ((1.0, 1.5, 2.0), (10.0, 3.0, 1.0), (1000.0, -40.0, 3.0), (2.0, 0.0, 0.4)):
             for order in (80, 160):
-                re, a, im, b = oracle._thermal_nodes(v, d, order)
-                c = oracle._cat_rows(mx.CatBasis(g))
-                fx, fy = oracle._projection_factors(re, im, g, 1.0)
+                re, a, im, b = one_set_nodes(v, d, order)
+                c = oracle._cat_rows([g])[0]
+                fx, fy = one_set_factors(re, im, g, 1.0)
                 cases.append((c, fx, fy, a, b))
-                fx, fy = oracle._projection_factors(re, im, g, 1.0 / math.sqrt(2.0))
+                fx, fy = one_set_factors(re, im, g, 1.0 / math.sqrt(2.0))
                 pair = [(f[:, None] * f[::-1][None, :]).reshape(4, -1) for f in (fx, fy)]
                 cases.append((qlinalg._kron(c, c), *pair, a, b))
         for rows in (2, 4):
@@ -336,12 +349,79 @@ class TestAssembly:
             c = rng.normal(size=(rows, rows))
             cases.append((c, fx, fy, rng.uniform(size=n), rng.uniform(size=n)))
         for c, fx, fy, a, b in cases:
-            got = oracle._node_blocks(c, fx, fy, a, b)
+            stacks = oracle._node_blocks(*(x[None] for x in (c, fx, fy, a, b)))
+            got = {key: block[0] for key, block in stacks.items()}
             refs = per_pair_node_blocks(c, fx, fy, a, b)
             assert sorted(got) == sorted(refs)
             scale = max(np.abs(ref).max() for ref in refs.values())
             for key, ref in refs.items():
                 assert np.abs(got[key] - ref).max() <= 4 * EPS * scale, key
+
+
+def bits(a):
+    """The bit patterns of a complex array: equal only if every bit is, -0.0 and NaN included."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestBlockOracle:
+    # a block's rows must be the one-row calls whatever else is in the block:
+    # shared node sets, V = 1 next to V > 1, rows in any order, node sets
+    # over more than one chunk
+    def random_block(self, rng, count):
+        sets = []
+        for _ in range(count):
+            v = 1.0 if rng.uniform() < 0.3 else 10.0 ** rng.uniform(0.0, 3.0)
+            sets.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.6)))
+        size = int(rng.integers(1, 3 * len(sets) + 2))
+        rows = [sets[i] for i in rng.integers(len(sets), size=size)]
+        r = [float(rng.choice([0.0, 0.1, 1.0])) for _ in rows]
+        sign = [int(rng.choice([1, -1])) for _ in rows]
+        return r, *(list(column) for column in zip(*rows)), sign
+
+    @pytest.mark.parametrize("scheme", oracle.KERR_SCHEMES)
+    def test_quadrature_block_equals_one_row_calls(self, scheme):
+        rng = np.random.default_rng(43)
+        for count in [*rng.integers(1, 8, size=11), 2 * oracle._NODE_CHUNK + 5]:
+            r, v, d, g, sign = self.random_block(rng, int(count))
+            if scheme == "direct_kerr":
+                r = None
+            if scheme in ("kerr_micro_thermal", "direct_kerr"):
+                sign = None
+            got = oracle.quadrature_block(scheme, r, v, d, g, sign)
+            for k in range(len(v)):
+                kw = {"thermal": mx.ThermalParams(v[k], d[k]), "basis": mx.CatBasis(g[k])}
+                if r is not None:
+                    kw["micro"] = mx.MicroState(r[k])
+                if sign is not None:
+                    kw["sign"] = sign[k]
+                one = quadrature_projected(scheme, **kw).entries
+                assert np.array_equal(bits(got[k]), bits(one)), (scheme, v[k], d[k], g[k])
+
+    def test_jc_block_equals_one_row_calls(self):
+        rng = np.random.default_rng(47)
+        for n in (0, 3, 10):
+            rows = [
+                (rng.uniform(), rng.uniform(0.0, 0.99), rng.uniform(0.0, 10.0), n) for _ in range(20)
+            ]
+            got = oracle.jc_fock_block(*(list(column) for column in zip(*rows)))
+            for k, row in enumerate(rows):
+                one = jc_fock_projected(mx.AtomFieldParams(*row)).entries
+                assert np.array_equal(bits(got[k]), bits(one)), row
+
+    def test_first_unstable_row_is_named(self):
+        # at V = 1000, gamma = 12 the order-80 rule is too coarse; rows 2 and 4
+        # fail the doubling check, and the block raises what row 2 alone raises
+        v = [10.0, 1.0, 1000.0, 10.0, 1000.0]
+        d = [1.0, 2.0, 3.0, 1.0, 0.0]
+        g = [2.0, 2.0, 12.0, 2.0, 12.0]
+        r = [0.5] * 5
+        t, basis, micro = mx.ThermalParams(1000.0, 3.0), mx.CatBasis(12.0), mx.MicroState(0.5)
+        with pytest.raises(OracleUnstableError) as one:
+            quadrature_projected("kerr_micro_thermal", thermal=t, basis=basis, micro=micro)
+        assert "(V=1000.0, d=3.0, gamma=12.0)" in str(one.value)
+        with pytest.raises(OracleUnstableError) as block:
+            oracle.quadrature_block("kerr_micro_thermal", r, v, d, g, None)
+        assert str(block.value) == str(one.value)
 
 
 class TestQuadratureOracle:
@@ -356,14 +436,14 @@ class TestQuadratureOracle:
     def test_parity_flip_block_symmetric_at_zero_displacement(self):
         # the coherence operator at d = 0 equals its own transpose, the root
         # of the zero-displacement separability
-        block = _sandwich_block(10.0, 0.0, 2.0, 80)[1, -1]
+        block = one_set(oracle._sandwich_block, 10.0, 0.0, 2.0, 80)[1, -1]
         assert np.max(np.abs(block - block.T)) < 1e-14
         assert np.max(np.abs(block.imag)) < 1e-14
 
     def test_kernel_reconstruction(self):
         v, d, g = 10.0, 5.0, 2.0
         basis = mx.CatBasis(g)
-        block = _sandwich_block(v, d, g, 160)[1, 1]
+        block = one_set(oracle._sandwich_block, v, d, g, 160)[1, 1]
         hi = block[0, 0].real / basis.n_plus**2
         lo = block[1, 1].real / basis.n_minus**2
         s = block[0, 1].real / (basis.n_plus * basis.n_minus)
@@ -397,7 +477,7 @@ class TestQuadratureOracle:
 
     def test_non_finite_entries_are_unstable(self, monkeypatch):
         # NaN - NaN is NaN, which no "greater than" comparison catches
-        monkeypatch.setattr(oracle, "_quad_once", lambda *args: np.full((4, 4), np.nan))
+        monkeypatch.setattr(oracle, "_quad_once", lambda *args: np.full((1, 4, 4), np.nan))
         t = mx.ThermalParams(10.0, 1.0)
         with pytest.raises(OracleUnstableError, match="nan"):
             quadrature_projected("direct_kerr", thermal=t, basis=G2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
+from mixent import states
 from mixent.states import atom_purity, field_purity, thermal_cat_kernels
 
 
@@ -102,6 +103,18 @@ class TestCatBasis:
                 mx.CatBasis(bad)
         for gamma in (smallest, 1e-154):
             assert math.isfinite(mx.CatBasis(gamma).n_minus**2)
+
+    def test_norms_computed_once(self, monkeypatch):
+        # the norms are computed at construction; repr, == and hash see gamma alone
+        calls = []
+        norms = states._cat_norms
+        monkeypatch.setattr(states, "_cat_norms", lambda g: calls.append(g) or norms(g))
+        basis = mx.CatBasis(2.0)
+        assert (basis.n_plus, basis.n_minus, basis.n_plus, basis.n_minus) == norms(2.0) * 2
+        assert calls == [2.0]
+        assert repr(basis) == "CatBasis(gamma=2.0)"
+        assert basis == mx.CatBasis(2.0) != mx.CatBasis(3.0)
+        assert hash(basis) == hash(mx.CatBasis(2.0))
 
 
 class TestThermalParams:
