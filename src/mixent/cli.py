@@ -25,16 +25,16 @@ columns, from the unnormalized kernel.  The library constructors raise
 :class:`~mixent.qlinalg.DegenerateStateError` for these points instead.
 
 A sweep runs in blocks of ``SWEEP_BLOCK`` rows: it checks a block's parameters
-at its smallest and largest swept value, computes its states with one call of
-the scheme's block function and scores them with one stacked NPT.  Under
-``--validate`` the block's oracle matrices come from one call of the oracle's
-block function, and a validation grid is one block.  Where a block has a bad
-parameter its rows are built one at a time, each with its oracle, so the
-first faulty row decides the error.  The ``--out`` path is checked before the
-first row (an existing FIFO with ``os.access``, so that its reader sees no
-early end of file) and written once the rows are done; a run that ends in an
-error leaves a file that was there before as it was, and removes one it
-created.
+at its smallest and largest swept value, calls the scheme's block function
+once and scores the states of its result with one stacked NPT.  Under
+``--validate`` the kernels of the same result are compared with the block's
+oracle matrices, which come from one call of the oracle's block function; a
+validation grid is one block.  Where a block has a bad parameter its rows are
+built one at a time, each with its oracle, so the first faulty row decides the
+error.  The ``--out`` path is checked before the first row (an existing FIFO
+with ``os.access``, so that its reader sees no early end of file) and written
+once the rows are done; a run that ends in an error leaves a file that was
+there before as it was, and removes one it created.
 
 Exit codes: 0 success, 2 invalid specification or unwritable ``--out``, 3
 oracle deviation above tolerance or an unstable oracle.  CSV files start with the schema comment
@@ -132,21 +132,19 @@ def _bs_args(v):
 class _SchemeDef:
     """How the CLI evaluates and validates one scheme.
 
-    ``block`` computes the states of N rows from one column of values per
-    parameter, in the order of ``params``: the scheme's block function in
-    :mod:`mixent.schemes`, resolved at call time.  ``closed`` is the block
-    function, over the same columns, of the closed form that the oracle
-    reproduces where that is not the state itself (None where it is): it
-    returns the (N, 4, 4) stack.  ``oracle`` is the oracle's block function
-    over the same columns (``oracle.jc_fock_block`` or
+    ``block`` is the scheme's block function in :mod:`mixent.schemes`,
+    resolved at call time: from one column of values per parameter, in the
+    order of ``params``, it returns the one result of N rows that
+    ``schemes.block_states`` turns into states and ``schemes.block_kernels``
+    into the kernels that the oracle reproduces.  ``oracle`` is the oracle's
+    block function over the same columns (``oracle.jc_fock_block`` or
     ``oracle.quadrature_block``), resolved at call time; it returns the
-    (N, 4, 4) stack too.
+    (N, 4, 4) stack of those kernels.
     """
 
     params: tuple
     args: callable
     block: callable
-    closed: callable | None
     oracle: callable
     tolerance: float
 
@@ -160,7 +158,6 @@ SCHEMES = {
         ("p", "lam", "gt", "n"),
         _jc_args,
         lambda *columns: schemes.jc_block(*columns),
-        None,
         lambda *columns: oracle.jc_fock_block(*columns),
         _JC_TOL,
     ),
@@ -168,7 +165,6 @@ SCHEMES = {
         ("r", "V", "d", "gamma"),
         _cat_args,
         lambda *columns: schemes.kerr_micro_thermal_block(*columns),
-        None,
         lambda r, V, d, gamma: oracle.quadrature_block("kerr_micro_thermal", r, V, d, gamma, None),
         _KERR_TOL,
     ),
@@ -176,7 +172,6 @@ SCHEMES = {
         ("r", "V", "d", "gamma", "sign"),
         _bs_args,
         lambda *columns: schemes.bs_scheme_block(*columns),
-        lambda *columns: schemes.bs_kernel_block(*columns),
         lambda *columns: oracle.quadrature_block("bs", *columns),
         _KERR_TOL,
     ),
@@ -184,7 +179,6 @@ SCHEMES = {
         ("r", "V", "d", "gamma", "sign"),
         _cat_args,
         lambda *columns: schemes.tt_scheme_block(*columns),
-        lambda *columns: schemes.tt_kernel_block(*columns),
         lambda *columns: oracle.quadrature_block("tt", *columns),
         _KERR_TOL,
     ),
@@ -192,7 +186,6 @@ SCHEMES = {
         ("V", "d", "gamma"),
         _cat_args,
         lambda *columns: schemes.direct_kerr_block(*columns),
-        None,
         lambda V, d, gamma: oracle.quadrature_block("direct_kerr", None, V, d, gamma, None),
         _KERR_TOL,
     ),
@@ -269,17 +262,15 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-def _closed_vs_oracle(sdef: _SchemeDef, columns: list, states):
-    """The oracle matrices of N rows and each closed form's largest deviation from its row's.
+def _closed_vs_oracle(sdef: _SchemeDef, columns: list, result):
+    """The oracle matrices of N rows and each closed kernel's largest deviation from its row's.
 
-    ``columns`` holds the rows' parameter columns and ``states`` the (N, 4, 4)
-    stack of their states: the closed forms where the scheme has no
-    ``closed``.  The closed forms and the oracle matrices each come from one
-    block call.
+    ``columns`` holds the rows' parameter columns and ``result`` what the
+    scheme's block function returned for them; the oracle matrices come from
+    one block call.
     """
-    closed = sdef.closed(*columns) if sdef.closed else states
     refs = sdef.oracle(*columns)
-    return refs, np.abs(closed - refs).max(axis=(1, 2))
+    return refs, np.abs(schemes.block_kernels(*result) - refs).max(axis=(1, 2))
 
 
 # Rows evaluated together: one stacked NPT per block, and memory bounded by
@@ -329,13 +320,14 @@ def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: list, first: int):
     """
     _check_rows(spec, sdef, xs)
     params = _columns(spec, sdef, xs)
-    normalized, factors = sdef.block(*params)
+    result = sdef.block(*params)
+    normalized, factors = schemes.block_states(*result)
     states = normalized * factors[:, None, None]
     traces = np.trace(states, axis1=1, axis2=2).real
     columns = [xs, qlinalg._npt_stack(normalized).tolist(), traces.tolist()]
     failed = []
     if spec.validate_tol is not None:
-        refs, deviations = _closed_vs_oracle(sdef, params, states)
+        refs, deviations = _closed_vs_oracle(sdef, params, result)
         deviations = deviations.tolist()
         columns += [qlinalg._npt_stack(refs).tolist(), deviations]
         failed = [(i, d) for i, d in enumerate(deviations, first) if d > spec.validate_tol]
@@ -451,11 +443,7 @@ def validate_grid(name: str, tol: float | None = None):
     tol = sdef.tolerance if tol is None else tol
     points = _grid_points(name)
     columns = [[p[k] for p in points] for k in sdef.params]
-    states = None
-    if not sdef.closed:  # the states are the closed forms
-        normalized, factors = sdef.block(*columns)
-        states = normalized * factors[:, None, None]
-    deviations = _closed_vs_oracle(sdef, columns, states)[1]
+    deviations = _closed_vs_oracle(sdef, columns, sdef.block(*columns))[1]
     worst = int(np.argmax(deviations))  # the first of equal maxima
     return float(deviations[worst]), points[worst], tol
 
@@ -583,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const="default",
         metavar="TOL",
-        help="run the oracle per row; optional tolerance override",
+        help="oracle check per row, one oracle call per block; optional tolerance override",
     )
     sweep.add_argument("--config", metavar="PATH", help="flat key=value config file")
 

@@ -9,6 +9,8 @@ Eigenvalues come from LAPACK (``np.linalg.eigvalsh``).  Where a separable
 state's partial transpose has a smallest eigenvalue of exactly 0, LAPACK
 returns roundoff of either sign; one zero rule (``NPT_ZERO_BOUND``) turns every
 smallest eigenvalue inside the solver's error bound into an NPT of exactly 0.
+Its mirror caps the NPT at 1: the partial transpose of a unit-trace PSD state
+has no eigenvalue below -1/2, so a larger value is roundoff as well.
 One scorer, ``_npt_stack``, computes every NPT with one ``eigvalsh`` call
 over a stack: sweeps pass it a block of rows, the scheme constructors one
 state, and :func:`npt` one matrix.
@@ -158,7 +160,8 @@ def npt(m: BipartiteMatrix) -> float:
     The matrix is first normalized by its trace, which is the convention used
     for every projected state in this package (the absolute scale carries no
     information).  An ``eps`` within ``NPT_ZERO_BOUND`` times the largest
-    |eigenvalue| of 0 gives exactly 0.
+    |eigenvalue| of 0 gives exactly 0, and an ``eps`` below -1/2 gives 1 (it
+    is roundoff for a PSD matrix; a matrix that is not PSD reads at most 1 too).
     """
     value = float(_npt_stack(m.entries[None], m.dim_a, m.dim_b)[0])
     if math.isnan(value):
@@ -191,8 +194,9 @@ def _npt_stack(entries, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
         _symmetrized_entries(scaled[np.argmax(~(defects.max(axis=(1, 2)) < HERMITICITY_TOL))])
     w = np.linalg.eigvalsh((scaled + adjoint) / 2.0)
     # w ascends and sums to 1, so max |w| = max(-w[0], w[-1]) with w[-1] > 0, and the
-    # bound (a power of 2 below 1) times it is below -w[0] iff the bound times w[-1] is
-    values = np.where(-w[:, 0] > NPT_ZERO_BOUND * w[:, -1], -2.0 * w[:, 0], 0.0)
+    # bound (a power of 2 below 1) times it is below -w[0] iff the bound times w[-1] is;
+    # w[0] >= -1/2 for a unit-trace PSD state, so an NPT above 1 is roundoff
+    values = np.where(-w[:, 0] > NPT_ZERO_BOUND * w[:, -1], np.minimum(-2.0 * w[:, 0], 1.0), 0.0)
     if whole:
         return values
     out = np.full(len(stack), np.nan)

@@ -42,12 +42,19 @@ and each scheme is a fixed sandwich of K, written once over a leading axis of ro
 
 A block function takes one list per parameter, in the CLI's parameter order,
 holding N rows of Python floats (ints for ``n`` and ``sign``); it does not check
-them.  It returns the kernel-normalized (N, 4, 4) stack and the (N,) factors
-to the state; a degenerate row (vanishing conditioning probability) is the
-zero matrix at factor NaN.  A row's own arithmetic runs on Python floats with
-``math``: numpy's ``exp``, ``log`` and powers can differ from it in the last bit,
-and floats beat arrays at one row.  The sandwiches and the ``bs`` grid's ``exp``
-run on arrays.
+them.  It returns one result, ``(normalized, log_scales, probs)``: the
+kernel-normalized (N, 4, 4) stack, the N log scales and the N probabilities of
+the measurement outcome, 2 +- 2 r sigma^power for ``bs`` and ``tt`` and 1 for
+the other three.  Everything else is derived from it here:
+``block_kernels`` gives the kernels normalized * exp(log_scale), which the
+oracle reproduces for every scheme, and ``block_states`` the states' factors
+exp(log_scale) / prob; a degenerate row (an outcome probability below
+``_DEGENERATE_PROB``) is the zero matrix at factor NaN.  As exp(x) / 1 is
+exp(x), the factors of ``jc``, ``kerr_micro_thermal`` and ``direct_kerr`` are
+their kernels' scales.  A row's own arithmetic runs on Python floats with
+``math``: numpy's ``exp``, ``log`` and powers can differ from it in the last
+bit, and floats beat arrays at one row.  The sandwiches and the ``bs`` grid's
+``exp`` run on arrays.
 
 Nothing cancels in K or the ``bs`` grid: c - r, O(gamma^2) at small gamma, is a
 sum of two terms >= 0; log c and the ``bs`` log scale are completed squares.
@@ -55,9 +62,9 @@ sum of two terms >= 0; log c and the ``bs`` log scale are completed squares.
 All projected matrices are built from trace-one pre-projection states, so
 their traces lie in (0, 1] (local projections are not unitary).  The
 ``*_kernel`` variants of the beam-splitter and two-thermal schemes return the
-conditional state *before* its measurement normalization; they exist so that
-oracle comparisons stay meaningful even where the conditioning probability
-vanishes.
+conditional state *before* its measurement normalization, ``block_kernels`` at
+one row; they exist so that oracle comparisons stay meaningful even where the
+conditioning probability vanishes.
 """
 
 from __future__ import annotations
@@ -125,8 +132,33 @@ class SchemeOutput:
         return self.matrix.trace().real
 
 
-def _output(normalized: np.ndarray, factors: np.ndarray) -> SchemeOutput:
-    """The one row of a block function's result; a NaN (degenerate) factor raises."""
+def block_kernels(normalized, log_scales, probs) -> np.ndarray:
+    """The kernels normalized * exp(log_scale) of a block function's result.
+
+    They are what the oracle reproduces, for every scheme.
+    """
+    return normalized * np.array([math.exp(s) for s in log_scales])[:, None, None]
+
+
+def block_states(normalized, log_scales, probs) -> tuple:
+    """The states of a block function's result: a normalized (N, 4, 4) stack and (N,) factors.
+
+    A row's factor is exp(log_scale) / prob.  A row whose outcome probability
+    is below ``_DEGENERATE_PROB`` has no state: it is the zero matrix (in a
+    copy; ``normalized`` is left as it is) at factor NaN.
+    """
+    factors = [
+        math.exp(s) / p if p >= _DEGENERATE_PROB else math.nan for s, p in zip(log_scales, probs)
+    ]
+    if math.isnan(sum(factors)):  # the other factors are finite and >= 0
+        normalized = normalized.copy()
+        normalized[[i for i, f in enumerate(factors) if math.isnan(f)]] = 0.0
+    return normalized, np.array(factors)
+
+
+def _output(*result) -> SchemeOutput:
+    """The one row of a block function's result; a degenerate row raises."""
+    normalized, factors = block_states(*result)
     factor = float(factors[0])
     if math.isnan(factor):
         message = "conditioning outcome has vanishing probability for these parameters"
@@ -148,9 +180,9 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
 
 
 def jc_block(p, lam, gt, n):
-    """States of ``jc_projected`` for N rows: (N, 4, 4) stack and (N,) factors, all 1."""
+    """``jc_projected`` for N rows: the (N, 4, 4) states, log scales 0 and probabilities 1."""
     states = np.array([_jc_row(*row) for row in zip(p, lam, gt, n)], dtype=np.complex128)
-    return states, np.ones(len(p))
+    return states, [0.0] * len(p), [1.0] * len(p)
 
 
 def _jc_row(p: float, lam: float, gt: float, n: int) -> tuple:
@@ -223,14 +255,14 @@ def kerr_micro_thermal_projected(
 
 
 def kerr_micro_thermal_block(r, V, d, gamma):
-    """States of ``kerr_micro_thermal_projected`` for N rows: Z (mu (x) K) Z and c."""
+    """``kerr_micro_thermal_projected`` for N rows: Z (mu (x) K) Z, log c and probabilities 1."""
     k, log_c = _cat_stack(V, d, gamma)
     mu = np.array([((0.5, 0.5 * x), (0.5 * x, 0.5)) for x in r])
-    return (_kron(mu, k) * _ZZ).astype(np.complex128), np.array([math.exp(x) for x in log_c])
+    return (_kron(mu, k) * _ZZ).astype(np.complex128), log_c, [1.0] * len(r)
 
 
 # S = (C (x) C)[R, R J] of the beam-splitter kernel D S (c (x) X) S^T D
-# (_bs_kernels): C = [[1, 1], [1, -1]] holds the cat coefficients of
+# (bs_scheme_block): C = [[1, 1], [1, -1]] holds the cat coefficients of
 # (|g>, |-g>), R sums the coherent components (i1, i3) onto their grid point
 # a = g (e1 - e3), and J flips the grid.
 _BS_S = np.array(
@@ -255,8 +287,8 @@ def _check_bs_gamma(g: float) -> float:
     return g
 
 
-def _bs_kernels(r, V, d, gamma, sign):
-    """Cat-projected beam-splitter kernels of N rows: normalized (N, 4, 4) and log scales.
+def bs_scheme_block(r, V, d, gamma, sign):
+    """``bs_scheme_projected`` for N rows: normalized kernels, log scales and outcome probabilities.
 
     Splitting halves the amplitude, which is absorbed by rescaling the
     thermal weight to effective variance v = (V+1)/2 and displacement
@@ -265,7 +297,8 @@ def _bs_kernels(r, V, d, gamma, sign):
     (1/v) exp[(-2 d'^2 + d' (a+b))/v + a b (v-1)/(2v) - 2 g^2] at only nine
     points (a, b) = 2 g (alpha, beta) in {-2 g, 0, 2 g}^2, the grid X.  With
     c = [[1, +-r], [+-r, 1]] the term weights and D = diag(N (x) N) the cat
-    norms, the kernel is D S (c (x) X) S^T D (``_BS_S``).
+    norms, the kernel is D S (c (x) X) S^T D (``_BS_S``).  The outcome
+    probability is 2 +- 2 r sigma (``_outcome_probs``).
 
     The largest exponent, at a = b = 2 g sgn(d'), is the completed square
     -2 (|d'| - g)^2/v - log v, the log scale; each other one lies below it by
@@ -277,7 +310,7 @@ def _bs_kernels(r, V, d, gamma, sign):
     x = np.exp(rows[:, :9]).reshape(-1, 3, 3)  # an exponent past the double range is -inf
     c, dd = rows[:, 9:13].reshape(-1, 2, 2), rows[:, 13:17]
     out = dd[:, :, None] * (_BS_S @ _kron(c, x) @ _BS_S.T) * dd[:, None, :]
-    return out.astype(np.complex128), rows[:, 17].tolist()
+    return out.astype(np.complex128), rows[:, 17].tolist(), _outcome_probs(r, V, d, sign, 1)
 
 
 def _bs_row(r: float, v: float, d: float, g: float, sign: int) -> list:
@@ -300,34 +333,8 @@ def bs_projected_kernel(
 
     Raises ``ValueError`` for gamma below ``BS_GAMMA_FLOOR``.
     """
-    return BipartiteMatrix(2, 2, bs_kernel_block(*_pair_columns(m, t, basis, sign))[0])
-
-
-def bs_kernel_block(r, V, d, gamma, sign):
-    """Kernels of ``bs_projected_kernel`` for N rows, as an (N, 4, 4) stack."""
-    return _scaled(*_bs_kernels(r, V, d, gamma, sign))
-
-
-def _scaled(normalized, log_scales):
-    """Kernels from their normalized stack and log scales."""
-    return normalized * np.array([math.exp(s) for s in log_scales])[:, None, None]
-
-
-def _conditioned(normalized, log_scales, r, V, d, sign, power):
-    """A cat-pair scheme's states from its kernels, conditioned on trace 2 +- 2 r sigma^power.
-
-    sigma = exp(-2 d^2/V)/V is the trace of one mode's parity-flip sandwich
-    operator.  A row whose outcome probability falls below the degeneracy
-    floor becomes the zero matrix at factor NaN.
-    """
-    factors = []
-    for log_scale, r_, v, x, s in zip(log_scales, r, V, d, sign):
-        denom = 2.0 + s * 2.0 * r_ * (math.exp(-2.0 * x**2 / v) / v) ** power
-        factors.append(math.exp(log_scale) / denom if denom >= _DEGENERATE_PROB else math.nan)
-    degenerate = [i for i, f in enumerate(factors) if math.isnan(f)]
-    if degenerate:
-        normalized[degenerate] = 0.0
-    return normalized, np.array(factors)
+    result = bs_scheme_block(*_pair_columns(m, t, basis, sign))
+    return BipartiteMatrix(2, 2, block_kernels(*result)[0])
 
 
 def bs_scheme_projected(
@@ -343,16 +350,16 @@ def bs_scheme_projected(
     return _output(*bs_scheme_block(*_pair_columns(m, t, basis, sign)))
 
 
-def bs_scheme_block(r, V, d, gamma, sign):
-    """States of ``bs_scheme_projected`` for N rows (module docstring)."""
-    return _conditioned(*_bs_kernels(r, V, d, gamma, sign), r, V, d, sign, 1)
+def _outcome_probs(r, V, d, sign, power):
+    """The traces 2 +- 2 r sigma^power of a cat-pair scheme's kernels before projection.
 
-
-def _tt_kernels(r, V, d, gamma, sign):
-    """(K (x) K) o weights of N rows, and their log scales 2 log c."""
-    k, log_c = _cat_stack(V, d, gamma)
-    weights = _TT_EVEN + np.array([s * x for s, x in zip(sign, r)])[:, None, None] * _TT_ODD
-    return (_kron(k, k) * weights).astype(np.complex128), [2.0 * x for x in log_c]
+    sigma = exp(-2 d^2/V)/V is the trace of one mode's parity-flip sandwich
+    operator; the power counts the thermal modes.
+    """
+    return [
+        2.0 + s * 2.0 * r_ * (math.exp(-2.0 * x**2 / v) / v) ** power
+        for r_, v, x, s in zip(r, V, d, sign)
+    ]
 
 
 def tt_projected_kernel(
@@ -367,12 +374,8 @@ def tt_projected_kernel(
     both, so the kernel is (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)),
     pi = (1, -1, -1, 1).
     """
-    return BipartiteMatrix(2, 2, tt_kernel_block(*_pair_columns(m, t, basis, sign))[0])
-
-
-def tt_kernel_block(r, V, d, gamma, sign):
-    """Kernels of ``tt_projected_kernel`` for N rows, as an (N, 4, 4) stack."""
-    return _scaled(*_tt_kernels(r, V, d, gamma, sign))
+    result = tt_scheme_block(*_pair_columns(m, t, basis, sign))
+    return BipartiteMatrix(2, 2, block_kernels(*result)[0])
 
 
 def tt_scheme_projected(
@@ -387,8 +390,11 @@ def tt_scheme_projected(
 
 
 def tt_scheme_block(r, V, d, gamma, sign):
-    """States of ``tt_scheme_projected`` for N rows (module docstring)."""
-    return _conditioned(*_tt_kernels(r, V, d, gamma, sign), r, V, d, sign, 2)
+    """``tt_scheme_projected`` for N rows: (K (x) K) o weights, 2 log c, outcome probabilities."""
+    k, log_c = _cat_stack(V, d, gamma)
+    weights = _TT_EVEN + np.array([s * x for s, x in zip(sign, r)])[:, None, None] * _TT_ODD
+    kernels = (_kron(k, k) * weights).astype(np.complex128)
+    return kernels, [2.0 * x for x in log_c], _outcome_probs(r, V, d, sign, 2)
 
 
 def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
@@ -405,9 +411,9 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
 
 
 def direct_kerr_block(V, d, gamma):
-    """States of ``direct_kerr_projected`` for N rows: Z (K (x) K) Z and c^2."""
+    """``direct_kerr_projected`` for N rows: Z (K (x) K) Z, 2 log c and probabilities 1."""
     k, log_c = _cat_stack(V, d, gamma)
-    return (_kron(k, k) * _ZZ).astype(np.complex128), np.array([math.exp(2.0 * x) for x in log_c])
+    return (_kron(k, k) * _ZZ).astype(np.complex128), [2.0 * x for x in log_c], [1.0] * len(V)
 
 
 def _pair_columns(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int) -> tuple:

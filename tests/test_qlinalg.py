@@ -220,8 +220,8 @@ def reference_npt(entries, dim_a=2, dim_b=2):
 
     The partial transpose is built entry by entry, scaled by the reciprocal of
     its trace (as the scorer does, so the bits agree), symmetrized and solved
-    by a 2-D ``eigvalsh``; then the zero rule.  NaN where the trace fails the
-    floor.
+    by a 2-D ``eigvalsh``; then the zero rule and the cap at 1.  NaN where the
+    trace fails the floor.
     """
     size = dim_a * dim_b
     pt = np.empty((size, size), dtype=complex)
@@ -232,7 +232,7 @@ def reference_npt(entries, dim_a=2, dim_b=2):
         return float("nan")
     scaled = pt * (1.0 / tr)
     w = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0)
-    return -2.0 * w[0] if -w[0] > qlinalg.NPT_ZERO_BOUND * np.abs(w).max() else 0.0
+    return min(-2.0 * w[0], 1.0) if -w[0] > qlinalg.NPT_ZERO_BOUND * np.abs(w).max() else 0.0
 
 
 def scalar_npts(stack):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
-from mixent import schemes
+from mixent import qlinalg, schemes
 from mixent.qlinalg import DegenerateStateError
 from mixent.schemes import (
     bs_projected_kernel,
@@ -29,6 +29,11 @@ def assert_state_invariants(out):
     tr = out.trace
     assert 0.0 < tr <= 1.0 + 1e-10
     assert mx.min_eigenvalue(m.scaled(1.0 / tr)) >= -1e-10
+
+
+def one_state(result):
+    """(kernel-normalized state, factor) of a one-row block result; the factor is NaN where degenerate."""
+    return tuple(x[0] for x in schemes.block_states(*result))
 
 
 def fock_coherent(alpha, dim):
@@ -76,6 +81,29 @@ class TestJcProjected:
         out = jc_projected(mx.AtomFieldParams(p=0.0, lam=0.0, gt=0.3, n=3))
         assert math.isnan(out.npt_normalized)
         assert np.max(np.abs(out.matrix.entries)) == 0.0
+
+    @pytest.mark.parametrize("lam", [0.5, 0.9, 0.999999])
+    def test_ppt_boundary_in_excited_population(self, lam):
+        # The partial transpose of the n = 0 state is an X-state, NPT iff
+        # |m12|^2 > m00 m33.  Above p = 1/2, p* is the excited population
+        # where that first holds at some gt of a period; the NPT is exactly
+        # 0 at every gt just below it and positive at some gt just above.
+        # At lam = 0.999999 the field purity (1 - lam)/(1 + lam) is 5e-7.
+        gt = np.linspace(2.0 * math.pi / 400, 2.0 * math.pi, 400).tolist()
+
+        def entangled(p):
+            m = schemes.jc_block([p] * len(gt), [lam] * len(gt), gt, [0] * len(gt))[0]
+            return (np.abs(m[:, 1, 2]) ** 2 > m[:, 0, 0].real * m[:, 3, 3].real).any()
+
+        lo, hi = 0.5, 1.0
+        assert not entangled(lo) and entangled(hi)
+        for _ in range(40):
+            mid = (lo + hi) / 2.0
+            lo, hi = (lo, mid) if entangled(mid) else (mid, hi)
+        below = [jc_projected(mx.AtomFieldParams(hi - 1e-3, lam, x, 0)).npt_normalized for x in gt]
+        above = [jc_projected(mx.AtomFieldParams(hi + 1e-3, lam, x, 0)).npt_normalized for x in gt]
+        assert all(value == 0.0 for value in below), (lam, hi)
+        assert max(above) > 0.0, (lam, hi)
 
 
 class TestKerrMicroThermal:
@@ -146,6 +174,20 @@ class TestBeamSplitterScheme:
         # the kernel itself is the zero matrix there
         k = bs_projected_kernel(mx.MicroState(1.0), mx.ThermalParams(1.0, 0.0), G2, -1)
         assert np.max(np.abs(k.entries)) < 1e-15
+
+    @pytest.mark.parametrize("block", [schemes.bs_scheme_block, schemes.tt_scheme_block])
+    def test_degenerate_row_zeroed_in_a_copy(self, block):
+        # at d = 1e-7 the outcome probability is below the floor but the
+        # kernel is not zero; the block result, whose kernels the oracle
+        # checks, keeps it
+        result = block([1.0, 1.0], [1.0, 3.0], [1e-7, 1.0], [2.0, 2.0], [-1, -1])
+        before = result[0].copy()
+        normalized, factors = schemes.block_states(*result)
+        assert math.isnan(factors[0]) and math.isfinite(factors[1])
+        assert not normalized[0].any() and before[0].any()
+        assert np.array_equal(normalized[1], before[1])
+        assert np.array_equal(result[0], before)
+        assert np.array_equal(schemes.block_kernels(*result)[0], before[0] * math.exp(result[1][0]))
 
     def test_coherent_limit_matches_pure_state_algebra(self):
         r, d, sign = 0.6, 1.8, 1
@@ -406,7 +448,8 @@ class TestBeamSplitterKernelBits:
         for r, v, d, gamma, sign in self.draws():
             args = (mx.MicroState(r), mx.ThermalParams(v, d), mx.CatBasis(gamma), sign)
             at = (r, v, d, gamma, sign)
-            out, log_shift = (x[0] for x in schemes._bs_kernels([r], [v], [d], [gamma], [sign]))
+            result = schemes.bs_scheme_block([r], [v], [d], [gamma], [sign])
+            out, log_shift = (x[0] for x in result[:2])
             ref, ref_shift = reference_bs_kernel(*args)
             assert np.abs(out - ref).max() <= 1e-11 * np.abs(ref).max(), at
             assert abs(log_shift - ref_shift) <= 1e-13 * max(1.0, abs(ref_shift)), at
@@ -590,7 +633,7 @@ class TestSchemeOutputInvariants:
     @staticmethod
     def npt_in_range(out):
         value = out.npt_normalized
-        assert 0.0 <= value <= 1.0 + 4.0 * np.finfo(float).eps, value
+        assert 0.0 <= value <= 1.0, value
         return value
 
     def test_npt_even_in_displacement_over_domain(self):
@@ -632,18 +675,18 @@ class TestSchemeOutputInvariants:
                 n=int(rng.integers(0, 21)),
             )
             columns = [params.p], [params.lam], [params.gt], [params.n]
-            return tuple(x[0] for x in schemes.jc_block(*columns))
+            return one_state(schemes.jc_block(*columns))
         d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 3.0)
         thermal = mx.ThermalParams(10.0 ** rng.uniform(0.0, 6.0), d)
         basis = mx.CatBasis(10.0 ** rng.uniform(-0.5, 0.7))
         cat = [thermal.variance], [thermal.displacement], [basis.gamma]
         if variant == "direct":
-            return tuple(x[0] for x in schemes.direct_kerr_block(*cat))
+            return one_state(schemes.direct_kerr_block(*cat))
         micro = mx.MicroState(rng.uniform(0.0, 1.0))
         if variant == "kerr":
-            return tuple(x[0] for x in schemes.kerr_micro_thermal_block([micro.r], *cat))
+            return one_state(schemes.kerr_micro_thermal_block([micro.r], *cat))
         block = schemes.bs_scheme_block if variant[:2] == "bs" else schemes.tt_scheme_block
-        return tuple(x[0] for x in block([micro.r], *cat, [1 if variant[2] == "+" else -1]))
+        return one_state(block([micro.r], *cat, [1 if variant[2] == "+" else -1]))
 
     def test_states_are_positive_semidefinite(self):
         rng = np.random.default_rng(47)
@@ -678,6 +721,46 @@ class TestSchemeOutputInvariants:
             for scheme, sign, closed in pairs:
                 ref = mx.quadrature_projected(scheme, thermal=thermal, basis=basis, micro=micro, sign=sign)
                 assert mx.max_abs_deviation(closed, ref) <= 1e-8, (scheme, sign, at)
+
+    def test_npt_capped_at_one(self):
+        # the smallest eigenvalue of this state's partial transpose is -1/2
+        # less roundoff, which read 1.000000000000001 before the cap
+        out = direct_kerr_projected(
+            mx.ThermalParams(2.2517528079403712, 155.6804340716053), mx.CatBasis(3.6569327158151372)
+        )
+        assert out.npt_normalized == 1.0
+        assert out.trace == 0.0
+
+    def test_cat_blocks_over_joint_domain(self):
+        # Seeded joint draws: V - 1 in [1e-12, 1e308], |d| in [1e-12, 1e150]
+        # of both signs, gamma in [1e-2, 1e150] (all log-uniform), r in
+        # {0, 1, uniform} and both outcome signs, through the four cat block
+        # functions at once.
+        rng = np.random.default_rng(2406)
+        count = 400
+        v = [1.0 + 10.0 ** rng.uniform(-12.0, 308.0) for _ in range(count)]
+        d = [float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 150.0)) for _ in range(count)]
+        g = [10.0 ** rng.uniform(-2.0, 150.0) for _ in range(count)]
+        r = [float(rng.choice([0.0, 1.0, rng.uniform()])) for _ in range(count)]
+        sign = [int(rng.choice([1, -1])) for _ in range(count)]
+        results = {
+            "kerr_micro_thermal": schemes.kerr_micro_thermal_block(r, v, d, g),
+            "bs": schemes.bs_scheme_block(r, v, d, g, sign),
+            "tt": schemes.tt_scheme_block(r, v, d, g, sign),
+            "direct_kerr": schemes.direct_kerr_block(v, d, g),
+        }
+        for name, result in results.items():
+            normalized, factors = schemes.block_states(*result)
+            usable = ~np.isnan(factors)
+            assert usable.tolist() == [p >= schemes._DEGENERATE_PROB for p in result[2]], name
+            normalized, factors = normalized[usable], factors[usable]
+            kernel_traces = np.trace(normalized, axis1=1, axis2=2).real
+            traces = kernel_traces * factors
+            assert ((traces >= 0.0) & (traces <= 1.0)).all(), (name, traces.min(), traces.max())
+            lowest = np.linalg.eigvalsh(normalized / kernel_traces[:, None, None])[:, 0]
+            assert lowest.min() >= -1e-12, (name, lowest.min())
+            npts = qlinalg._npt_stack(normalized)
+            assert ((npts >= 0.0) & (npts <= 1.0)).all(), (name, npts.min(), npts.max())
 
     def test_npt_vanishes_without_micro_coherence(self):
         # r = 0 makes the state separable: its NPT is an exact zero, also near
