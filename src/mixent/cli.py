@@ -31,10 +31,10 @@ once and scores the states of its result with one stacked NPT.  Under
 oracle matrices, which come from one call of the oracle's block function; a
 validation grid is one block.  Where a block has a bad parameter its rows are
 built one at a time, each with its oracle, so the first faulty row decides the
-error.  The ``--out`` path is checked before the first row (an existing FIFO
-with ``os.access``, so that its reader sees no early end of file) and written
-once the rows are done; a run that ends in an error leaves a file that was
-there before as it was, and removes one it created.
+error.  The ``--out`` path is checked before the first row without opening or
+creating anything, and opened once, to write the CSV, when the rows are done;
+a run that fails before that write creates nothing and leaves what was there
+as it was.
 
 Exit codes: 0 success, 2 invalid specification or unwritable ``--out``, 3
 oracle deviation above tolerance or an unstable oracle.  CSV files start with the schema comment
@@ -49,7 +49,6 @@ import errno
 import functools
 import math
 import os
-import stat
 import sys
 from dataclasses import dataclass, replace
 
@@ -110,14 +109,14 @@ def _as_sign(value):
 
 
 def _jc_args(v):
-    return {"params": AtomFieldParams(p=v["p"], lam=v["lam"], gt=v["gt"], n=_as_int(v["n"], "n"))}
+    return {"params": AtomFieldParams(p=v["p"], lam=v["lam"], gt=v["gt"], n=v["n"])}
 
 
 def _cat_args(v):
     args = {"micro": MicroState(v["r"])} if "r" in v else {}
     args.update(thermal=ThermalParams(v["V"], v["d"]), basis=CatBasis(v["gamma"]))
     if "sign" in v:
-        args["sign"] = _as_sign(v["sign"])
+        args["sign"] = v["sign"]
     return args
 
 
@@ -259,7 +258,9 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
         raise SpecError(f"unknown parameters for {spec.scheme}: {extra}")
     if name in spec.fixed:
         raise SpecError(f"{name!r} is both fixed and swept")
-    return spec
+    convert = {"sign": _as_sign, "n": lambda v: _as_int(v, "n")}
+    fixed = {k: convert[k](v) if k in convert else v for k, v in spec.fixed.items()}
+    return replace(spec, fixed=fixed)
 
 
 def _closed_vs_oracle(sdef: _SchemeDef, columns: list, result):
@@ -281,27 +282,27 @@ SWEEP_BLOCK = 256
 def _columns(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> list:
     """The parameter columns of the rows at ``xs``, in the order of ``sdef.params``.
 
-    The fixed values are converted as the parameter dataclasses store them.
+    The real parameters are converted as the parameter dataclasses store
+    them; ``_check_spec`` has converted ``n`` and ``sign``.
     """
     name = spec.sweep[0]
-    convert = {"sign": _as_sign, "n": lambda v: _as_int(v, "n")}
-    fixed = {k: convert.get(k, lambda v: complex(v).real)(v) for k, v in spec.fixed.items()}
+    fixed = {k: v if k in ("n", "sign") else complex(v).real for k, v in spec.fixed.items()}
     return [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
 
 
 def _check_rows(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> None:
     """Raise what the first bad row of a block raises, if it has one.
 
-    Every parameter rule is an interval in the swept value, so the block is
-    good if its smallest and largest values build.  If not, its rows are built
-    in order until one raises; under ``--validate`` each row runs the block
-    oracle at that one row, so an unstable oracle at an earlier row raises
-    before a bad parameter at a later one.
+    Every parameter rule is an interval in the swept value, and a sweep's
+    values ascend, so the block is good if its first and last values build.
+    If not, its rows are built in order until one raises; under
+    ``--validate`` each row runs the block oracle at that one row, so an
+    unstable oracle at an earlier row raises before a bad parameter at a
+    later one.
     """
     name = spec.sweep[0]
-    ends = (xs[int(np.argmin(xs))], xs[int(np.argmax(xs))])  # NaN is both
     try:
-        for x in ends:
+        for x in (xs[0], xs[-1]):
             sdef.args({**spec.fixed, name: x})
     except ValueError:
         for x in xs:
@@ -340,8 +341,9 @@ def run_sweep(spec: SweepSpec):
 
     ``failures`` lists (row_index, deviation) for validated rows above
     tolerance; the CSV is complete either way.  An ``out`` path that cannot
-    be written raises :class:`SpecError` before any row is computed.  A run
-    that ends in an error removes the file only if it created it.
+    be written raises :class:`SpecError`: before any row is computed where
+    :func:`_check_out` sees it, else when the CSV is written.  Nothing is
+    opened or created at ``out`` before that write.
     """
     spec = _check_spec(spec)
     sdef = SCHEMES[spec.scheme]
@@ -352,47 +354,39 @@ def run_sweep(spec: SweepSpec):
     lines = [CSV_SCHEMA, ",".join(header)]
     failures = []
     xs = np.linspace(float(start), float(stop), int(count)).tolist()
-    created = spec.out and not os.path.lexists(spec.out)
     if spec.out:
         _check_out(spec.out)
-    try:
-        for first in range(0, len(xs), SWEEP_BLOCK):
-            block, failed = _sweep_block(spec, sdef, xs[first : first + SWEEP_BLOCK], first)
-            lines += block
-            failures += failed
-        csv_text = "\n".join(lines) + "\n"
-        if spec.out:
-            _write_out(spec.out, csv_text)
-    except BaseException:
-        if created:
-            os.remove(spec.out)
-        raise
+    for first in range(0, len(xs), SWEEP_BLOCK):
+        block, failed = _sweep_block(spec, sdef, xs[first : first + SWEEP_BLOCK], first)
+        lines += block
+        failures += failed
+    csv_text = "\n".join(lines) + "\n"
+    if spec.out:
+        try:
+            with open(spec.out, "w", newline="\n") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {spec.out}: {exc.strerror or exc}") from None
     return (3 if failures else 0), csv_text, failures
 
 
 def _check_out(path: str) -> None:
-    """Fail early if ``path`` cannot be written, leaving it as it is.
+    """Fail early if ``path`` plainly cannot be written, without opening or creating it.
 
-    A new or regular path is opened to append nothing.  An existing FIFO is
-    checked with ``os.access`` instead: opening and closing it would hand its
-    reader an end of file before the CSV is written.
+    A directory, a missing parent directory (for a dangling symlink, its
+    target's) and an existing path or new path's parent that ``os.access``
+    refuses fail; the write itself decides the rest.
     """
-    try:
-        fifo = stat.S_ISFIFO(os.stat(path).st_mode)
-    except OSError:
-        fifo = False
-    if not fifo:
-        _write_out(path, "", "a")
-    elif not os.access(path, os.W_OK):
-        raise SpecError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
-
-
-def _write_out(path: str, text: str, mode: str = "w") -> None:
-    try:
-        with open(path, mode, newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from None
+    parent = os.path.dirname(os.path.realpath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise SpecError(f"cannot write {path}: {os.strerror(code)}")
 
 
 # ---------------------------------------------------------------------------

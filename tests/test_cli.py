@@ -403,6 +403,14 @@ class TestMain:
             assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
         assert not missing.parent.exists()
         assert list(tmp_path.iterdir()) == []
+        # a new file's parent or an existing file that os.access refuses
+        old = tmp_path / "old.csv"
+        old.write_text("old\n")
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        for path in (tmp_path / "new.csv", old):
+            assert cli.main(sweep + ["--sweep", "d:0:20:3", "--out", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: cannot write {path}: Permission denied\n"
+        assert list(tmp_path.iterdir()) == [old] and old.read_text() == "old\n"
         assert not calls  # the path is checked before the first row is computed
 
     def test_out_to_a_device(self, capsys):
@@ -447,11 +455,11 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert received == [expected]
 
-    def test_error_after_open_removes_only_a_created_file(self, tmp_path, capsys):
+    def test_failing_run_creates_nothing_and_keeps_existing_files(self, tmp_path, capsys):
         # p, r and lam leave their ranges in the middle of the second block of
-        # rows, V < 1 in the middle of the first: a file the run created is
-        # removed, a file or a symlink that was there is neither emptied nor
-        # removed
+        # rows, V < 1 in the middle of the first: a run that fails after its
+        # --out check creates no file, and a file or a symlink that was there
+        # is neither emptied nor removed
         target = tmp_path / "old.csv"
         target.write_text("old\n")
         link = tmp_path / "link.csv"
@@ -471,6 +479,22 @@ class TestMain:
                 assert capsys.readouterr().err == f"error: {message}, got {first}\n", sweep
             assert not (tmp_path / "new.csv").exists()
             assert target.read_text() == "old\n" and link.is_symlink()
+
+    def test_out_through_a_dangling_symlink(self, tmp_path, capsys):
+        # a failing run creates neither the missing target nor anything else;
+        # a run that succeeds writes the CSV through the link
+        target = tmp_path / "target.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        argv = ["sweep", "--scheme", "kerr_micro_thermal", "--set", "gamma=2", "--set", "d=3"]
+        argv += ["--set", "r=1", "--out", str(link)]
+        assert cli.main(argv + ["--sweep", "V:0:4:5"]) == 2
+        assert capsys.readouterr().err == "error: variance must be >= 1, got 0.0\n"
+        assert sorted(tmp_path.iterdir()) == [link] and not target.exists()
+        assert cli.main(argv + ["--sweep", "V:1:4:5"]) == 0
+        assert cli.main(argv[:-2] + ["--sweep", "V:1:4:5"]) == 0
+        assert target.read_text() == capsys.readouterr().out and link.is_symlink()
+        assert sorted(tmp_path.iterdir()) == [link, target]
 
     def test_validated_error_precedence(self, capsys):
         # under --validate the rows of a block with a bad parameter are built in

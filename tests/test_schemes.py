@@ -368,10 +368,23 @@ def mpmath_cat_state(mpmath, scheme, r, v, d, gamma, sign=1):
     c = scale * mpmath.exp(-2 * (g * g + d * d) / (v + 1)) * mpmath.cosh(y)
     s = scale * mpmath.exp(-2 * (g * g + d * d) / (v + 1)) * mpmath.sinh(y)
     rk = scale * mpmath.exp(-2 * (v * g * g + d * d) / (v + 1))
+    state = mpmath_sandwich(mpmath, scheme, mpmath_cat_block(mpmath, g, c, s, rk), r, sign)
+    if scheme == "tt":
+        sigma = mpmath.exp(-2 * d * d / v) / v
+        state /= 2 + sign * 2 * r * sigma**2
+    return state
+
+
+def mpmath_cat_block(mpmath, g, c, s, rk):
+    """The 2x2 cat block K of amplitude ``g`` from its kernels c, s and r."""
     n_plus = 1 / mpmath.sqrt(2 * (1 + mpmath.exp(-2 * g * g)))
     n_minus = 1 / mpmath.sqrt(2 * (1 - mpmath.exp(-2 * g * g)))
-    k = mpmath.matrix([[n_plus**2 * (c + rk), n_plus * n_minus * s],
-                       [n_plus * n_minus * s, n_minus**2 * (c - rk)]])
+    return mpmath.matrix([[n_plus**2 * (c + rk), n_plus * n_minus * s],
+                          [n_plus * n_minus * s, n_minus**2 * (c - rk)]])
+
+
+def mpmath_sandwich(mpmath, scheme, k, r, sign=1):
+    """A cat-block scheme's state from its 2x2 cat block ``k``; ``tt``'s is not yet conditioned."""
     if scheme == "kerr_micro_thermal":
         first = mpmath.matrix([[0.5, r / 2], [r / 2, 0.5]])
     else:
@@ -385,9 +398,6 @@ def mpmath_cat_state(mpmath, scheme, r, v, d, gamma, sign=1):
         else:  # the controlled sign Z = diag(1, 1, 1, -1) on both sides
             entry *= (-1 if i == 3 else 1) * (-1 if j == 3 else 1)
         state[i, j] = entry
-    if scheme == "tt":
-        sigma = mpmath.exp(-2 * d * d / v) / v
-        state /= 2 + sign * 2 * r * sigma**2
     return state
 
 
@@ -773,3 +783,54 @@ class TestSchemeOutputInvariants:
             for sign in (1, -1):
                 assert self.npt_in_range(bs_scheme_projected(zero, t, basis, sign)) == 0.0, at
                 assert self.npt_in_range(tt_scheme_projected(zero, t, basis, sign)) == 0.0, at
+
+
+class TestVanishingPurity:
+    """The paper's claim as the purity 1/V of the thermal field goes to zero."""
+
+    @staticmethod
+    def limit_npt(mpmath, scheme, r, gamma, t, sign=1):
+        """50-digit NPT of a K scheme's state at lam = (V - 1)/(V + 1) = 1 with d = t (V + 1).
+
+        K depends on V and d only through y = 4 gamma d/(V + 1) and
+        r/c = exp(-2 gamma^2 (V - 1)/(V + 1))/cosh y, so it tends to
+        K_oo = [[N+^2 (1 + rho), N+ N- tanh y], [N+ N- tanh y, N-^2 (1 - rho)]]
+        with y = 4 gamma t and rho = exp(-2 gamma^2)/cosh y, up to the factor c.
+        """
+        with mpmath.workdps(50):
+            g, t, r = (mpmath.mpf(x) for x in (gamma, t, r))
+            y = 4 * g * t
+            rho = mpmath.exp(-2 * g * g) / mpmath.cosh(y)
+            k = mpmath_cat_block(mpmath, g, 1, mpmath.tanh(y), rho)
+            return mpmath_npt(mpmath, mpmath_sandwich(mpmath, scheme, k, r, sign))
+
+    def test_npt_tends_to_the_limit_state(self):
+        # at d = t (V + 1) the NPT converges like 1/V to that of the limit
+        # state; V stops near 1e150, where d^2 is still finite
+        mpmath = pytest.importorskip("mpmath")
+        build = {
+            ("kerr_micro_thermal", 1): kerr_micro_thermal_projected,
+            ("tt", 1): lambda m, t, b: tt_scheme_projected(m, t, b, 1),
+            ("tt", -1): lambda m, t, b: tt_scheme_projected(m, t, b, -1),
+            ("direct_kerr", 1): lambda m, t, b: direct_kerr_projected(t, b),
+        }
+        for (scheme, sign), gamma, r, t in product(build, (1.0, 2.0), (0.5, 1.0), (0.5, 1.0, 2.0)):
+            ref = self.limit_npt(mpmath, scheme, r, gamma, t, sign)
+            for v in (10.0**k for k in range(2, 151, 2)):
+                basis, thermal = mx.CatBasis(gamma), mx.ThermalParams(v, t * (v + 1.0))
+                got = build[scheme, sign](mx.MicroState(r), thermal, basis).npt_normalized
+                assert abs(got - ref) <= 0.1 / v + 1e-12, (scheme, sign, gamma, r, t, v, got, ref)
+        kerr = self.limit_npt(mpmath, "kerr_micro_thermal", 1.0, 2.0, 2.0)
+        assert kerr == pytest.approx(0.99999994373, abs=1e-11)
+
+    def test_bs_entanglement_and_its_price(self):
+        # at d = 0 the bs NPT stays near 1 while the purity 1/V goes to zero,
+        # and the heralding probability falls only like 4/V; at V = 1e3,
+        # V trace is still 1.8% below its limit
+        micro = mx.MicroState(1.0)
+        at = {k: bs_scheme_projected(micro, mx.ThermalParams(10.0**k), G2, 1) for k in range(4, 301)}
+        limit = 1e100 * at[100].trace
+        assert limit == pytest.approx(4.0026819, abs=1e-7)
+        for k, out in at.items():
+            assert out.npt_normalized >= 0.998, (k, out.npt_normalized)
+            assert abs(10.0**k * out.trace / limit - 1.0) <= 0.01, (k, out.trace)
