@@ -8,7 +8,8 @@ Two routes, deliberately different from the constructors in
   dense :func:`jc_propagator` and slices out the projected 4x4 block, never
   touching the closed-form entries.  The propagator is block diagonal over
   the doublets {|e,k>, |g,k+1>}, so the block is exact for any truncation
-  that holds level n+2 and no thermal tail budget is needed.
+  that holds level n+2 and no thermal tail budget is needed.  Rows of one n
+  are evolved together, one stacked dense product per chunk of rows.
 * :func:`quadrature_projected` evaluates every matrix element of the four
   cross-Kerr schemes by two-dimensional Gauss-Hermite quadrature over the
   thermal coherent-state weight, using nothing but coherent-overlap values at
@@ -22,7 +23,9 @@ the integrand resolved for any V; scaling by the thermal width alone misses
 the overlap peaks entirely once V >> 1.  In these coordinates each integrand
 term reduces to exp(2 zeta x) with |zeta| <= 2 gamma, for which
 ``QUADRATURE_ORDER`` = 80 points per axis are accurate to far below the
-validation tolerances.  The grid is the product of one set of nodes per
+validation tolerances.  The rules of orders 80 and 160 are ``hermgauss``'s
+output stored bit for bit in ``_gauss_hermite.npy``, so no process builds
+them.  The grid is the product of one set of nodes per
 real axis: node (i, j) is alpha = re_i + i im_j with weight a_i b_j.  As d
 and gamma are real, the thermal weight and every coherent overlap
 <sigma gamma|kappa alpha> split into an x factor and a y factor, each of
@@ -41,7 +44,10 @@ Each oracle is a block function over N rows, like the constructors:
 :func:`jc_fock_block` and :func:`quadrature_block` take one column per
 parameter (those of the schemes' block functions) and return the (N, 4, 4)
 stack; the public one-row oracles are the same functions at one row, so both
-give the same bits.  The quadrature block dedupes its rows' (V, d, gamma)
+give the same bits.  The ``jc`` block groups its rows by n and evolves each
+group as stacked dense products U rho0 U^dagger, in chunks of at most
+``_JC_CHUNK`` matrix entries per stack; :func:`jc_propagator` is its unitary
+builder at one row.  The quadrature block dedupes its rows' (V, d, gamma)
 node sets with ``np.unique`` and evaluates the M distinct ones in chunks of
 at most ``_NODE_CHUNK``: the nodes and axis factors as (M, order) arrays and
 the node sums as stacked matmuls.  The assembly runs over all N rows as
@@ -57,6 +63,7 @@ names the first such row of the block.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -134,24 +141,29 @@ def jc_propagator(params: AtomFieldParams, n_max: int) -> np.ndarray:
     rotating each by the angle gt sqrt(k+1); |g,0> is stationary and the top
     excited level |e,n_max> is frozen so the construction stays exactly
     unitary.  Every doublet below the top level is therefore evolved exactly,
-    whatever n_max is.
+    whatever n_max is.  It is :func:`_jc_unitaries` at one row.
     """
-    return _jc_unitary(params.gt, n_max)
+    return _jc_unitaries(np.array([params.gt], dtype=float), n_max)[0]
 
 
-def _jc_unitary(gt: float, n_max: int) -> np.ndarray:
+def _jc_unitaries(gt: np.ndarray, n_max: int) -> np.ndarray:
+    """The dense :func:`jc_propagator` of M coupling times gt, an (M, 2 (n_max+1), 2 (n_max+1)) stack."""
     dim = n_max + 1
-    u = np.eye(2 * dim, dtype=np.complex128)
-    for k in range(n_max):
-        theta = gt * math.sqrt(k + 1.0)
-        c, s = math.cos(theta), math.sin(theta)
-        ie = dim + k  # |e, k>
-        ig = k + 1  # |g, k+1>
-        u[ie, ie] = c
-        u[ig, ig] = c
-        u[ie, ig] = -1j * s
-        u[ig, ie] = -1j * s
+    theta = gt[:, None] * np.sqrt(np.arange(1.0, dim))  # doublet k: gt sqrt(k+1)
+    u = np.zeros((len(gt), 2 * dim, 2 * dim), dtype=np.complex128)
+    diagonal = _diagonal(u, 0)
+    diagonal[:, [0, -1]] = 1.0  # |g,0> and |e,n_max>
+    diagonal[:, 1:dim] = diagonal[:, dim:-1] = np.cos(theta)  # |g,k+1> and |e,k>
+    # -i sin between |e,k> (row or column dim+k) and |g,k+1>, with real part +0.0
+    _diagonal(u, n_max).imag[:, 1:-1] = _diagonal(u, -n_max).imag[:, 1:-1] = -np.sin(theta)
     return u
+
+
+def _diagonal(stack: np.ndarray, offset: int) -> np.ndarray:
+    """Writable view of diagonal ``offset`` (above the main one if positive) of each matrix of a stack."""
+    size = stack.shape[-1]
+    start = offset if offset >= 0 else -offset * size
+    return stack.reshape(len(stack), -1)[:, start :: size + 1][:, : size - abs(offset)]
 
 
 def jc_fock_projected(params: AtomFieldParams) -> BipartiteMatrix:
@@ -169,28 +181,80 @@ def jc_fock_projected(params: AtomFieldParams) -> BipartiteMatrix:
     return BipartiteMatrix(2, 2, row)
 
 
+# Matrix entries per stack of jc_fock_block: the rows of one n are evolved in
+# chunks whose (rows, 2 (n+3), 2 (n+3)) complex stacks hold at most this many
+# entries, or one row where a single matrix is larger, so the memory of a call
+# is bounded whatever the block size.
+_JC_CHUNK = 2**13
+
+
 def jc_fock_block(p, lam, gt, n) -> np.ndarray:
     """``jc_fock_projected`` of N rows, from one column per parameter: an (N, 4, 4) stack.
 
-    The columns are those of ``schemes.jc_block``; they are not checked.
+    The columns are those of ``schemes.jc_block``; they are not checked.  Rows
+    of one n share the dimension, so they are evolved together as stacked
+    dense products, chunk by chunk (``_JC_CHUNK``), and each result is put
+    back at its row.
     """
-    return np.array([_jc_fock_row(*row) for row in zip(p, lam, gt, n)])
+    p, lam, gt = (np.asarray(column, dtype=float) for column in (p, lam, gt))
+    groups: dict[int, list[int]] = {}
+    for row, level in enumerate(n):
+        groups.setdefault(int(level), []).append(row)
+    out = np.empty((len(p), 4, 4), dtype=np.complex128)
+    for level, rows in groups.items():
+        step = max(1, _JC_CHUNK // (2 * (level + 3)) ** 2)
+        for i in range(0, len(rows), step):
+            chunk = rows[i : i + step]
+            out[chunk] = _jc_fock_rows(p[chunk], lam[chunk], gt[chunk], level)
+    return out
 
 
-def _jc_fock_row(p: float, lam: float, gt: float, n: int) -> np.ndarray:
+def _jc_fock_rows(p: np.ndarray, lam: np.ndarray, gt: np.ndarray, n: int) -> np.ndarray:
+    """The projected blocks of M rows of one n, by one stacked U rho0 U^dagger."""
     n_max = n + 2
     dim = n_max + 1
-    field = np.diag(_thermal_weights(lam, n_max))
-    rho0 = _kron(np.diag([1.0 - p, p]), field)
-    u = _jc_unitary(gt, n_max)
-    rho1 = u @ rho0 @ u.conj().T
+    weights = _thermal_weights(lam[:, None], n_max)
+    rho0 = np.zeros((len(p), 2 * dim, 2 * dim), dtype=np.complex128)
+    # diag(1-p, p) (x) diag(weights): the products on np.kron's diagonal
+    _diagonal(rho0, 0)[:, :dim] = (1.0 - p)[:, None] * weights
+    _diagonal(rho0, 0)[:, dim:] = p[:, None] * weights
+    u = _jc_unitaries(gt, n_max)
+    # U rho0 U^dagger, with U^dagger and the result in the buffers of U and rho0
+    u_rho0 = u @ rho0
+    rho1 = np.matmul(u_rho0, np.conjugate(u, out=u).transpose(0, 2, 1), out=rho0)
     idx = [n, dim + n, n + 1, dim + n + 1]
-    return rho1[np.ix_(idx, idx)]
+    return rho1[:, idx][:, :, idx]
+
+
+# Gauss-Hermite orders whose rule is stored: QUADRATURE_ORDER and its double.
+_STORED_ORDERS = (80, 160)
+_STORED_RULES = os.path.join(os.path.dirname(__file__), "_gauss_hermite.npy")
+
+
+def _stored_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``hermgauss(order)`` of an order in ``_STORED_ORDERS``, read from ``_gauss_hermite.npy``.
+
+    The file holds the x then the w of each stored order, in the order of
+    ``_STORED_ORDERS``, bit for bit as ``hermgauss`` returned them.  It is made by::
+
+        np.save(path, np.concatenate([np.concatenate(hermgauss(n)) for n in _STORED_ORDERS]))
+    """
+    start = 2 * sum(_STORED_ORDERS[: _STORED_ORDERS.index(order)])
+    x, w = np.load(_STORED_RULES)[start : start + 2 * order].reshape(2, order)
+    return x, w
 
 
 @lru_cache(maxsize=32)
 def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.hermite.hermgauss(order)
+    """Nodes x and log(w) + x^2 of the Gauss-Hermite rule of ``order``.
+
+    The stored orders are read from their file on first use, so no process
+    builds them; any other order calls ``hermgauss``.
+    """
+    if order in _STORED_ORDERS:
+        x, w = _stored_rule(order)
+    else:
+        x, w = np.polynomial.hermite.hermgauss(order)
     # log(w) + x^2 stays O(1); exponentiating w and exp(x^2) separately would
     # overflow near order 320.  Edge weights may underflow to 0 at very high
     # orders; their -inf log just drops the node.

@@ -1,6 +1,7 @@
 """Fock-space and quadrature oracles: exactness, unitarity, self-convergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,12 +62,25 @@ class TestFockSpace:
             thermal_fock_matrix(0.9, 10)
 
 
+def loop_propagator(gt, n_max):
+    """The exchange propagator entry by entry, one doublet {|e,k>, |g,k+1>} at a time."""
+    dim = n_max + 1
+    u = np.eye(2 * dim, dtype=np.complex128)
+    for k in range(n_max):
+        theta = gt * math.sqrt(k + 1.0)
+        c, s = math.cos(theta), math.sin(theta)
+        ie, ig = dim + k, k + 1
+        u[ie, ie] = u[ig, ig] = c
+        u[ie, ig] = u[ig, ie] = -1j * s
+    return u
+
+
 def dense_evolution(params, n_max):
     """U rho0 U^dagger on Fock levels 0..n_max, projected onto field levels {n, n+1}."""
     dim = n_max + 1
     weights = (1 - params.lam) * params.lam ** np.arange(dim)
     rho0 = np.kron(np.diag([1 - params.p, params.p]), np.diag(weights))
-    u = jc_propagator(params, n_max)
+    u = loop_propagator(params.gt, n_max)
     rho1 = u @ rho0 @ u.conj().T
     idx = [params.n, dim + params.n, params.n + 1, dim + params.n + 1]
     return rho1[np.ix_(idx, idx)]
@@ -95,6 +109,12 @@ class TestJcFockOracle:
         n_max = 120
         u = jc_propagator(params, n_max)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2 * (n_max + 1)))) <= 1e-12
+
+    def test_propagator_equals_loop_reference(self):
+        for gt in (0.0, 0.83, 2.1, 9.7):
+            for n_max in (0, 1, 2, 7, 63):
+                u = jc_propagator(mx.AtomFieldParams(p=1.0, lam=0.5, gt=gt, n=0), n_max)
+                assert np.array_equal(bits(u), bits(loop_propagator(gt, n_max))), (gt, n_max)
 
     def test_excitation_conservation(self):
         params = mx.AtomFieldParams(p=1.0, lam=0.5, gt=2.1, n=0)
@@ -408,6 +428,39 @@ class TestBlockOracle:
                 one = jc_fock_projected(mx.AtomFieldParams(*row)).entries
                 assert np.array_equal(bits(got[k]), bits(one)), row
 
+    def test_jc_block_of_mixed_n_equals_dense_evolution(self):
+        # one shuffled block over several n, repeated rows and the edge values
+        # p in {0, 1}, lam = 0: every row must be the 2-D kron and matmul of
+        # its own parameters, whichever n group and chunk it was evolved in
+        rng = np.random.default_rng(53)
+        rows = []
+        for n in (0, 3, 10, 60):
+            count = 3 if n == 60 else 2 * oracle._JC_CHUNK // (2 * (n + 3)) ** 2 + 1
+            for _ in range(count):
+                p = float(rng.choice([0.0, 1.0, rng.uniform()]))
+                lam = float(rng.choice([0.0, rng.uniform(0.0, 0.99)]))
+                rows.append((p, lam, rng.uniform(0.0, 10.0), n))
+        rows += rows[:5] + rows[-2:]
+        order = rng.permutation(len(rows))
+        rows = [rows[k] for k in order]
+        got = oracle.jc_fock_block(*(list(column) for column in zip(*rows)))
+        for k, row in enumerate(rows):
+            params = mx.AtomFieldParams(*row)
+            assert np.array_equal(bits(got[k]), bits(dense_evolution(params, params.n + 2))), row
+
+    def test_jc_block_memory_is_bounded(self):
+        # 256 rows of one large n: one stack of all of them would hold about
+        # 300 MB, one 2-D evolution per row about 1.5 MB
+        rows = 256
+        args = [0.5] * rows, [0.9] * rows, list(np.linspace(0.0, 3.0, rows)), [60] * rows
+        tracemalloc.start()
+        try:
+            oracle.jc_fock_block(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_first_unstable_row_is_named(self):
         # at V = 1000, gamma = 12 the order-80 rule is too coarse; rows 2 and 4
         # fail the doubling check, and the block raises what row 2 alone raises
@@ -468,6 +521,35 @@ class TestQuadratureOracle:
                 q = quadrature_projected("direct_kerr", thermal=t, basis=basis)
                 closed = mx.direct_kerr_projected(t, basis).matrix
                 assert mx.max_abs_deviation(closed, q) <= 1e-12
+
+    @pytest.mark.parametrize("order", oracle._STORED_ORDERS)
+    def test_stored_rules_are_hermgauss(self, order):
+        x, w = oracle._stored_rule(order)
+        ref_x, ref_w = np.polynomial.hermite.hermgauss(order)
+        np.testing.assert_array_max_ulp(x, ref_x, maxulp=2)
+        np.testing.assert_array_max_ulp(w, ref_w, maxulp=2)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_stored_orders_build_no_rule(self, monkeypatch):
+        def refuse(order):
+            raise AssertionError(f"hermgauss({order}) called")
+
+        oracle._gh_rule.cache_clear()
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+        try:
+            for order in oracle._STORED_ORDERS:
+                x, logw = oracle._gh_rule(order)
+                stored_x, stored_w = oracle._stored_rule(order)
+                assert np.array_equal(x, stored_x)
+                assert np.array_equal(logw, np.log(stored_w) + stored_x * stored_x)
+        finally:
+            oracle._gh_rule.cache_clear()
+
+    def test_other_orders_call_hermgauss(self):
+        x, logw = oracle._gh_rule(12)
+        ref_x, ref_w = np.polynomial.hermite.hermgauss(12)
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal(logw, np.log(ref_w) + ref_x * ref_x)
 
     def test_unstable_grid_detected(self, monkeypatch):
         monkeypatch.setattr(oracle, "QUADRATURE_ORDER", 1)
