@@ -23,7 +23,6 @@ from .qlinalg import (
     NumericInputError,
     hermitian_eigensystem,
     max_abs_deviation,
-    min_eigenpair,
     min_eigenvalue,
     npt,
     partial_transpose,

@@ -326,7 +326,8 @@ def _cat_rows(gammas) -> np.ndarray:
 
     The cat projections (<+|, <-|) of the overlaps with (|gamma>, |-gamma>).
     """
-    return np.array([((p, p), (m, -m)) for p, m in map(_cat_norms, gammas)])
+    p, m = _cat_norms(np.array(gammas, dtype=float))
+    return np.stack([p, p, m, -m], axis=-1).reshape(-1, 2, 2)
 
 
 # rows of the kets at w = +1 and w = -1: the w = -1 factors are the w = +1 rows reversed

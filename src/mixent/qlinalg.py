@@ -31,7 +31,6 @@ __all__ = [
     "NumericInputError",
     "hermitian_eigensystem",
     "max_abs_deviation",
-    "min_eigenpair",
     "min_eigenvalue",
     "npt",
     "partial_transpose",
@@ -143,14 +142,9 @@ def _symmetrized_entries(a: np.ndarray) -> np.ndarray:
     return (a + adjoint) / 2.0
 
 
-def min_eigenpair(m: BipartiteMatrix) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and its eigenvector, after silent symmetrization."""
-    w, v = hermitian_eigensystem(_symmetrized_entries(m.entries))
-    return float(w[0]), v[:, 0]
-
-
 def min_eigenvalue(m: BipartiteMatrix) -> float:
-    return min_eigenpair(m)[0]
+    """Smallest eigenvalue, after silent symmetrization."""
+    return float(hermitian_eigensystem(_symmetrized_entries(m.entries))[0][0])
 
 
 def npt(m: BipartiteMatrix) -> float:

@@ -28,7 +28,7 @@ Basis orderings (fixed module-wide):
 * two-mode cat schemes: {|++>, |+->, |-+>, |-->}.
 
 The four cat schemes are built from one 2x2 block, K, the displaced thermal
-state in the cat basis (``_cat_row``).  The parity flip |a> -> |-a> fixes
+state in the cat basis (``_cat_kernel``).  The parity flip |a> -> |-a> fixes
 |+> and negates |->, so every Gaussian sandwich block <s| integral
 |w a><w' a| |s'> is B(w, w') = P_w K P_w' with P_+ = 1 and P_- = diag(1, -1),
 and each scheme is a fixed sandwich of K, written once over a leading axis of rows:
@@ -43,18 +43,20 @@ and each scheme is a fixed sandwich of K, written once over a leading axis of ro
 A block function takes one list per parameter, in the CLI's parameter order,
 holding N rows of Python floats (ints for ``n`` and ``sign``); it does not check
 them.  It returns one result, ``(normalized, log_scales, probs)``: the
-kernel-normalized (N, 4, 4) stack, the N log scales and the N probabilities of
-the measurement outcome, 2 +- 2 r sigma^power for ``bs`` and ``tt`` and 1 for
-the other three.  Everything else is derived from it here:
+kernel-normalized (N, 4, 4) stack and 1-D arrays of the N log scales and the N
+probabilities of the measurement outcome, 2 +- 2 r sigma^m for ``bs`` (m = 1)
+and ``tt`` (m = 2) and 1 for the other three.  Everything else is derived from it here:
 ``block_kernels`` gives the kernels normalized * exp(log_scale), which the
 oracle reproduces for every scheme, and ``block_states`` the states' factors
 exp(log_scale) / prob; a degenerate row (an outcome probability below
 ``_DEGENERATE_PROB``) is the zero matrix at factor NaN.  As exp(x) / 1 is
 exp(x), the factors of ``jc``, ``kerr_micro_thermal`` and ``direct_kerr`` are
-their kernels' scales.  A row's own arithmetic runs on Python floats with
-``math``: numpy's ``exp``, ``log`` and powers can differ from it in the last
-bit, and floats beat arrays at one row.  The sandwiches and the ``bs`` grid's
-``exp`` run on arrays.
+their kernels' scales.  A block function evaluates its rows as numpy
+columns from one kernel source, carried (``_carriers``) as numpy scalars at
+one row (every constructor) and as 1-D arrays at more.  Each ufunc gives the
+same bits on both; numpy's powers do not, so ``jc``'s lam^k is a power of an
+array on both and squares are products.  Stacks are C-contiguous, so sums over
+them run in one order.  An overflow (a value past the double range) is not warned.
 
 Nothing cancels in K or the ``bs`` grid: c - r, O(gamma^2) at small gamma, is a
 sum of two terms >= 0; log c and the ``bs`` log scale are completed squares.
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlinalg
-from .qlinalg import BipartiteMatrix, DegenerateStateError, _kron
+from .qlinalg import BipartiteMatrix, DegenerateStateError
 # scaled_cat_kernels is not called here: bench/layertrace.py wraps it by this module's name
 from .states import (  # noqa: F401
     AtomFieldParams,
@@ -83,7 +85,7 @@ from .states import (  # noqa: F401
     MicroState,
     ThermalParams,
     _cat_norms,
-    _scaled_row,
+    _scaled_kernels,
     scaled_cat_kernels,
 )
 
@@ -137,7 +139,7 @@ def block_kernels(normalized, log_scales, probs) -> np.ndarray:
 
     They are what the oracle reproduces, for every scheme.
     """
-    return normalized * np.array([math.exp(s) for s in log_scales])[:, None, None]
+    return normalized * np.exp(log_scales)[:, None, None]
 
 
 def block_states(normalized, log_scales, probs) -> tuple:
@@ -147,13 +149,30 @@ def block_states(normalized, log_scales, probs) -> tuple:
     is below ``_DEGENERATE_PROB`` has no state: it is the zero matrix (in a
     copy; ``normalized`` is left as it is) at factor NaN.
     """
-    factors = [
-        math.exp(s) / p if p >= _DEGENERATE_PROB else math.nan for s, p in zip(log_scales, probs)
-    ]
-    if math.isnan(sum(factors)):  # the other factors are finite and >= 0
-        normalized = normalized.copy()
-        normalized[[i for i, f in enumerate(factors) if math.isnan(f)]] = 0.0
-    return normalized, np.array(factors)
+    factors = np.exp(log_scales) / np.maximum(probs, _DEGENERATE_PROB)
+    if probs[probs.argmin()] < _DEGENERATE_PROB:
+        degenerate = probs < _DEGENERATE_PROB
+        factors[degenerate] = math.nan
+        normalized = np.where(degenerate[:, None, None], 0.0, normalized)
+    return normalized, factors
+
+
+def _carriers(*columns) -> list:
+    """The columns as numpy scalars at one row (cheaper than 1-element arrays), arrays at more."""
+    if len(columns[0]) == 1:
+        return [np.float64(column[0]) for column in columns]
+    return [np.array(column, dtype=float) for column in columns]
+
+
+def _stack(entries, shape) -> np.ndarray:
+    """The C-contiguous (N, *shape) stack of a row-major list of entries of one carrier."""
+    return np.array(entries, order="F").T.reshape(-1, *shape)
+
+
+def _kron_flat(a, b, n=2) -> np.ndarray:
+    """a (x) b, ``_kron``'s products in fewer calls, of flat 2x2 a and n x n b; (N, 2n, 2n)."""
+    ia, ib = _KRON[n]
+    return (a.take(ia, axis=-1) * b.take(ib, axis=-1)).reshape(-1, 2 * n, 2 * n)
 
 
 def _output(*result) -> SchemeOutput:
@@ -181,41 +200,32 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
 
 def jc_block(p, lam, gt, n):
     """``jc_projected`` for N rows: the (N, 4, 4) states, log scales 0 and probabilities 1."""
-    states = np.array([_jc_row(*row) for row in zip(p, lam, gt, n)], dtype=np.complex128)
-    return states, [0.0] * len(p), [1.0] * len(p)
-
-
-def _jc_row(p: float, lam: float, gt: float, n: int) -> tuple:
-    """The 4x4 state of one row as nested tuples of Python floats."""
+    p, lam, gt, n = _carriers(p, lam, gt, n)
     q = 1.0 - p
-    # C_k, S_k at gt sqrt(k + 1) for k = n - 1, n, n + 1; P_k = (1-lam) lam^k, k = n - 1 .. n + 2
-    a0, a1, a2 = gt * math.sqrt(n), gt * math.sqrt(n + 1.0), gt * math.sqrt(n + 2.0)
-    c0, c1, c2 = math.cos(a0), math.cos(a1), math.cos(a2)
-    s0, s1, s2 = math.sin(a0), math.sin(a1), math.sin(a2)
-    w = 1.0 - lam
-    w0 = w * lam ** (n - 1) if n > 0 else 0.0
-    w1, w2, w3 = w * lam**n, w * lam ** (n + 1), w * lam ** (n + 2)
+    # C_k, S_k at gt sqrt(k + 1) for k = n - 1, n, n + 1
+    a0, a1, a2 = gt * np.sqrt(n), gt * np.sqrt(n + 1.0), gt * np.sqrt(n + 2.0)
+    c0, c1, c2 = np.cos(a0), np.cos(a1), np.cos(a2)
+    s0, s1, s2 = np.sin(a0), np.sin(a1), np.sin(a2)
+    # P_k = (1-lam) lam^k, k = n - 1 .. n + 2; at n = 0, P_{-1} = P_0 meets S_{-1} = 0
+    k = np.array([np.maximum(n - 1.0, 0.0), n, n + 1.0, n + 2.0])
+    w0, w1, w2, w3 = (1.0 - lam) * np.power(np.array([lam] * 4), k)
     # excited branch weight p, ground branch weight q; |e,n> <-> |g,n+1> coherence
-    coherence = 1j * (p * w1 * c1 * s1 - q * w2 * c1 * s1)
-    return (
-        (p * w0 * s0**2 + q * w1 * c0**2, 0.0, 0.0, 0.0),
-        (0.0, p * w1 * c1**2 + q * w2 * s1**2, coherence, 0.0),
-        (0.0, -coherence, p * w1 * s1**2 + q * w2 * c1**2, 0.0),
-        (0.0, 0.0, 0.0, p * w2 * c2**2 + q * w3 * s2**2),
-    )
+    coherence = p * w1 * c1 * s1 - q * w2 * c1 * s1
+    d0, d1 = p * w0 * (s0 * s0) + q * w1 * (c0 * c0), p * w1 * (c1 * c1) + q * w2 * (s1 * s1)
+    d2, d3 = p * w1 * (s1 * s1) + q * w2 * (c1 * c1), p * w2 * (c2 * c2) + q * w3 * (s2 * s2)
+    diagonal = _stack([d0, d1, d2, d3], (4,))
+    states = np.zeros((len(diagonal), 16), dtype=np.complex128)
+    states[:, ::5] = diagonal
+    states.imag[:, 6], states.imag[:, 9] = coherence, -coherence
+    return states.reshape(-1, 4, 4), np.zeros(len(states)), np.ones(len(states))
 
 
-def _cat_row(v: float, d: float, g: float) -> tuple[float, float, float, float]:
-    """K's entries N+^2 (c + r), N+N- s, N-^2 (c - r) (kernel-normalized) and log c at one row."""
-    s, r, odd, log_c = _scaled_row(v, d, g)
-    n_plus, n_minus = _cat_norms(g)
-    return n_plus**2 * (1.0 + r), n_plus * n_minus * s, n_minus**2 * odd, log_c
-
-
-def _cat_stack(V, d, gamma):
-    """K of each row as an (N, 2, 2) stack, and the list of log c."""
-    rows = [_cat_row(*row) for row in zip(V, d, gamma)]
-    return np.array([((hi, s), (s, lo)) for hi, s, lo, _ in rows]), [row[3] for row in rows]
+def _cat_kernel(V, d, gamma):
+    """K of each row, flat (N, 4): N+^2 (c + r), N+N- s, N-^2 (c - r) over c; and log c."""
+    s, r, odd, log_c = _scaled_kernels(V, d, gamma)
+    n_plus, n_minus = _cat_norms(gamma)
+    off = n_plus * n_minus * s
+    return _stack([n_plus * n_plus * (1.0 + r), off, off, n_minus * n_minus * odd], (4,)), log_c
 
 
 # Z = diag(1, 1, 1, -1): the controlled parity on {|0,+>, |0,->, |1,+>, |1,->}
@@ -223,11 +233,16 @@ def _cat_stack(V, d, gamma):
 _Z = np.array([1.0, 1.0, 1.0, -1.0])
 # pi: the parity flip of both cat modes, diag(1, -1) (x) diag(1, -1).
 _PI = np.array([1.0, -1.0, -1.0, 1.0])
-# Z . Z as one product: flipping a sign twice or once is exact either way
-_ZZ = _Z[:, None] * _Z
+# Z . Z as one product (flipping a sign twice or once is exact either way), and its half
+_ZZ, _HALF_ZZ = _Z[:, None] * _Z, 0.5 * (_Z[:, None] * _Z)
 # the tt weights 1 + pi pi^T +- r (pi 1^T + 1 pi^T)
 _TT_EVEN = 1.0 + _PI[:, None] * _PI
 _TT_ODD = _PI[:, None] + _PI
+# [[1, x], [x, 1]] = _EYE + x _SWAP, flat
+_EYE, _SWAP = np.eye(2).ravel(), np.eye(2)[::-1].ravel()
+# (a (x) b).ravel() = a.ravel()[ia] * b.ravel()[ib] for 2x2 a and n x n b, with the index
+# pairs (ia, ib) = _KRON[n] = (2 i + k, n j + l) over (i, j, k, l) in row-major order
+_KRON = {n: [[2, 0, 1, 0], [0, n, 0, 1]] @ np.indices((2, n, 2, n)).reshape(4, -1) for n in (2, 3)}
 
 
 def kerr_micro_thermal_projected(
@@ -256,9 +271,12 @@ def kerr_micro_thermal_projected(
 
 def kerr_micro_thermal_block(r, V, d, gamma):
     """``kerr_micro_thermal_projected`` for N rows: Z (mu (x) K) Z, log c and probabilities 1."""
-    k, log_c = _cat_stack(V, d, gamma)
-    mu = np.array([((0.5, 0.5 * x), (0.5 * x, 0.5)) for x in r])
-    return (_kron(mu, k) * _ZZ).astype(np.complex128), log_c, [1.0] * len(r)
+    r, V, d, gamma = _carriers(r, V, d, gamma)
+    with np.errstate(over="ignore"):
+        k, log_c = _cat_kernel(V, d, gamma)
+    # mu (x) K = ([[1, r], [r, 1]] (x) K)/2, the 1/2 exact in Z/2
+    kernels = (_kron_flat(_EYE + r[..., None] * _SWAP, k) * _HALF_ZZ).astype(np.complex128)
+    return kernels, np.array(log_c, ndmin=1), np.ones(len(kernels))
 
 
 # S = (C (x) C)[R, R J] of the beam-splitter kernel D S (c (x) X) S^T D
@@ -273,18 +291,17 @@ _BS_S = np.array(
         [-1.0, 2.0, -1.0, -1.0, 2.0, -1.0],
     ]
 )
-# alpha + beta and 1 - alpha beta at the grid points (a, b) = 2 g (alpha, beta)
-_BS_SUM = (-2.0, -1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 2.0)
-_BS_FLIP = (0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 0.0)
+# alpha + beta and 1 - alpha beta at the grid points (a, b) = 2 g (alpha, beta), (9, 1) columns
+_BS_SUM = np.array([-2.0, -1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 2.0])[:, None]
+_BS_FLIP = np.array([0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 0.0])[:, None]
 # The odd-cat entries carry N-^4 ~ 1/(16 gamma^4), which amplifies the roundoff
 # of the signed sums; below this gamma they miss the oracle tolerance.
 BS_GAMMA_FLOOR = 1e-2
 
 
-def _check_bs_gamma(g: float) -> float:
+def _check_bs_gamma(g: float) -> None:
     if g < BS_GAMMA_FLOOR:
         raise ValueError(f"bs needs gamma >= {BS_GAMMA_FLOOR:g}, got {g!r}")
-    return g
 
 
 def bs_scheme_block(r, V, d, gamma, sign):
@@ -306,24 +323,22 @@ def bs_scheme_block(r, V, d, gamma, sign):
     sum of terms >= 0.  Nothing cancels at any displacement and variance.
     Raises ``ValueError`` for gamma below ``BS_GAMMA_FLOOR``.
     """
-    rows = np.array([_bs_row(*row) for row in zip(r, V, d, gamma, sign)])
-    x = np.exp(rows[:, :9]).reshape(-1, 3, 3)  # an exponent past the double range is -inf
-    c, dd = rows[:, 9:13].reshape(-1, 2, 2), rows[:, 13:17]
-    out = dd[:, :, None] * (_BS_S @ _kron(c, x) @ _BS_S.T) * dd[:, None, :]
-    return out.astype(np.complex128), rows[:, 17].tolist(), _outcome_probs(r, V, d, sign, 1)
-
-
-def _bs_row(r: float, v: float, d: float, g: float, sign: int) -> list:
-    """One row of the bs kernel in Python floats: X's nine exponents, c, diag D, log scale."""
-    n_plus, n_minus = _cat_norms(_check_bs_gamma(g))
-    v = (v + 1.0) / 2.0
-    u = abs(d) / math.sqrt(2.0)
-    sgn, scale, flip = math.copysign(1.0, d), -2.0 * g, g * ((v - 1.0) / v)
-    row = [scale * (u / v * (2.0 - sgn * a) + flip * b) for a, b in zip(_BS_SUM, _BS_FLIP)]
-    row += [1.0, sign * r, sign * r, 1.0]
-    row += [n_plus * n_plus, n_plus * n_minus, n_minus * n_plus, n_minus * n_minus]
-    row.append(-2.0 * ((u - g) * (u - g) / v) - math.log(v))
-    return row
+    _check_bs_gamma(min(gamma))
+    r, V, d, gamma, sign = _carriers(r, V, d, gamma, sign)
+    n_plus, n_minus = _cat_norms(gamma)
+    v, dp, scale = (V + 1.0) / 2.0, d / math.sqrt(2.0), -2.0 * gamma
+    u, flip = abs(dp), gamma * ((v - 1.0) / v)
+    # X's nine exponents, rows on the last axis; with base = -2 g |d'|/v and tilt =
+    # base sgn(d') (exact), base (2 - sgn(d') (alpha + beta)) is 2 base - tilt (alpha + beta)
+    base, tilt = scale * (u / v), scale * (dp / v)
+    with np.errstate(over="ignore"):
+        x = np.exp(2.0 * base - tilt * _BS_SUM + (scale * flip) * _BS_FLIP)
+        log_scales = -2.0 * ((u - gamma) * (u - gamma) / v) - np.log(v)
+        probs = _outcome_probs(r, V, d, sign, 1)
+    dd = _stack([n_plus * n_plus, n_plus * n_minus, n_minus * n_plus, n_minus * n_minus], (4,))
+    kron = _kron_flat(_EYE + (sign * r)[..., None] * _SWAP, x.T, 3)
+    out = dd[:, :, None] * (_BS_S @ kron @ _BS_S.T) * dd[:, None, :]
+    return out.astype(np.complex128), np.array(log_scales, ndmin=1), probs
 
 
 def bs_projected_kernel(
@@ -350,16 +365,10 @@ def bs_scheme_projected(
     return _output(*bs_scheme_block(*_pair_columns(m, t, basis, sign)))
 
 
-def _outcome_probs(r, V, d, sign, power):
-    """The traces 2 +- 2 r sigma^power of a cat-pair scheme's kernels before projection.
-
-    sigma = exp(-2 d^2/V)/V is the trace of one mode's parity-flip sandwich
-    operator; the power counts the thermal modes.
-    """
-    return [
-        2.0 + s * 2.0 * r_ * (math.exp(-2.0 * x**2 / v) / v) ** power
-        for r_, v, x, s in zip(r, V, d, sign)
-    ]
+def _outcome_probs(r, V, d, sign, modes):
+    """The traces 2 +- 2 r sigma^modes, sigma = exp(-2 d^2/V)/V, of a cat-pair scheme's kernels."""
+    sigma = np.exp(-2.0 * (d * d) / V) / V
+    return np.array(2.0 + sign * 2.0 * r * (sigma * sigma if modes == 2 else sigma), ndmin=1)
 
 
 def tt_projected_kernel(
@@ -391,10 +400,13 @@ def tt_scheme_projected(
 
 def tt_scheme_block(r, V, d, gamma, sign):
     """``tt_scheme_projected`` for N rows: (K (x) K) o weights, 2 log c, outcome probabilities."""
-    k, log_c = _cat_stack(V, d, gamma)
-    weights = _TT_EVEN + np.array([s * x for s, x in zip(sign, r)])[:, None, None] * _TT_ODD
-    kernels = (_kron(k, k) * weights).astype(np.complex128)
-    return kernels, [2.0 * x for x in log_c], _outcome_probs(r, V, d, sign, 2)
+    r, V, d, gamma, sign = _carriers(r, V, d, gamma, sign)
+    with np.errstate(over="ignore"):
+        k, log_c = _cat_kernel(V, d, gamma)
+        probs = _outcome_probs(r, V, d, sign, 2)
+    weights = _TT_EVEN + (sign * r)[..., None, None] * _TT_ODD
+    kernels = (_kron_flat(k, k) * weights).astype(np.complex128)
+    return kernels, np.array(2.0 * log_c, ndmin=1), probs
 
 
 def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
@@ -403,7 +415,7 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
     On the cat basis the full-period cross-Kerr unitary acts as a controlled
     phase, so each coherent pair |a>|b> spreads into the four parity
     combinations with a single minus sign, on |-->.  The projection is the
-    product state K (x) K of the single-mode cat block (:func:`_cat_row`)
+    product state K (x) K of the single-mode cat block (:func:`_cat_kernel`)
     under that phase: Z (K (x) K) Z with Z = diag(1, 1, 1, -1), which flips
     the sign of the six off-diagonal entries that touch |-->.
     """
@@ -412,8 +424,11 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
 
 def direct_kerr_block(V, d, gamma):
     """``direct_kerr_projected`` for N rows: Z (K (x) K) Z, 2 log c and probabilities 1."""
-    k, log_c = _cat_stack(V, d, gamma)
-    return (_kron(k, k) * _ZZ).astype(np.complex128), [2.0 * x for x in log_c], [1.0] * len(V)
+    V, d, gamma = _carriers(V, d, gamma)
+    with np.errstate(over="ignore"):
+        k, log_c = _cat_kernel(V, d, gamma)
+    kernels = (_kron_flat(k, k) * _ZZ).astype(np.complex128)
+    return kernels, np.array(2.0 * log_c, ndmin=1), np.ones(len(kernels))
 
 
 def _pair_columns(m: MicroState, t: ThermalParams, basis: CatBasis, sign: int) -> tuple:

@@ -94,12 +94,10 @@ class ThermalParams:
         return (self.variance - 1.0) / (self.variance + 1.0)
 
 
-def _cat_norms(g: float) -> tuple[float, float]:
-    """N+ and N- of the cat basis of amplitude g; 1 - exp(-2 g^2) via expm1 for small g."""
-    return (
-        1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * g**2))),
-        1.0 / math.sqrt(2.0 * (-math.expm1(-2.0 * g**2))),
-    )
+def _cat_norms(g):
+    """N+ and N- of the cat basis of amplitude g, a float or array; 1 - exp(-2 g^2) via expm1."""
+    x = -2.0 * (g * g)
+    return 1.0 / np.sqrt(2.0 * (1.0 + np.exp(x))), 1.0 / np.sqrt(2.0 * -np.expm1(x))
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class CatBasis:
             raise ValueError(f"gamma must be > 0, got {g}")
         object.__setattr__(self, "gamma", g)
         # below gamma ~ 3.7e-155, 1 - exp(-2 gamma^2) is 0 or so small that N_-^2 overflows
-        norms = _cat_norms(g) if -math.expm1(-2.0 * g**2) > 0.0 else (math.nan, math.nan)
+        norms = tuple(map(float, _cat_norms(g))) if math.expm1(-2.0 * g**2) < 0 else (math.nan,) * 2
         if not math.isfinite(norms[1] * norms[1]):
             raise ValueError(f"gamma must give a finite N_-^2, got {g!r}")
         # computed once; an attribute, not a field, so repr, == and hash see gamma alone
@@ -243,47 +241,40 @@ class CatKernels(NamedTuple):
     r: float
 
 
-def _log_cosh(y: float) -> float:
-    y = abs(y)
-    if y > 20.0:
-        return y - math.log(2.0) + math.log1p(math.exp(-2.0 * y))
-    return math.log(math.cosh(y))
-
-
-def _scaled_row(v: float, d: float, g: float) -> tuple[float, float, float, float]:
-    """s/c, r/c, (c - r)/c and log c at one (V, d, gamma): Python floats and ``math``.
+def _scaled_kernels(v, d, g):
+    """s/c, r/c, (c - r)/c and log c of rows of V, d, gamma (numpy scalars or 1-D arrays).
 
     With y = 4 g d/(V+1) and a = 2 g^2 (V-1)/(V+1), s/c = tanh(y) and
-    r/c = exp(-a)/cosh(y).  y is infinite past the double range, never NaN.
-    (c - r)/c = 1 - exp(-a) sech(y), O(g^2) at small g, is a sum of two terms
-    >= 0, and log c is a completed square: nothing cancels.
+    r/c = exp(-a)/cosh(y), log cosh(y) = |y| - log 2 + log1p(exp(-2|y|)).  y is
+    infinite only past the double range (g d is finite), never NaN; callers
+    ignore overflow warnings.  (c - r)/c = 1 - exp(-a) sech(y), O(g^2) at small
+    g, is a sum of two terms >= 0, and log c is a completed square: nothing cancels.
     """
-    y = 4.0 * g * d
-    # 4 g d can overflow where y is O(1) (V near 1e308); only then divide first
-    y = y / (v + 1.0) if math.isfinite(y) else 4.0 * g * (d / (v + 1.0))
+    y = 4.0 * (g * d / (v + 1.0))
     a = 2.0 * ((v - 1.0) / (v + 1.0)) * (g * g)
-    log_cosh = _log_cosh(y)
-    s = math.tanh(y)
-    odd = s * math.tanh(y / 2.0) - math.expm1(-a) * math.exp(-log_cosh)
+    tail = np.log1p(np.exp(-2.0 * abs(y)))
+    log_cosh = abs(y) - math.log(2.0) + tail
+    s = np.tanh(y)
+    odd = s * np.tanh(y / 2.0) - np.expm1(-a) * np.exp(-log_cosh)
     # log(4/(V+1)) - 2 (g^2 + d^2)/(V+1) + log cosh(y), its 4 g |d|/(V+1) terms cancelled
     gap = g - abs(d)
-    log_c = math.log(2.0 / (v + 1.0)) - 2.0 * (gap * gap / (v + 1.0))
-    log_c += math.log1p(math.exp(-2.0 * abs(y)))
-    return s, math.exp(-a - log_cosh), odd, log_c
+    log_c = np.log(2.0 / (v + 1.0)) - 2.0 * (gap * gap / (v + 1.0)) + tail
+    return s, np.exp(-a - log_cosh), odd, log_c
 
 
 def scaled_cat_kernels(t: ThermalParams, basis: CatBasis) -> tuple[CatKernels, float]:
     """Kernels normalized to c = 1, plus log(c) carried separately.
 
-    s/c and r/c (:func:`_scaled_row`) are representable for any parameters,
+    s/c and r/c (:func:`_scaled_kernels` at one row) are representable for any parameters,
     while c itself underflows once 2 (g - |d|)^2/(V+1) passes the exponent
     range.  Quantities that are invariant under a common positive rescaling
     (NPT of the trace-normalized state, most prominently) should be computed
     from the normalized kernels; absolute scales are recovered from the
     returned log.
     """
-    s, r, _, log_c = _scaled_row(t.variance, t.displacement, basis.gamma)
-    return CatKernels(c=1.0, s=s, r=r), log_c
+    with np.errstate(over="ignore"):
+        s, r, _, log_c = _scaled_kernels(*np.array([t.variance, t.displacement, basis.gamma]))
+    return CatKernels(c=1.0, s=float(s), r=float(r)), float(log_c)
 
 
 def thermal_cat_kernels(t: ThermalParams, basis: CatBasis) -> CatKernels:

@@ -647,6 +647,35 @@ class TestMain:
         for _, npt, trace in rows:
             assert 0.0 <= npt <= 1.0 + 4 * np.finfo(float).eps and 0.0 <= trace <= 1.0
 
+    # one sweep per scheme at extreme values: --set items, the sweep, and the
+    # rows whose npt is NaN
+    EXTREME_SWEEPS = {
+        # lam^(n - 1) at lam = 0 and n = 0 is 1/0; at n = 3 every row has zero probability
+        "jc n=0": (["lam=0", "gt=1", "n=0"], "p:0:1:3", []),
+        "jc n=3": (["lam=0", "gt=1", "n=3"], "p:0:1:3", [0, 1, 2]),
+        # 4 gamma d is past the double range, y = 4 gamma d/(V + 1) is O(1) at the end
+        "kerr_micro_thermal": (["r=1", "gamma=1e154", "d=1e154"], "V:1:1.7e308:5", []),
+        "bs": (["r=1", f"gamma={schemes.BS_GAMMA_FLOOR!r}", "d=1e154", "sign=-"], "V:1:1.7e308:5", []),
+        "tt": (["r=1", "gamma=2", "d=1e150", "sign=-"], "V:1:1.7e308:5", []),
+        "direct_kerr": (["gamma=2", "d=1e150"], "V:1:1.7e308:5", []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXTREME_SWEEPS))
+    def test_extreme_sweep_nan_pattern(self, case, capsys):
+        # overflows to inf and 0 here are values past the double range: no
+        # numpy warning may reach stderr, and only zero-probability rows are NaN
+        fixed, sweep, nan_rows = self.EXTREME_SWEEPS[case]
+        argv = ["sweep", "--scheme", case.split()[0], "--sweep", sweep]
+        assert cli.main(argv + [f"--set={item}" for item in fixed]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[2:]]
+        assert len(rows) == int(sweep.split(":")[-1])
+        assert [i for i, row in enumerate(rows) if math.isnan(row[1])] == nan_rows
+        for _, npt, trace in rows:
+            assert math.isnan(npt) or 0.0 <= npt <= 1.0
+            assert 0.0 <= trace <= 1.0
+
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "0.5"])
     def test_non_integer_n_exit_2(self, n, capsys):
         argv = ["sweep", "--scheme", "jc", "--sweep", "gt:0:1:2"]

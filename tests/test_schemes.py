@@ -741,18 +741,21 @@ class TestSchemeOutputInvariants:
         assert out.npt_normalized == 1.0
         assert out.trace == 0.0
 
-    def test_cat_blocks_over_joint_domain(self):
-        # Seeded joint draws: V - 1 in [1e-12, 1e308], |d| in [1e-12, 1e150]
-        # of both signs, gamma in [1e-2, 1e150] (all log-uniform), r in
-        # {0, 1, uniform} and both outcome signs, through the four cat block
-        # functions at once.
-        rng = np.random.default_rng(2406)
-        count = 400
+    @staticmethod
+    def joint_draws(rng, count):
+        """Seeded joint draws of r, V, d, gamma, sign: V - 1 in [1e-12, 1e308], |d| in
+        [1e-12, 1e150] of both signs, gamma in [1e-2, 1e150] (all log-uniform), r in
+        {0, 1, uniform} and both outcome signs."""
         v = [1.0 + 10.0 ** rng.uniform(-12.0, 308.0) for _ in range(count)]
         d = [float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 150.0)) for _ in range(count)]
         g = [10.0 ** rng.uniform(-2.0, 150.0) for _ in range(count)]
         r = [float(rng.choice([0.0, 1.0, rng.uniform()])) for _ in range(count)]
         sign = [int(rng.choice([1, -1])) for _ in range(count)]
+        return r, v, d, g, sign
+
+    def test_cat_blocks_over_joint_domain(self):
+        # the joint draws through the four cat block functions at once
+        r, v, d, g, sign = self.joint_draws(np.random.default_rng(2406), 400)
         results = {
             "kerr_micro_thermal": schemes.kerr_micro_thermal_block(r, v, d, g),
             "bs": schemes.bs_scheme_block(r, v, d, g, sign),
@@ -783,6 +786,86 @@ class TestSchemeOutputInvariants:
             for sign in (1, -1):
                 assert self.npt_in_range(bs_scheme_projected(zero, t, basis, sign)) == 0.0, at
                 assert self.npt_in_range(tt_scheme_projected(zero, t, basis, sign)) == 0.0, at
+
+
+class TestBlockCarriers:
+    """A block of rows against the same rows one at a time, byte for byte.
+
+    A block function carries its columns as 1-D arrays, and at one row (every
+    public constructor) as numpy scalars; the two must give the same bits.
+    """
+
+    BLOCKS = {
+        "jc": schemes.jc_block,
+        "kerr_micro_thermal": schemes.kerr_micro_thermal_block,
+        "bs": schemes.bs_scheme_block,
+        "tt": schemes.tt_scheme_block,
+        "direct_kerr": schemes.direct_kerr_block,
+    }
+
+    @staticmethod
+    def jc_draws(rng, count):
+        """p, lam, gt, n over the point_calls domain with n up to 60, lam = 0 and p in {0, 1} mixed in."""
+        p = [float(rng.choice([0.0, 1.0, rng.uniform()])) for _ in range(count)]
+        lam = [0.0 if rng.uniform() < 0.1 else 1.0 - 10.0 ** rng.uniform(-4.0, 0.0) for _ in range(count)]
+        gt = [rng.uniform(0.0, 8.0 * math.pi) for _ in range(count)]
+        n = [int(rng.integers(0, 61)) for _ in range(count)]
+        return p, lam, gt, n
+
+    @staticmethod
+    def point_draws(rng, count):
+        """r, V, d, gamma, sign over the point_calls domain."""
+        v = [10.0 ** rng.uniform(0.0, 6.0) for _ in range(count)]
+        d = [float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 3.0)) for _ in range(count)]
+        g = [10.0 ** rng.uniform(-0.5, 0.7) for _ in range(count)]
+        r = [rng.uniform(0.0, 1.0) for _ in range(count)]
+        sign = [int(rng.choice([1, -1])) for _ in range(count)]
+        return r, v, d, g, sign
+
+    @staticmethod
+    def columns(name, cat):
+        """The columns of a cat scheme's block function from r, V, d, gamma, sign."""
+        r, v, d, g, sign = cat
+        return {"kerr_micro_thermal": (r, v, d, g), "direct_kerr": (v, d, g)}.get(name, cat)
+
+    def assert_rows_match(self, name, columns):
+        block = self.BLOCKS[name]
+        whole = block(*columns)
+        rows = [block(*([column[i]] for column in columns)) for i in range(len(columns[0]))]
+        for part, what in enumerate(("normalized stack", "log scales", "probabilities")):
+            # a numpy sum's order follows the layout, so the block's must be the rows'
+            assert whole[part].flags.c_contiguous, (name, what)
+            one_at_a_time = np.concatenate([row[part] for row in rows])
+            if whole[part].tobytes() != one_at_a_time.tobytes():
+                differ = (whole[part] != one_at_a_time).reshape(len(rows), -1).any(axis=1)
+                first = int(np.argmax(differ))
+                at = [column[first] for column in columns]
+                raise AssertionError(f"{name} {what}: {differ.sum()} rows differ, first at {at}")
+
+    def test_flat_kron_equals_np_kron(self):
+        # the two-take Kronecker product of the blocks, on a stack and at one row
+        rng = np.random.default_rng(2703)
+        for n in (2, 3):
+            a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, n * n))
+            got = schemes._kron_flat(a, b, n)
+            assert got.shape == (5, 2 * n, 2 * n) and got.flags.c_contiguous
+            for i in range(5):
+                assert np.array_equal(got[i], np.kron(a[i].reshape(2, 2), b[i].reshape(n, n)))
+            assert np.array_equal(schemes._kron_flat(a[0], b[:1], n), got[:1])
+
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
+    def test_point_domain(self, name):
+        rng = np.random.default_rng(2701)
+        if name == "jc":
+            columns = self.jc_draws(rng, 4000)
+        else:
+            columns = self.columns(name, self.point_draws(rng, 4000))
+        self.assert_rows_match(name, columns)
+
+    @pytest.mark.parametrize("name", sorted(set(BLOCKS) - {"jc"}))
+    def test_joint_extreme_domain(self, name):
+        cat = TestSchemeOutputInvariants.joint_draws(np.random.default_rng(2702), 4000)
+        self.assert_rows_match(name, self.columns(name, cat))
 
 
 class TestVanishingPurity:
