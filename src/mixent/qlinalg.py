@@ -163,6 +163,7 @@ def npt(m: BipartiteMatrix) -> float:
     return value
 
 
+@np.errstate(invalid="ignore")  # inf * 0, inf - inf: a non-finite row is bad either way
 def _npt_stack(entries, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
     """NPT of each matrix of an (N, dim_a dim_b, dim_a dim_b) stack: the one NPT scorer.
 
@@ -175,22 +176,23 @@ def _npt_stack(entries, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
         raise InvalidShapeError(f"expected an (N, {size}, {size}) stack, got shape {stack.shape}")
     pt = stack.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2)
     pt = pt.reshape(stack.shape)
-    tr = np.trace(pt, axis1=1, axis2=2).real
-    whole = tr.min(initial=math.inf) > 1e-300  # NaN fails too
+    tr = pt.trace(axis1=1, axis2=2).real
+    whole = np.minimum.reduce(tr, initial=math.inf) > 1e-300  # NaN fails too
     if not whole:
         usable = tr > 1e-300
         pt, tr = pt[usable], tr[usable]
-    with np.errstate(invalid="ignore"):  # inf * 0, inf - inf: a non-finite row is bad either way
-        scaled = pt * (1.0 / tr)[:, None, None]
-        adjoint = scaled.conj().swapaxes(1, 2)
-        defects = np.abs(scaled - adjoint)
+    scaled = pt * (1.0 / tr)[:, None, None]
+    adjoint = scaled.conj().swapaxes(1, 2)
+    defects = np.abs(scaled - adjoint)
     if not defects.max(initial=0.0) < HERMITICITY_TOL:  # the first bad row raises
         _symmetrized_entries(scaled[np.argmax(~(defects.max(axis=(1, 2)) < HERMITICITY_TOL))])
     w = np.linalg.eigvalsh((scaled + adjoint) / 2.0)
     # w ascends and sums to 1, so max |w| = max(-w[0], w[-1]) with w[-1] > 0, and the
-    # bound (a power of 2 below 1) times it is below -w[0] iff the bound times w[-1] is;
-    # w[0] >= -1/2 for a unit-trace PSD state, so an NPT above 1 is roundoff
-    values = np.where(-w[:, 0] > NPT_ZERO_BOUND * w[:, -1], np.minimum(-2.0 * w[:, 0], 1.0), 0.0)
+    # bound (a power of 2 below 1) times it is below -w[0] iff the bound times w[-1] is,
+    # or, doubled exactly, 2 bound w[-1] below -2 w[0]; w[0] >= -1/2 for a unit-trace
+    # PSD state, so an NPT above 1 is roundoff
+    doubled, bound = -2.0 * w[:, 0], (2.0 * NPT_ZERO_BOUND) * w[:, -1]
+    values = np.minimum(doubled, 1.0, out=np.zeros(len(w)), where=doubled > bound)
     if whole:
         return values
     out = np.full(len(stack), np.nan)

@@ -52,11 +52,12 @@ exp(log_scale) / prob; a degenerate row (an outcome probability below
 ``_DEGENERATE_PROB``) is the zero matrix at factor NaN.  As exp(x) / 1 is
 exp(x), the factors of ``jc``, ``kerr_micro_thermal`` and ``direct_kerr`` are
 their kernels' scales.  A block function evaluates its rows as numpy
-columns from one kernel source, carried (``_carriers``) as numpy scalars at
-one row (every constructor) and as 1-D arrays at more.  Each ufunc gives the
-same bits on both; numpy's powers do not, so ``jc``'s lam^k is a power of an
-array on both and squares are products.  Stacks are C-contiguous, so sums over
-them run in one order.  An overflow (a value past the double range) is not warned.
+columns from one kernel source, carried (``_carriers``) as Python floats at
+one row (every constructor) and as 1-D arrays at more.  Arithmetic gives the
+same bits on both, and each numpy ufunc the same on a scalar as on an array;
+numpy's powers do not, so ``jc``'s lam^k is a power of an array on both and
+squares are products.  Stacks are C-contiguous, so sums over them run in one
+order.  An overflow (a value past the double range) is not warned (``_PAST_RANGE``).
 
 Nothing cancels in K or the ``bs`` grid: c - r, O(gamma^2) at small gamma, is a
 sum of two terms >= 0; log c and the ``bs`` log scale are completed squares.
@@ -149,30 +150,28 @@ def block_states(normalized, log_scales, probs) -> tuple:
     is below ``_DEGENERATE_PROB`` has no state: it is the zero matrix (in a
     copy; ``normalized`` is left as it is) at factor NaN.
     """
-    factors = np.exp(log_scales) / np.maximum(probs, _DEGENERATE_PROB)
-    if probs[probs.argmin()] < _DEGENERATE_PROB:
-        degenerate = probs < _DEGENERATE_PROB
-        factors[degenerate] = math.nan
-        normalized = np.where(degenerate[:, None, None], 0.0, normalized)
-    return normalized, factors
+    if not probs[probs.argmin()] < _DEGENERATE_PROB:  # NaN passes, to a NaN factor
+        return normalized, np.exp(log_scales) / probs
+    degenerate = probs < _DEGENERATE_PROB
+    factors = np.exp(log_scales) / np.where(degenerate, 1.0, probs)
+    factors[degenerate] = math.nan
+    return np.where(degenerate[:, None, None], 0.0, normalized), factors
+
+
+# A value past the double range overflows to inf; the cat block functions do not warn of it.
+_PAST_RANGE = np.errstate(over="ignore")
 
 
 def _carriers(*columns) -> list:
-    """The columns as numpy scalars at one row (cheaper than 1-element arrays), arrays at more."""
+    """The columns as Python floats at one row (cheaper than 1-element arrays), arrays at more."""
     if len(columns[0]) == 1:
-        return [np.float64(column[0]) for column in columns]
+        return [float(column[0]) for column in columns]
     return [np.array(column, dtype=float) for column in columns]
 
 
 def _stack(entries, shape) -> np.ndarray:
     """The C-contiguous (N, *shape) stack of a row-major list of entries of one carrier."""
     return np.array(entries, order="F").T.reshape(-1, *shape)
-
-
-def _kron_flat(a, b, n=2) -> np.ndarray:
-    """a (x) b, ``_kron``'s products in fewer calls, of flat 2x2 a and n x n b; (N, 2n, 2n)."""
-    ia, ib = _KRON[n]
-    return (a.take(ia, axis=-1) * b.take(ib, axis=-1)).reshape(-1, 2 * n, 2 * n)
 
 
 def _output(*result) -> SchemeOutput:
@@ -207,25 +206,26 @@ def jc_block(p, lam, gt, n):
     c0, c1, c2 = np.cos(a0), np.cos(a1), np.cos(a2)
     s0, s1, s2 = np.sin(a0), np.sin(a1), np.sin(a2)
     # P_k = (1-lam) lam^k, k = n - 1 .. n + 2; at n = 0, P_{-1} = P_0 meets S_{-1} = 0
-    k = np.array([np.maximum(n - 1.0, 0.0), n, n + 1.0, n + 2.0])
+    k = np.maximum(np.array([n - 1.0, n, n + 1.0, n + 2.0]), 0.0)
     w0, w1, w2, w3 = (1.0 - lam) * np.power(np.array([lam] * 4), k)
     # excited branch weight p, ground branch weight q; |e,n> <-> |g,n+1> coherence
     coherence = p * w1 * c1 * s1 - q * w2 * c1 * s1
     d0, d1 = p * w0 * (s0 * s0) + q * w1 * (c0 * c0), p * w1 * (c1 * c1) + q * w2 * (s1 * s1)
     d2, d3 = p * w1 * (s1 * s1) + q * w2 * (c1 * c1), p * w2 * (c2 * c2) + q * w3 * (s2 * s2)
-    diagonal = _stack([d0, d1, d2, d3], (4,))
-    states = np.zeros((len(diagonal), 16), dtype=np.complex128)
-    states[:, ::5] = diagonal
-    states.imag[:, 6], states.imag[:, 9] = coherence, -coherence
-    return states.reshape(-1, 4, 4), np.zeros(len(states)), np.ones(len(states))
+    # the 16 entries on the first axis, transposed into a C-contiguous (N, 4, 4) stack
+    entries = np.zeros((16, *k.shape[1:]), dtype=np.complex128)
+    entries.real[::5] = d0, d1, d2, d3
+    entries.imag[6], entries.imag[9] = coherence, -coherence
+    states = np.ascontiguousarray(entries.T).reshape(-1, 4, 4)
+    return states, np.zeros(len(states)), np.ones(len(states))
 
 
 def _cat_kernel(V, d, gamma):
-    """K of each row, flat (N, 4): N+^2 (c + r), N+N- s, N-^2 (c - r) over c; and log c."""
+    """K of each row, (N, 2, 2): N+^2 (c + r), N+N- s, N-^2 (c - r) over c; and log c."""
     s, r, odd, log_c = _scaled_kernels(V, d, gamma)
     n_plus, n_minus = _cat_norms(gamma)
     off = n_plus * n_minus * s
-    return _stack([n_plus * n_plus * (1.0 + r), off, off, n_minus * n_minus * odd], (4,)), log_c
+    return _stack([n_plus * n_plus * (1.0 + r), off, off, n_minus * n_minus * odd], (2, 2)), log_c
 
 
 # Z = diag(1, 1, 1, -1): the controlled parity on {|0,+>, |0,->, |1,+>, |1,->}
@@ -238,11 +238,8 @@ _ZZ, _HALF_ZZ = _Z[:, None] * _Z, 0.5 * (_Z[:, None] * _Z)
 # the tt weights 1 + pi pi^T +- r (pi 1^T + 1 pi^T)
 _TT_EVEN = 1.0 + _PI[:, None] * _PI
 _TT_ODD = _PI[:, None] + _PI
-# [[1, x], [x, 1]] = _EYE + x _SWAP, flat
-_EYE, _SWAP = np.eye(2).ravel(), np.eye(2)[::-1].ravel()
-# (a (x) b).ravel() = a.ravel()[ia] * b.ravel()[ib] for 2x2 a and n x n b, with the index
-# pairs (ia, ib) = _KRON[n] = (2 i + k, n j + l) over (i, j, k, l) in row-major order
-_KRON = {n: [[2, 0, 1, 0], [0, n, 0, 1]] @ np.indices((2, n, 2, n)).reshape(4, -1) for n in (2, 3)}
+# [[1, x], [x, 1]] = _EYE + x _SWAP
+_EYE, _SWAP = np.eye(2), np.eye(2)[::-1]
 
 
 def kerr_micro_thermal_projected(
@@ -269,13 +266,14 @@ def kerr_micro_thermal_projected(
     return _output(*kerr_micro_thermal_block([m.r], [t.variance], [t.displacement], [basis.gamma]))
 
 
+@_PAST_RANGE
 def kerr_micro_thermal_block(r, V, d, gamma):
     """``kerr_micro_thermal_projected`` for N rows: Z (mu (x) K) Z, log c and probabilities 1."""
     r, V, d, gamma = _carriers(r, V, d, gamma)
-    with np.errstate(over="ignore"):
-        k, log_c = _cat_kernel(V, d, gamma)
+    k, log_c = _cat_kernel(V, d, gamma)
     # mu (x) K = ([[1, r], [r, 1]] (x) K)/2, the 1/2 exact in Z/2
-    kernels = (_kron_flat(_EYE + r[..., None] * _SWAP, k) * _HALF_ZZ).astype(np.complex128)
+    mu = _EYE + np.multiply.outer(r, _SWAP)
+    kernels = (qlinalg._kron(mu, k) * _HALF_ZZ).astype(np.complex128)
     return kernels, np.array(log_c, ndmin=1), np.ones(len(kernels))
 
 
@@ -304,6 +302,7 @@ def _check_bs_gamma(g: float) -> None:
         raise ValueError(f"bs needs gamma >= {BS_GAMMA_FLOOR:g}, got {g!r}")
 
 
+@_PAST_RANGE
 def bs_scheme_block(r, V, d, gamma, sign):
     """``bs_scheme_projected`` for N rows: normalized kernels, log scales and outcome probabilities.
 
@@ -325,18 +324,16 @@ def bs_scheme_block(r, V, d, gamma, sign):
     """
     _check_bs_gamma(min(gamma))
     r, V, d, gamma, sign = _carriers(r, V, d, gamma, sign)
+    v, u, scale = (V + 1.0) / 2.0, abs(d) / math.sqrt(2.0), -2.0 * gamma
+    sgn, flip = np.copysign(1.0, d), gamma * ((v - 1.0) / v)
     n_plus, n_minus = _cat_norms(gamma)
-    v, dp, scale = (V + 1.0) / 2.0, d / math.sqrt(2.0), -2.0 * gamma
-    u, flip = abs(dp), gamma * ((v - 1.0) / v)
-    # X's nine exponents, rows on the last axis; with base = -2 g |d'|/v and tilt =
-    # base sgn(d') (exact), base (2 - sgn(d') (alpha + beta)) is 2 base - tilt (alpha + beta)
-    base, tilt = scale * (u / v), scale * (dp / v)
-    with np.errstate(over="ignore"):
-        x = np.exp(2.0 * base - tilt * _BS_SUM + (scale * flip) * _BS_FLIP)
-        log_scales = -2.0 * ((u - gamma) * (u - gamma) / v) - np.log(v)
-        probs = _outcome_probs(r, V, d, sign, 1)
+    # X's nine exponents, grid points on the first axis: -2 g times a sum of two terms
+    # >= 0, so an exponent past the double range is -inf, never inf - inf
+    x = np.exp(scale * ((u / v) * (2.0 - sgn * _BS_SUM) + flip * _BS_FLIP))
+    log_scales = -2.0 * ((u - gamma) * (u - gamma) / v) - np.log(v)
+    probs = _outcome_probs(r, V, d, sign, 1)
     dd = _stack([n_plus * n_plus, n_plus * n_minus, n_minus * n_plus, n_minus * n_minus], (4,))
-    kron = _kron_flat(_EYE + (sign * r)[..., None] * _SWAP, x.T, 3)
+    kron = qlinalg._kron(_EYE + np.multiply.outer(sign * r, _SWAP), x.T.reshape(-1, 3, 3))
     out = dd[:, :, None] * (_BS_S @ kron @ _BS_S.T) * dd[:, None, :]
     return out.astype(np.complex128), np.array(log_scales, ndmin=1), probs
 
@@ -398,14 +395,14 @@ def tt_scheme_projected(
     return _output(*tt_scheme_block(*_pair_columns(m, t, basis, sign)))
 
 
+@_PAST_RANGE
 def tt_scheme_block(r, V, d, gamma, sign):
     """``tt_scheme_projected`` for N rows: (K (x) K) o weights, 2 log c, outcome probabilities."""
     r, V, d, gamma, sign = _carriers(r, V, d, gamma, sign)
-    with np.errstate(over="ignore"):
-        k, log_c = _cat_kernel(V, d, gamma)
-        probs = _outcome_probs(r, V, d, sign, 2)
-    weights = _TT_EVEN + (sign * r)[..., None, None] * _TT_ODD
-    kernels = (_kron_flat(k, k) * weights).astype(np.complex128)
+    k, log_c = _cat_kernel(V, d, gamma)
+    probs = _outcome_probs(r, V, d, sign, 2)
+    weights = _TT_EVEN + np.multiply.outer(sign * r, _TT_ODD)
+    kernels = (qlinalg._kron(k, k) * weights).astype(np.complex128)
     return kernels, np.array(2.0 * log_c, ndmin=1), probs
 
 
@@ -422,12 +419,12 @@ def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:
     return _output(*direct_kerr_block([t.variance], [t.displacement], [basis.gamma]))
 
 
+@_PAST_RANGE
 def direct_kerr_block(V, d, gamma):
     """``direct_kerr_projected`` for N rows: Z (K (x) K) Z, 2 log c and probabilities 1."""
     V, d, gamma = _carriers(V, d, gamma)
-    with np.errstate(over="ignore"):
-        k, log_c = _cat_kernel(V, d, gamma)
-    kernels = (_kron_flat(k, k) * _ZZ).astype(np.complex128)
+    k, log_c = _cat_kernel(V, d, gamma)
+    kernels = (qlinalg._kron(k, k) * _ZZ).astype(np.complex128)
     return kernels, np.array(2.0 * log_c, ndmin=1), np.ones(len(kernels))
 
 

@@ -242,7 +242,7 @@ class CatKernels(NamedTuple):
 
 
 def _scaled_kernels(v, d, g):
-    """s/c, r/c, (c - r)/c and log c of rows of V, d, gamma (numpy scalars or 1-D arrays).
+    """s/c, r/c, (c - r)/c and log c of rows of V, d, gamma (floats or 1-D arrays).
 
     With y = 4 g d/(V+1) and a = 2 g^2 (V-1)/(V+1), s/c = tanh(y) and
     r/c = exp(-a)/cosh(y), log cosh(y) = |y| - log 2 + log1p(exp(-2|y|)).  y is

@@ -656,6 +656,9 @@ class TestMain:
         # 4 gamma d is past the double range, y = 4 gamma d/(V + 1) is O(1) at the end
         "kerr_micro_thermal": (["r=1", "gamma=1e154", "d=1e154"], "V:1:1.7e308:5", []),
         "bs": (["r=1", f"gamma={schemes.BS_GAMMA_FLOOR!r}", "d=1e154", "sign=-"], "V:1:1.7e308:5", []),
+        # the grid's exponents and gamma^2 are past the double range near V = 1
+        "bs gamma=d=1e154": (["r=1", "gamma=1e154", "d=1e154", "sign=-"], "V:1:2:2", []),
+        "bs gamma=-d=1.3e154": (["r=0.5", "gamma=1.3e154", "d=-1.3e154", "sign=+"], "V:1:2:2", []),
         "tt": (["r=1", "gamma=2", "d=1e150", "sign=-"], "V:1:1.7e308:5", []),
         "direct_kerr": (["gamma=2", "d=1e150"], "V:1:1.7e308:5", []),
     }

@@ -792,7 +792,7 @@ class TestBlockCarriers:
     """A block of rows against the same rows one at a time, byte for byte.
 
     A block function carries its columns as 1-D arrays, and at one row (every
-    public constructor) as numpy scalars; the two must give the same bits.
+    public constructor) as Python floats; the two must give the same bits.
     """
 
     BLOCKS = {
@@ -841,17 +841,6 @@ class TestBlockCarriers:
                 first = int(np.argmax(differ))
                 at = [column[first] for column in columns]
                 raise AssertionError(f"{name} {what}: {differ.sum()} rows differ, first at {at}")
-
-    def test_flat_kron_equals_np_kron(self):
-        # the two-take Kronecker product of the blocks, on a stack and at one row
-        rng = np.random.default_rng(2703)
-        for n in (2, 3):
-            a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, n * n))
-            got = schemes._kron_flat(a, b, n)
-            assert got.shape == (5, 2 * n, 2 * n) and got.flags.c_contiguous
-            for i in range(5):
-                assert np.array_equal(got[i], np.kron(a[i].reshape(2, 2), b[i].reshape(n, n)))
-            assert np.array_equal(schemes._kron_flat(a[0], b[:1], n), got[:1])
 
     @pytest.mark.parametrize("name", sorted(BLOCKS))
     def test_point_domain(self, name):
