@@ -11,7 +11,6 @@ from .oracle import (
     TruncationTailError,
     fock_space_for,
     jc_fock_projected,
-    jc_propagator,
     quadrature_projected,
     thermal_fock_matrix,
 )

@@ -4,12 +4,13 @@ Two routes, deliberately different from the constructors in
 :mod:`mixent.schemes`:
 
 * :func:`jc_fock_projected` builds the atom (x) thermal-field product state
-  on Fock levels 0..n+2, evolves it literally as U rho U^dagger with the
-  dense :func:`jc_propagator` and slices out the projected 4x4 block, never
-  touching the closed-form entries.  The propagator is block diagonal over
-  the doublets {|e,k>, |g,k+1>}, so the block is exact for any truncation
-  that holds level n+2 and no thermal tail budget is needed.  Rows of one n
-  are evolved together, one stacked dense product per chunk of rows.
+  on the Fock window b..b+3, b = max(n-1, 0), evolves it literally as
+  U rho U^dagger with a dense exchange propagator and slices out the
+  projected 4x4 block, never touching the closed-form entries.  The
+  propagator is block diagonal over the doublets {|e,k>, |g,k+1>}, and the
+  block involves only the doublets n-1, n and n+1, which the window holds
+  whole; the two edge states, whose partners lie outside it, are frozen.  So
+  the block is exact for every n and no thermal tail budget is needed.
 * :func:`quadrature_projected` evaluates every matrix element of the four
   cross-Kerr schemes by two-dimensional Gauss-Hermite quadrature over the
   thermal coherent-state weight, using nothing but coherent-overlap values at
@@ -44,10 +45,8 @@ Each oracle is a block function over N rows, like the constructors:
 :func:`jc_fock_block` and :func:`quadrature_block` take one column per
 parameter (those of the schemes' block functions) and return the (N, 4, 4)
 stack; the public one-row oracles are the same functions at one row, so both
-give the same bits.  The ``jc`` block groups its rows by n and evolves each
-group as stacked dense products U rho0 U^dagger, in chunks of at most
-``_JC_CHUNK`` matrix entries per stack; :func:`jc_propagator` is its unitary
-builder at one row.  The quadrature block dedupes its rows' (V, d, gamma)
+give the same bits.  The ``jc`` block evolves all its rows as one stacked
+8x8 product U rho0 U^dagger.  The quadrature block dedupes its rows' (V, d, gamma)
 node sets with ``np.unique`` and evaluates the M distinct ones in chunks of
 at most ``_NODE_CHUNK``: the nodes and axis factors as (M, order) arrays and
 the node sums as stacked matmuls.  The assembly runs over all N rows as
@@ -76,7 +75,6 @@ __all__ = [
     "TruncationTailError",
     "fock_space_for",
     "jc_fock_projected",
-    "jc_propagator",
     "quadrature_projected",
     "thermal_fock_matrix",
 ]
@@ -119,8 +117,9 @@ def fock_space_for(lam: float, n: int = 0) -> int:
     return n_max
 
 
-def _thermal_weights(lam: float, n_max: int) -> np.ndarray:
-    return (1.0 - lam) * lam ** np.arange(n_max + 1, dtype=float)
+def _thermal_weights(lam, levels: np.ndarray) -> np.ndarray:
+    """Photon weights (1-lam) lam^k at the Fock levels k."""
+    return (1.0 - lam) * lam**levels
 
 
 def thermal_fock_matrix(lam: float, n_max: int) -> BipartiteMatrix:
@@ -130,32 +129,27 @@ def thermal_fock_matrix(lam: float, n_max: int) -> BipartiteMatrix:
     tail = lam ** (n_max + 1)
     if tail > TAIL_TOLERANCE:
         raise TruncationTailError(f"tail {tail:.3e} exceeds budget {TAIL_TOLERANCE:.0e}")
-    return BipartiteMatrix(1, n_max + 1, np.diag(_thermal_weights(lam, n_max)))
+    return BipartiteMatrix(1, n_max + 1, np.diag(_thermal_weights(lam, np.arange(n_max + 1.0))))
 
 
-def jc_propagator(params: AtomFieldParams, n_max: int) -> np.ndarray:
-    """Dense exchange-interaction propagator on atom (x) Fock levels 0..n_max.
+def _jc_unitaries(gt: np.ndarray, base: np.ndarray, levels: int) -> np.ndarray:
+    """Dense exchange propagators of M rows on atom (x) Fock levels base..base+levels-1.
 
-    Index layout: row = atom * (n_max+1) + k with atom 0 = ground, 1 = excited.
-    The propagator is block diagonal over the doublets {|e,k>, |g,k+1>},
-    rotating each by the angle gt sqrt(k+1); |g,0> is stationary and the top
-    excited level |e,n_max> is frozen so the construction stays exactly
-    unitary.  Every doublet below the top level is therefore evolved exactly,
-    whatever n_max is.  It is :func:`_jc_unitaries` at one row.
+    An (M, 2 levels, 2 levels) stack; row atom * levels + j is |atom, base + j>
+    with atom 0 = ground, 1 = excited.  U is block diagonal over the doublets
+    {|e,k>, |g,k+1>}, rotating each by the angle gt sqrt(k+1).  The edge states
+    |g,base> and |e,base+levels-1> have their partners outside the levels, so
+    they are frozen and U stays exactly unitary; every doublet inside the
+    levels is evolved exactly.
     """
-    return _jc_unitaries(np.array([params.gt], dtype=float), n_max)[0]
-
-
-def _jc_unitaries(gt: np.ndarray, n_max: int) -> np.ndarray:
-    """The dense :func:`jc_propagator` of M coupling times gt, an (M, 2 (n_max+1), 2 (n_max+1)) stack."""
-    dim = n_max + 1
-    theta = gt[:, None] * np.sqrt(np.arange(1.0, dim))  # doublet k: gt sqrt(k+1)
-    u = np.zeros((len(gt), 2 * dim, 2 * dim), dtype=np.complex128)
+    theta = gt[:, None] * np.sqrt(base[:, None] + np.arange(1.0, levels))  # doublet base+j-1
+    u = np.zeros((len(gt), 2 * levels, 2 * levels), dtype=np.complex128)
     diagonal = _diagonal(u, 0)
-    diagonal[:, [0, -1]] = 1.0  # |g,0> and |e,n_max>
-    diagonal[:, 1:dim] = diagonal[:, dim:-1] = np.cos(theta)  # |g,k+1> and |e,k>
-    # -i sin between |e,k> (row or column dim+k) and |g,k+1>, with real part +0.0
-    _diagonal(u, n_max).imag[:, 1:-1] = _diagonal(u, -n_max).imag[:, 1:-1] = -np.sin(theta)
+    diagonal[:, [0, -1]] = 1.0  # |g,base> and |e,base+levels-1>
+    diagonal[:, 1:levels] = diagonal[:, levels:-1] = np.cos(theta)  # |g,k+1> and |e,k>
+    # -i sin between |e,k> and |g,k+1>, with real part +0.0
+    offset = levels - 1
+    _diagonal(u, offset).imag[:, 1:-1] = _diagonal(u, -offset).imag[:, 1:-1] = -np.sin(theta)
     return u
 
 
@@ -169,61 +163,42 @@ def _diagonal(stack: np.ndarray, offset: int) -> np.ndarray:
 def jc_fock_projected(params: AtomFieldParams) -> BipartiteMatrix:
     """Evolve the atom-thermal product state as U rho U^dagger, project the field.
 
-    The initial state diag(1-p, p) (x) diag(P_0, ..., P_{n+2}), with photon
-    weights P_k = (1-lam) lam^k, lives on Fock levels 0..n+2; it is evolved
-    with the dense :func:`jc_propagator` and the submatrix on field levels
-    {n, n+1} is returned in the basis {|g,n>, |e,n>, |g,n+1>, |e,n+1>}.
-    That block only involves the doublets n-1, n and n+1, which the
-    truncation holds whole, so it is exact for every lam < 1: no thermal tail
-    budget applies.  It is :func:`jc_fock_block` at one row.
+    The initial state diag(1-p, p) (x) diag(P_b, ..., P_{b+3}), with photon
+    weights P_k = (1-lam) lam^k on the Fock window b..b+3, b = max(n-1, 0), is
+    evolved with the dense exchange propagator of that window, and the
+    submatrix on field levels {n, n+1} is returned in the basis
+    {|g,n>, |e,n>, |g,n+1>, |e,n+1>}.  That block only involves the doublets
+    n-1, n and n+1, which the window holds whole, so it is exact for every
+    n and every lam < 1: no thermal tail budget applies.  It is
+    :func:`jc_fock_block` at one row.
     """
     row = jc_fock_block([params.p], [params.lam], [params.gt], [params.n])[0]
     return BipartiteMatrix(2, 2, row)
 
 
-# Matrix entries per stack of jc_fock_block: the rows of one n are evolved in
-# chunks whose (rows, 2 (n+3), 2 (n+3)) complex stacks hold at most this many
-# entries, or one row where a single matrix is larger, so the memory of a call
-# is bounded whatever the block size.
-_JC_CHUNK = 2**13
+# the projected block in the window's layout: |g,o>, |e,o>, |g,o+1>, |e,o+1>
+_JC_BLOCK = np.array([0, 4, 1, 5])
 
 
 def jc_fock_block(p, lam, gt, n) -> np.ndarray:
     """``jc_fock_projected`` of N rows, from one column per parameter: an (N, 4, 4) stack.
 
-    The columns are those of ``schemes.jc_block``; they are not checked.  Rows
-    of one n share the dimension, so they are evolved together as stacked
-    dense products, chunk by chunk (``_JC_CHUNK``), and each result is put
-    back at its row.
+    The columns are those of ``schemes.jc_block``; they are not checked.  n
+    is carried as floats, so any n the parameters accept is evaluated.  Every
+    row is an 8x8 evolution on its own four-level window, and the block is
+    one stacked dense product U rho0 U^dagger.
     """
-    p, lam, gt = (np.asarray(column, dtype=float) for column in (p, lam, gt))
-    groups: dict[int, list[int]] = {}
-    for row, level in enumerate(n):
-        groups.setdefault(int(level), []).append(row)
-    out = np.empty((len(p), 4, 4), dtype=np.complex128)
-    for level, rows in groups.items():
-        step = max(1, _JC_CHUNK // (2 * (level + 3)) ** 2)
-        for i in range(0, len(rows), step):
-            chunk = rows[i : i + step]
-            out[chunk] = _jc_fock_rows(p[chunk], lam[chunk], gt[chunk], level)
-    return out
-
-
-def _jc_fock_rows(p: np.ndarray, lam: np.ndarray, gt: np.ndarray, n: int) -> np.ndarray:
-    """The projected blocks of M rows of one n, by one stacked U rho0 U^dagger."""
-    n_max = n + 2
-    dim = n_max + 1
-    weights = _thermal_weights(lam[:, None], n_max)
-    rho0 = np.zeros((len(p), 2 * dim, 2 * dim), dtype=np.complex128)
+    p, lam, gt, n = (np.asarray(column, dtype=float) for column in (p, lam, gt, n))
+    base = np.maximum(n - 1.0, 0.0)
+    weights = _thermal_weights(lam[:, None], base[:, None] + np.arange(4.0))
+    rho0 = np.zeros((len(p), 8, 8), dtype=np.complex128)
     # diag(1-p, p) (x) diag(weights): the products on np.kron's diagonal
-    _diagonal(rho0, 0)[:, :dim] = (1.0 - p)[:, None] * weights
-    _diagonal(rho0, 0)[:, dim:] = p[:, None] * weights
-    u = _jc_unitaries(gt, n_max)
-    # U rho0 U^dagger, with U^dagger and the result in the buffers of U and rho0
-    u_rho0 = u @ rho0
-    rho1 = np.matmul(u_rho0, np.conjugate(u, out=u).transpose(0, 2, 1), out=rho0)
-    idx = [n, dim + n, n + 1, dim + n + 1]
-    return rho1[:, idx][:, :, idx]
+    _diagonal(rho0, 0)[:] = np.concatenate([(1.0 - p)[:, None] * weights, p[:, None] * weights], 1)
+    u = _jc_unitaries(gt, base, 4)
+    rho1 = u @ rho0 @ np.conjugate(u).transpose(0, 2, 1)
+    # field level n sits at window offset min(n, 1)
+    idx = np.minimum(n, 1.0).astype(int)[:, None] + _JC_BLOCK
+    return rho1[np.arange(len(p))[:, None, None], idx[:, :, None], idx[:, None, :]]
 
 
 # Gauss-Hermite orders whose rule is stored: QUADRATURE_ORDER and its double.

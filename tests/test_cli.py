@@ -387,6 +387,21 @@ class TestMain:
         assert len(rows) == 3
         assert all(float(row[4]) <= 1e-10 for row in rows)
 
+    def test_validated_jc_sweep_at_huge_n(self, capsys):
+        # the Fock oracle evolves four levels around n, so any n the
+        # parameters accept is validated; an evolution on all levels 0..n+2
+        # could not even be allocated
+        argv = ["sweep", "--scheme", "jc", "--set", "p=0.5", "--set", "lam=0.999"]
+        argv += ["--set", "n=1e300", "--sweep", "gt:0:1e-150:3"]
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()[2:]
+        assert cli.main(argv + ["--validate"]) == 0
+        validated = capsys.readouterr()
+        assert validated.err == ""
+        rows = [line.split(",") for line in validated.out.splitlines()[2:]]
+        assert len(rows) == 3
+        assert [",".join(row[:3]) for row in rows] == plain
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch):
         calls = []
         for name in ("direct_kerr_block", "kerr_micro_thermal_block"):

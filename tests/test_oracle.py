@@ -13,7 +13,6 @@ from mixent.oracle import (
     TruncationTailError,
     fock_space_for,
     jc_fock_projected,
-    jc_propagator,
     quadrature_projected,
     thermal_fock_matrix,
 )
@@ -62,28 +61,43 @@ class TestFockSpace:
             thermal_fock_matrix(0.9, 10)
 
 
-def loop_propagator(gt, n_max):
-    """The exchange propagator entry by entry, one doublet {|e,k>, |g,k+1>} at a time."""
-    dim = n_max + 1
+def loop_propagator(gt, n_max, base=0):
+    """The exchange propagator on Fock levels base..n_max, one doublet {|e,k>, |g,k+1>} at a time.
+
+    |g,base> and |e,n_max>, whose partners lie outside the levels, stay 1.
+    """
+    dim = n_max - base + 1
     u = np.eye(2 * dim, dtype=np.complex128)
-    for k in range(n_max):
-        theta = gt * math.sqrt(k + 1.0)
+    for j in range(dim - 1):
+        theta = gt * math.sqrt(base + j + 1.0)
         c, s = math.cos(theta), math.sin(theta)
-        ie, ig = dim + k, k + 1
+        ie, ig = dim + j, j + 1
         u[ie, ie] = u[ig, ig] = c
         u[ie, ig] = u[ig, ie] = -1j * s
     return u
 
 
-def dense_evolution(params, n_max):
-    """U rho0 U^dagger on Fock levels 0..n_max, projected onto field levels {n, n+1}."""
-    dim = n_max + 1
-    weights = (1 - params.lam) * params.lam ** np.arange(dim)
+def dense_evolution(params, n_max, base=0):
+    """U rho0 U^dagger on Fock levels base..n_max, projected onto field levels {n, n+1}."""
+    dim = n_max - base + 1
+    weights = (1 - params.lam) * params.lam ** np.arange(base, n_max + 1.0)
     rho0 = np.kron(np.diag([1 - params.p, params.p]), np.diag(weights))
-    u = loop_propagator(params.gt, n_max)
+    u = loop_propagator(params.gt, n_max, base)
     rho1 = u @ rho0 @ u.conj().T
-    idx = [params.n, dim + params.n, params.n + 1, dim + params.n + 1]
+    k = params.n - base
+    idx = [k, dim + k, k + 1, dim + k + 1]
     return rho1[np.ix_(idx, idx)]
+
+
+def window_evolution(params):
+    """``dense_evolution`` on the oracle's window: Fock levels b..b+3, b = max(n-1, 0)."""
+    base = max(params.n - 1, 0)
+    return dense_evolution(params, base + 3, base)
+
+
+def propagator(gt, n_max):
+    """The oracle's propagator of one row on Fock levels 0..n_max."""
+    return oracle._jc_unitaries(np.array([gt]), np.zeros(1), n_max + 1)[0]
 
 
 class TestJcFockOracle:
@@ -105,21 +119,19 @@ class TestJcFockOracle:
         assert np.max(np.abs(out - expected)) < 1e-15
 
     def test_propagator_unitary(self):
-        params = mx.AtomFieldParams(p=1.0, lam=0.5, gt=1.37, n=0)
         n_max = 120
-        u = jc_propagator(params, n_max)
+        u = propagator(1.37, n_max)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2 * (n_max + 1)))) <= 1e-12
 
     def test_propagator_equals_loop_reference(self):
         for gt in (0.0, 0.83, 2.1, 9.7):
             for n_max in (0, 1, 2, 7, 63):
-                u = jc_propagator(mx.AtomFieldParams(p=1.0, lam=0.5, gt=gt, n=0), n_max)
+                u = propagator(gt, n_max)
                 assert np.array_equal(bits(u), bits(loop_propagator(gt, n_max))), (gt, n_max)
 
     def test_excitation_conservation(self):
-        params = mx.AtomFieldParams(p=1.0, lam=0.5, gt=2.1, n=0)
         n_max = 60
-        u = jc_propagator(params, n_max)
+        u = propagator(2.1, n_max)
         numbers = np.arange(n_max + 1, dtype=float)
         ones = np.ones(n_max + 1)
         excitation = np.diag(np.kron([0.0, 1.0], ones) + np.kron([1.0, 1.0], numbers))
@@ -138,6 +150,16 @@ class TestJcFockOracle:
             )
             wide = dense_evolution(params, params.n + 40)
             assert np.max(np.abs(jc_fock_projected(params).entries - wide)) <= 1e-15
+        # one block over n up to 300 with the edge values p in {0, 1}, lam = 0
+        rows = [
+            (p, lam, rng.uniform(0.0, 7.0), n)
+            for n in (0, 1, 2, 3, 10, 60, 300)
+            for p, lam in ((0.0, rng.uniform(0.0, 0.999)), (1.0, 0.0), (rng.uniform(), 0.0))
+        ]
+        got = oracle.jc_fock_block(*(list(column) for column in zip(*rows)))
+        for k, row in enumerate(rows):
+            wide = dense_evolution(mx.AtomFieldParams(*row), row[3] + 40)
+            assert np.max(np.abs(got[k] - wide)) <= 1e-15, row
 
     def test_matches_closed_form_near_infinite_temperature(self):
         # lam -> 1 is the paper's zero-purity limit; no truncation budget
@@ -150,6 +172,18 @@ class TestJcFockOracle:
             )
             closed = mx.jc_projected(params).matrix
             assert mx.max_abs_deviation(closed, jc_fock_projected(params)) <= 1e-10
+        # n up to 1e6, with lam close enough to 1 that the weights at n do not
+        # underflow: the oracle's four-level window costs the same at any n
+        for _ in range(300):
+            n = int(10.0 ** rng.uniform(0.0, 6.0))
+            params = mx.AtomFieldParams(
+                p=rng.uniform(),
+                lam=1.0 - 10.0 ** -rng.uniform(0.0, 7.0),
+                gt=rng.uniform(0.0, 7.0) / math.sqrt(n + 1.0),
+                n=n,
+            )
+            closed = mx.jc_projected(params).matrix
+            assert mx.max_abs_deviation(closed, jc_fock_projected(params)) <= 1e-15, params
 
 
 def grid_thermal_nodes(variance, displacement, order):
@@ -431,12 +465,11 @@ class TestBlockOracle:
     def test_jc_block_of_mixed_n_equals_dense_evolution(self):
         # one shuffled block over several n, repeated rows and the edge values
         # p in {0, 1}, lam = 0: every row must be the 2-D kron and matmul of
-        # its own parameters, whichever n group and chunk it was evolved in
+        # its own parameters on its own window, wherever it sits in the stack
         rng = np.random.default_rng(53)
         rows = []
-        for n in (0, 3, 10, 60):
-            count = 3 if n == 60 else 2 * oracle._JC_CHUNK // (2 * (n + 3)) ** 2 + 1
-            for _ in range(count):
+        for n in (0, 1, 2, 3, 10, 60):
+            for _ in range(12):
                 p = float(rng.choice([0.0, 1.0, rng.uniform()]))
                 lam = float(rng.choice([0.0, rng.uniform(0.0, 0.99)]))
                 rows.append((p, lam, rng.uniform(0.0, 10.0), n))
@@ -446,20 +479,21 @@ class TestBlockOracle:
         got = oracle.jc_fock_block(*(list(column) for column in zip(*rows)))
         for k, row in enumerate(rows):
             params = mx.AtomFieldParams(*row)
-            assert np.array_equal(bits(got[k]), bits(dense_evolution(params, params.n + 2))), row
+            assert np.array_equal(bits(got[k]), bits(window_evolution(params))), row
 
     def test_jc_block_memory_is_bounded(self):
-        # 256 rows of one large n: one stack of all of them would hold about
-        # 300 MB, one 2-D evolution per row about 1.5 MB
-        rows = 256
-        args = [0.5] * rows, [0.9] * rows, list(np.linspace(0.0, 3.0, rows)), [60] * rows
-        tracemalloc.start()
-        try:
-            oracle.jc_fock_block(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        # a row's evolution on all Fock levels 0..n+2 would hold 4 (n+3)^2
+        # complex entries: about 300 MB for 256 rows at n = 60, and 23 MB
+        # per row at n = 600
+        for rows, n, bound in ((256, 60, 16e6), (8, 600, 1e6)):
+            args = [0.5] * rows, [0.9] * rows, list(np.linspace(0.0, 3.0, rows)), [n] * rows
+            tracemalloc.start()
+            try:
+                oracle.jc_fock_block(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (rows, n, peak)
 
     def test_first_unstable_row_is_named(self):
         # at V = 1000, gamma = 12 the order-80 rule is too coarse; rows 2 and 4
