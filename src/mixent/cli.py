@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import math
 import os
 import sys
@@ -394,32 +395,26 @@ def _check_out(path: str) -> None:
 
 
 def _kerr_family_grid():
+    """The (V, d, gamma) points shared by the four cross-Kerr grids, in grid order."""
     for v in (1.0, 2.0, 10.0, 100.0, 1000.0):
         for d in (0.0, 1.0, math.sqrt(v), 5.0 * math.sqrt(v)):
             for gamma in (1.0, 2.0, 3.0):
-                yield {"V": v, "d": d, "gamma": gamma}
+                yield v, d, gamma
 
 
-def _grid_points(name: str):
+def _grid_columns(name: str) -> dict:
+    """A validation grid's parameter columns, keyed by parameter name, one entry per point."""
     if name == "jc-grid":
-        return [
-            {"p": p, "lam": lam, "gt": gt, "n": n}
-            for p in (0.0, 0.5, 1.0)
-            for lam in (0.0, 0.5, 0.9, 0.99)
-            for gt in (0.1, 0.7, 1.3, 2.9)
-            for n in (0, 3, 10)
-        ]
-    if name == "direct-grid":
-        return list(_kerr_family_grid())
-    points = []
-    for base in _kerr_family_grid():
-        for r in (0.0, 0.1, 1.0):
-            if name == "kerr-grid":
-                points.append({**base, "r": r})
-            else:
-                for sign in (1, -1):
-                    points.append({**base, "r": r, "sign": sign})
-    return points
+        keys = ("p", "lam", "gt", "n")
+        rows = itertools.product((0.0, 0.5, 1.0), (0.0, 0.5, 0.9, 0.99), (0.1, 0.7, 1.3, 2.9), (0, 3, 10))
+    else:
+        keys, tails = ("V", "d", "gamma"), [()]
+        if name != "direct-grid":
+            keys, tails = (*keys, "r"), [(r,) for r in (0.0, 0.1, 1.0)]
+        if name in ("bs-grid", "tt-grid"):
+            keys, tails = (*keys, "sign"), [(*tail, sign) for tail in tails for sign in (1, -1)]
+        rows = [base + tail for base in _kerr_family_grid() for tail in tails]
+    return dict(zip(keys, map(list, zip(*rows))))
 
 
 VALIDATION_GRIDS = {
@@ -435,11 +430,11 @@ def validate_grid(name: str, tol: float | None = None):
     """Closed form vs oracle over one named grid; returns (max_dev, worst, tol)."""
     sdef = SCHEMES[VALIDATION_GRIDS[name]]
     tol = sdef.tolerance if tol is None else tol
-    points = _grid_points(name)
-    columns = [[p[k] for p in points] for k in sdef.params]
+    grid = _grid_columns(name)
+    columns = [grid[k] for k in sdef.params]
     deviations = _closed_vs_oracle(sdef, columns, sdef.block(*columns))[1]
     worst = int(np.argmax(deviations))  # the first of equal maxima
-    return float(deviations[worst]), points[worst], tol
+    return float(deviations[worst]), {k: column[worst] for k, column in grid.items()}, tol
 
 
 def run_validation(preset: str, tol: float | None = None, out=None) -> int:

@@ -29,17 +29,25 @@ output stored bit for bit in ``_gauss_hermite.npy``, so no process builds
 them.  The grid is the product of one set of nodes per
 real axis: node (i, j) is alpha = re_i + i im_j with weight a_i b_j.  As d
 and gamma are real, the thermal weight and every coherent overlap
-<sigma gamma|kappa alpha> split into an x factor and a y factor, each of
-modulus <= 1.  Every block is one node sum over the cat projections of two
-kets, keyed by (w, w') in {+-1}^2: single-mode |w alpha> for the 2x2
-sandwich blocks, the split |w delta>|-w delta> (delta = alpha/sqrt(2)) for
-the 4x4 beam-splitter blocks.  Each entry of that sum over the order^2
-nodes is evaluated as products of two 1-D sums over order nodes.  The kets
-at w = -1 have the rows of the w = +1 kets reversed, so each node set takes
-one x product and one y product, and the four (w, w') blocks are slices of
-them.  The schemes' 4x4 matrices are assembled from the blocks with a
-broadcast Kronecker product, one product per entry as in ``np.kron``, and
-sums in the order of their formulas.
+<sigma gamma|kappa alpha> split into a real x factor and the y factor
+exp(-(kappa im)^2/2 + i sigma gamma kappa im), each of modulus <= 1.  Every
+block is one node sum over the cat projections of two kets, keyed by
+(w, w') in {+-1}^2: single-mode |w alpha> for the 2x2 sandwich blocks, the
+split |w delta>|-w delta> (delta = alpha/sqrt(2)) for the 4x4 beam-splitter
+blocks.  Each entry of that sum over the order^2 nodes is evaluated as
+products of two 1-D sums over order nodes.  The x sum is one real product
+(fx a) fx^T per node set.  The y sum (fy b) fy^dagger is never formed in
+complex: its entry depends only on the difference of the two rows' phases,
+and the rule is mirror-symmetric (x[::-1] == -x, w[::-1] == w), so its sines
+cancel in pairs and it is the real cosine sum
+T_t = sum_j b_j e^{-im_j^2} cos(t gamma kappa im_j) -- T_0 and T_2 for the
+sandwich blocks, T_0, T_2 and T_4 for the beam-splitter blocks.  The kets at
+w = -1 have the rows of the w = +1 kets reversed, so the four (w, w') blocks
+are slices of one x product and one set of cosine sums.  The schemes' 4x4
+matrices are assembled from the blocks with a broadcast Kronecker product,
+one product per entry as in ``np.kron``, and sums in the order of their
+formulas.  Everything from the nodes to the doubling check is float64;
+:func:`quadrature_block` casts its result to complex128 once, on return.
 
 Each oracle is a block function over N rows, like the constructors:
 :func:`jc_fock_block` and :func:`quadrature_block` take one column per
@@ -48,8 +56,9 @@ stack; the public one-row oracles are the same functions at one row, so both
 give the same bits.  The ``jc`` block evolves all its rows as one stacked
 8x8 product U rho0 U^dagger.  The quadrature block dedupes its rows' (V, d, gamma)
 node sets with ``np.unique`` and evaluates the M distinct ones in chunks of
-at most ``_NODE_CHUNK``: the nodes and axis factors as (M, order) arrays and
-the node sums as stacked matmuls.  The assembly runs over all N rows as
+at most ``_NODE_CHUNK``: the nodes, x factors and cosines as (M, ..., order)
+arrays, the x sums as stacked matmuls and the cosine sums as stacked
+reductions.  The assembly runs over all N rows as
 stacked sums in the order above.  Each set's scalars
 (u, the scale, the center, the log normalization, N+-) are Python floats from
 ``math``, as at one row; only the (M, order) arrays use numpy's ufuncs.
@@ -280,20 +289,36 @@ def _axis_row(variance: float, displacement: float) -> tuple:
 _SIGMA = np.array([[1.0], [-1.0]])
 
 
-def _projection_factors(re: np.ndarray, im: np.ndarray, gammas: np.ndarray, kappa: float) -> tuple:
-    """Axis factors (fx, fy) of <sigma gamma|kappa alpha> of M node sets, (M, 2, n) each.
+def _x_factors(re: np.ndarray, gammas: np.ndarray, kappa: float) -> np.ndarray:
+    """x factors fx = exp(-(kappa re - sigma gamma)^2/2) of <sigma gamma|kappa alpha>, (M, 2, n).
 
-    Rows sigma = +1, -1.  At alpha = re + i im the overlap is
-    fx[m, sigma, i] fy[m, sigma, j] with fx = exp(-(kappa re - sigma gamma)^2/2)
-    and fy = exp(-(kappa im)^2/2 + i sigma gamma kappa im), each of modulus
-    <= 1 for any gamma.  The factors of -kappa alpha are the rows reversed, as
-    <sigma g|-b> = <-sigma g|b>.
+    Rows sigma = +1, -1 of M node sets.  At alpha = re + i im the overlap is
+    fx[m, sigma, i] times the y factor exp(-(kappa im)^2/2 + i sigma gamma kappa im),
+    each of modulus <= 1 for any gamma.  The factors of -kappa alpha are the
+    rows reversed, as <sigma g|-b> = <-sigma g|b>.
     """
-    sigma_gamma = _SIGMA * gammas[:, None, None]
-    fx = np.exp(-0.5 * (kappa * re[:, None, :] - sigma_gamma) ** 2)
-    ky = kappa * im[:, None, :]
-    fy = np.exp(-0.5 * ky**2 + 1j * sigma_gamma * ky)
-    return fx, fy
+    return np.exp(-0.5 * (kappa * re[:, None, :] - _SIGMA * gammas[:, None, None]) ** 2)
+
+
+def _y_sums(im: np.ndarray, b: np.ndarray, gammas: np.ndarray, kappa: float, phases: np.ndarray) -> np.ndarray:
+    """The y node sums of M node sets, (M, k, k) for the k rows of ``phases``.
+
+    Ket row r has the y factor exp(-im^2/2 + i phases[r] gamma kappa im): the
+    single-mode rows sigma at kappa = 1 and the split rows (s1, s2), with
+    phase s1 - s2, at kappa = 1/sqrt(2), which keep |alpha|^2.  So entry
+    (r, r') of sum_j b_j y_r(j) y_r'(j)^* is
+    sum_j b_j e^{-im_j^2} e^{i (phases[r] - phases[r']) gamma kappa im_j}.  The
+    rule is mirror-symmetric (x[::-1] == -x and w[::-1] == w), so im is odd and
+    b even over the nodes, and the sines cancel in pairs: the entry is the
+    real cosine sum T_t = sum_j b_j e^{-im_j^2} cos(t gamma kappa im_j) at
+    t = |phases[r] - phases[r']|, one sum per even t.
+    """
+    steps = np.abs(np.subtract.outer(phases, phases)) // 2
+    weight = b * np.exp(-im * im)
+    t = np.arange(2.0, 2.0 * steps.max() + 1.0, 2.0)  # T_0 takes no cosine
+    phase = (t * gammas[:, None])[:, :, None] * (kappa * im)[:, None, :]
+    sums = [weight.sum(axis=-1)[:, None], (np.cos(phase) * weight[:, None, :]).sum(axis=-1)]
+    return np.concatenate(sums, axis=1)[:, steps]
 
 
 def _cat_rows(gammas) -> np.ndarray:
@@ -308,18 +333,23 @@ def _cat_rows(gammas) -> np.ndarray:
 # rows of the kets at w = +1 and w = -1: the w = -1 factors are the w = +1 rows reversed
 _ROWS = {1: slice(None), -1: slice(None, None, -1)}
 
+# the y phase of each ket row, in units of gamma kappa im: sigma for the
+# single-mode rows sigma = +1, -1 and s1 - s2 for the split rows (s1, s2)
+_SIGMA_PHASES = np.array([1, -1])
+_SPLIT_PHASES = np.array([0, 2, -2, 0])
 
-def _node_blocks(c: np.ndarray, fx: np.ndarray, fy: np.ndarray, a, b) -> dict:
+
+def _node_blocks(c: np.ndarray, fx: np.ndarray, y: np.ndarray, a) -> dict:
     """Node sums sum_ij a_i b_j k_w(i, j) k_w'(i, j)^dagger of M node sets, keyed by (w, w').
 
     The ket at w = +1 is k(i, j) = c (fx[:, i] o fy[:, j]) and the ket at
     w = -1 has the rows of fx and fy reversed.  So one x sum (fx a) fx^T and
-    one y sum (fy b) fy^dagger per node set serve all four blocks: the (w, w')
-    block is c (x[p][:, q] o y[p][:, q]) c^T, with p and q the rows of w and
-    w'.  Every product is a stacked matmul over the leading axis of node sets.
+    the y sums y = (fy b) fy^dagger of :func:`_y_sums` per node set serve all
+    four blocks: the (w, w') block is c (x[p][:, q] o y[p][:, q]) c^T, with p
+    and q the rows of w and w'.  Every product is a stacked real matmul over
+    the leading axis of node sets.
     """
     x = (fx * a[:, None, :]) @ fx.transpose(0, 2, 1)
-    y = (fy * b[:, None, :]) @ fy.conj().transpose(0, 2, 1)
     ct = c.transpose(0, 2, 1)
     return {
         (w, wp): c @ (x[:, p][:, :, q] * y[:, p][:, :, q]) @ ct
@@ -332,31 +362,33 @@ def _node_blocks(c: np.ndarray, fx: np.ndarray, fy: np.ndarray, a, b) -> dict:
 def _sandwich_block(variances: tuple, displacements: tuple, gammas: tuple, order: int) -> dict:
     """Quadrature values of the 2x2 cat blocks <s| integral[P |w a><w' a|] |s'> of M node sets.
 
-    All four blocks, keyed by (w, w'), as (M, 2, 2) stacks from one pair of
+    All four blocks, keyed by (w, w'), as float64 (M, 2, 2) stacks from one pair of
     projections at +-alpha.  Every V is 1 or every V is above 1.
     """
     re, a, im, b = _thermal_nodes(variances, displacements, order)
-    fx, fy = _projection_factors(re, im, np.array(gammas), 1.0)
-    return _node_blocks(_cat_rows(gammas), fx, fy, a, b)
+    g = np.array(gammas)
+    y = _y_sums(im, b, g, 1.0, _SIGMA_PHASES)
+    return _node_blocks(_cat_rows(gammas), _x_factors(re, g, 1.0), y, a)
 
 
 @lru_cache(maxsize=8)
 def _bs_term_matrices(variances: tuple, displacements: tuple, gammas: tuple, order: int) -> dict:
     """Quadrature values of the 4x4 cat blocks <s1 s2| integral[P |k_w><k_w'|] |s1' s2'>.
 
-    All four blocks of M node sets, keyed by (w, w'), as (M, 4, 4) stacks.  The 50:50 splitter sends |w a> to k_w = |w delta>|-w delta>, delta = a/sqrt(2);
+    All four blocks of M node sets, keyed by (w, w'), as float64 (M, 4, 4) stacks.  The 50:50 splitter sends |w a> to k_w = |w delta>|-w delta>, delta = a/sqrt(2);
     rows (s1, s2) of its projections take C (x) C over the products of the
     single-mode axis factors at w delta and -w delta.  (1, 1) is the direct
     term, (-1, -1) its mirror, the mixed pairs the coherences.  Every V is 1
     or every V is above 1.
     """
     re, a, im, b = _thermal_nodes(variances, displacements, order)
-    fx, fy = _projection_factors(re, im, np.array(gammas), 1.0 / math.sqrt(2.0))
+    g, kappa = np.array(gammas), 1.0 / math.sqrt(2.0)
     # row (s1, s2) is f[s1] o f_-[s2], with f_- = f[::-1]; at w = -1 it is row
     # (-s1, -s2) of w = +1, so reversing all four rows gives w = -1 again
-    fx, fy = ((f[:, :, None] * f[:, ::-1][:, None, :]).reshape(len(f), 4, -1) for f in (fx, fy))
+    f = _x_factors(re, g, kappa)
+    fx = (f[:, :, None] * f[:, ::-1][:, None, :]).reshape(len(f), 4, -1)
     c = _cat_rows(gammas)
-    return _node_blocks(_kron(c, c), fx, fy, a, b)
+    return _node_blocks(_kron(c, c), fx, _y_sums(im, b, g, kappa, _SPLIT_PHASES), a)
 
 
 # Node sets per call of a node cache: this bounds the (sets, order) arrays that
@@ -415,7 +447,7 @@ def _quad_direct_kerr(b, r, sign):
     first = np.stack([b[w1, w1p] for (w1, _), (w1p, _) in _DIRECT_TERMS], axis=1)
     second = np.stack([b[w2, w2p] for (_, w2), (_, w2p) in _DIRECT_TERMS], axis=1)
     terms = _DIRECT_WEIGHTS[:, None, None] * _kron(first, second)
-    out = np.zeros((len(terms), 4, 4), dtype=np.complex128)
+    out = np.zeros((len(terms), 4, 4), dtype=terms.dtype)
     for t in range(len(_DIRECT_TERMS)):  # summed from zero in term order, one rounding per term
         out += terms[:, t]
     return out
@@ -466,7 +498,7 @@ def quadrature_block(scheme: str, r, V, d, gamma, sign) -> np.ndarray:
             f"> {DOUBLING_TOLERANCE:.0e} "
             f"(V={float(V[k])}, d={float(d[k])}, gamma={float(gamma[k])})"
         )
-    return fine
+    return fine.astype(np.complex128)
 
 
 def quadrature_projected(

@@ -8,6 +8,7 @@ closed-form purities of all of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -191,6 +192,9 @@ class AtomFieldParams:
             raise ValueError(f"gt must be >= 0, got {gt}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
+        # n is converted to a double below; a larger int has no double value
+        if self.n > sys.float_info.max:
+            raise ValueError(f"n must lie within the double range, got an int of {int(self.n).bit_length()} bits")
         # the state takes cos(gt sqrt(k + 1)) up to k = n + 1
         if not math.isfinite(gt * math.sqrt(self.n + 2.0)):
             raise ValueError(f"gt * sqrt(n + 2) must be finite, got gt={gt!r} and n={self.n}")

@@ -51,6 +51,34 @@ def one_row_oracle(scheme, args):
         return mx.jc_fock_projected(**args)
     return mx.quadrature_projected(scheme, **args)
 
+
+def reference_grid_points(name):
+    """A validation grid as a list of point dicts, written out loop by loop."""
+    if name == "jc-grid":
+        return [
+            {"p": p, "lam": lam, "gt": gt, "n": n}
+            for p in (0.0, 0.5, 1.0)
+            for lam in (0.0, 0.5, 0.9, 0.99)
+            for gt in (0.1, 0.7, 1.3, 2.9)
+            for n in (0, 3, 10)
+        ]
+    points = []
+    for v in (1.0, 2.0, 10.0, 100.0, 1000.0):
+        for d in (0.0, 1.0, math.sqrt(v), 5.0 * math.sqrt(v)):
+            for gamma in (1.0, 2.0, 3.0):
+                base = {"V": v, "d": d, "gamma": gamma}
+                if name == "direct-grid":
+                    points.append(base)
+                    continue
+                for r in (0.0, 0.1, 1.0):
+                    if name == "kerr-grid":
+                        points.append({**base, "r": r})
+                    else:
+                        for sign in (1, -1):
+                            points.append({**base, "r": r, "sign": sign})
+    return points
+
+
 VALIDATED_SWEEPS = {
     "jc": ({"p": 0.7, "lam": 0.9, "n": 3}, ("gt", 0.0, 3.0, 4)),
     "kerr_micro_thermal": ({"r": 0.6, "V": 7.0, "gamma": 2.0}, ("d", 0.0, 9.0, 4)),
@@ -231,7 +259,7 @@ class TestSweep:
         scheme = cli.VALIDATION_GRIDS[grid]
         sdef = cli.SCHEMES[scheme]
         worst_dev, worst_at = -1.0, None
-        for values in cli._grid_points(grid):
+        for values in reference_grid_points(grid):
             args = sdef.args(values)
             if scheme in KERNELS:
                 closed = KERNELS[scheme](*args.values())
@@ -241,6 +269,21 @@ class TestSweep:
             if dev > worst_dev:
                 worst_dev, worst_at = dev, values
         assert cli.validate_grid(grid) == (worst_dev, worst_at, sdef.tolerance)
+
+    @pytest.mark.parametrize("grid", sorted(cli.VALIDATION_GRIDS))
+    def test_grid_columns_match_point_dicts(self, grid, monkeypatch):
+        # the columns are those of the point dicts, values and types alike, and
+        # the worst point is the dict at the worst row, keys in the same order
+        points = reference_grid_points(grid)
+        columns = cli._grid_columns(grid)
+        assert list(columns) == list(points[0])
+        for key, column in columns.items():
+            assert repr(column) == repr([p[key] for p in points]), key
+        for worst in (0, len(points) // 3, len(points) - 1):
+            deviations = np.zeros(len(points))
+            deviations[worst] = 1.0
+            monkeypatch.setattr(cli, "_closed_vs_oracle", lambda *args, dev=deviations: (None, dev))
+            assert repr(cli.validate_grid(grid)[1]) == repr(points[worst])
 
 
 class TestSpecValidation:

@@ -32,7 +32,26 @@ def one_set_nodes(v, d, order):
 
 
 def one_set_factors(re, im, g, kappa):
-    return [f[0] for f in oracle._projection_factors(re[None], im[None], np.array([g]), kappa)]
+    """The oracle's x factors of one node set and its complex y factors, rebuilt from im.
+
+    Rows sigma = +1, -1; the y factor of <sigma g|kappa alpha> is
+    exp(-(kappa im)^2/2 + i sigma g kappa im).
+    """
+    fx = oracle._x_factors(re[None], np.array([g]), kappa)[0]
+    ky = kappa * im
+    fy = np.exp(-0.5 * ky**2 + 1j * np.array([[1.0], [-1.0]]) * g * ky)
+    return fx, fy
+
+
+def split_rows(f):
+    """The rows (s1, s2) of the split kets: f[s1] o f[-s2], as the beam-splitter blocks take them."""
+    return (f[:, None] * f[::-1][None, :]).reshape(4, -1)
+
+
+def one_set_y_sums(im, b, g, kappa):
+    """The oracle's folded y sums of one node set: the single-mode rows at kappa = 1, the split rows else."""
+    phases = oracle._SIGMA_PHASES if kappa == 1.0 else oracle._SPLIT_PHASES
+    return oracle._y_sums(im[None], b[None], np.array([g]), kappa, phases)[0]
 
 
 class TestFockSpace:
@@ -255,17 +274,21 @@ def einsum_bs_terms(variance, displacement, gamma, order):
     ]
 
 
+def axis_points(rng):
+    """Two V = 1 node sets and six seeded ones with V up to 1e4."""
+    points = [(1.0, 1.5, 2.0), (1.0, -0.3, 0.4)]
+    for _ in range(6):
+        v = 10.0 ** rng.uniform(0.0, 4.0)
+        points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
+    return points
+
+
 class TestAxisFactors:
     @pytest.mark.parametrize("order", [80, 160])
     def test_factors_multiply_to_coherent_overlaps(self, order):
-        # the oracle's overlaps must be the public ones at every node of the
-        # 2-D grid, whichever closed form the axis factors take
-        rng = np.random.default_rng(23)
-        points = [(1.0, 1.5, 2.0), (1.0, -0.3, 0.4)]
-        for _ in range(6):
-            v = 10.0 ** rng.uniform(0.0, 4.0)
-            points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
-        for v, d, g in points:
+        # the oracle's x factors times the y factors its sums fold must be the
+        # public overlaps at every node of the 2-D grid
+        for v, d, g in axis_points(np.random.default_rng(23)):
             re, a, im, b = one_set_nodes(v, d, order)
             alpha, weight = grid_thermal_nodes(v, d, order)
             assert np.array_equal((re[:, None] + 1j * im[None, :]).ravel(), alpha)
@@ -282,6 +305,25 @@ class TestAxisFactors:
                         dev = np.abs(got - ref).max()
                         assert dev <= 1e-12, (v, d, g, order, kappa, w, sigma, dev)
 
+    @pytest.mark.parametrize("order", [80, 160])
+    def test_y_sums_are_the_real_part_of_the_complex_products(self, order):
+        # the rule's mirror symmetry cancels the sines in pairs: the real
+        # cosine sums are the literal complex y products up to rounding, and
+        # those products' imaginary parts are rounding alone
+        for v, d, g in axis_points(np.random.default_rng(37)):
+            re, a, im, b = one_set_nodes(v, d, order)
+            for kappa in (1.0, 1.0 / math.sqrt(2.0)):
+                fy = one_set_factors(re, im, g, kappa)[1]
+                if kappa != 1.0:
+                    fy = split_rows(fy)
+                literal = (fy * b) @ fy.conj().T
+                got = one_set_y_sums(im, b, g, kappa)
+                assert got.dtype == np.float64 and got.shape == literal.shape
+                scale = np.abs(literal).max()
+                dev = np.abs(got - literal.real).max()
+                assert dev <= 4 * EPS * scale, (v, d, g, order, kappa, dev / scale)
+                assert np.abs(literal.imag).max() <= order * EPS * scale, (v, d, g, order, kappa)
+
 
 class TestBeamSplitterBlocks:
     def test_blocks_match_per_term_einsum(self):
@@ -289,7 +331,7 @@ class TestBeamSplitterBlocks:
         # rounding grows like sqrt(order^2) eps, so two of them differ by
         # at most about 2 order eps of the largest entry
         rng = np.random.default_rng(19)
-        points = [(p["V"], p["d"], p["gamma"]) for p in cli._kerr_family_grid()]
+        points = list(cli._kerr_family_grid())
         for _ in range(20):
             v = 10.0 ** rng.uniform(0.0, 4.0)
             points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
@@ -328,14 +370,21 @@ def quad_once(scheme, r, sign, v, d, g, order):
     return oracle._quad_once(scheme, [r], [sign], ((v,), (d,), (g,)), np.array([0]), order)[0]
 
 
-def per_pair_node_blocks(c, fx, fy, a, b):
-    """The four node sums, one explicit x and y product per (w, w') pair."""
-    rows = {1: (fx, fy), -1: (fx[::-1], fy[::-1])}
-    return {
-        (w, wp): c @ (((fx_w * a) @ fx_wp.T) * ((fy_w * b) @ fy_wp.conj().T)) @ c.T
-        for w, (fx_w, fy_w) in rows.items()
-        for wp, (fx_wp, fy_wp) in rows.items()
-    }
+def per_pair_node_blocks(c, fx, a, im, b, g, kappa, phases):
+    """The four node sums, one explicit x product and one cosine y sum per (w, w') pair.
+
+    Ket row r has the y phase phases[r] g kappa im at w = +1 and its negative
+    at w = -1, where the rows are reversed; the y sum of the pair (w, w') is
+    sum_j b_j e^{-im_j^2} cos((w phases[r] - w' phases[r']) g kappa im_j).
+    """
+    rows = {1: fx, -1: fx[::-1]}
+    weight = b * np.exp(-im * im)
+
+    def y_sum(w, wp):
+        steps = np.subtract.outer(w * phases, wp * phases)
+        return (np.cos((steps[..., None] * g) * (kappa * im)) * weight).sum(axis=-1)
+
+    return {(w, wp): c @ (((rows[w] * a) @ rows[wp].T) * y_sum(w, wp)) @ c.T for w in rows for wp in rows}
 
 
 class TestAssembly:
@@ -345,7 +394,7 @@ class TestAssembly:
 
     def test_assemblies_equal_kron_reference_on_node_blocks(self):
         rng = np.random.default_rng(29)
-        points = [(p["V"], p["d"], p["gamma"]) for p in cli._kerr_family_grid()][::7]
+        points = list(cli._kerr_family_grid())[::7]
         for _ in range(6):
             v = 10.0 ** rng.uniform(0.0, 4.0)
             points.append((v, rng.uniform(-5.0, 5.0) * math.sqrt(v), 10.0 ** rng.uniform(-0.5, 0.7)))
@@ -383,33 +432,36 @@ class TestAssembly:
                 assert np.array_equal(got, kron_reference(scheme, b, r, sign)), scheme
 
     def test_node_blocks_match_per_pair_products(self):
-        # one x and one y product with reversed rows against a product per
-        # pair: the same sums, up to the order a matrix product adds in
+        # one x product and one set of cosine sums with reversed rows against
+        # an x product and a cosine sum per pair: the same sums, up to the
+        # order a matrix product adds in
         rng = np.random.default_rng(41)
         cases = []
         for v, d, g in ((1.0, 1.5, 2.0), (10.0, 3.0, 1.0), (1000.0, -40.0, 3.0), (2.0, 0.0, 0.4)):
             for order in (80, 160):
                 re, a, im, b = one_set_nodes(v, d, order)
-                c = oracle._cat_rows([g])[0]
-                fx, fy = one_set_factors(re, im, g, 1.0)
-                cases.append((c, fx, fy, a, b))
-                fx, fy = one_set_factors(re, im, g, 1.0 / math.sqrt(2.0))
-                pair = [(f[:, None] * f[::-1][None, :]).reshape(4, -1) for f in (fx, fy)]
-                cases.append((qlinalg._kron(c, c), *pair, a, b))
-        for rows in (2, 4):
-            n = 80
-            fx = rng.uniform(size=(rows, n))
-            fy = np.exp(1j * rng.uniform(0.0, 6.3, size=(rows, n))) * rng.uniform(size=(rows, n))
-            c = rng.normal(size=(rows, rows))
-            cases.append((c, fx, fy, rng.uniform(size=n), rng.uniform(size=n)))
-        for c, fx, fy, a, b in cases:
-            stacks = oracle._node_blocks(*(x[None] for x in (c, fx, fy, a, b)))
-            got = {key: block[0] for key, block in stacks.items()}
-            refs = per_pair_node_blocks(c, fx, fy, a, b)
-            assert sorted(got) == sorted(refs)
-            scale = max(np.abs(ref).max() for ref in refs.values())
-            for key, ref in refs.items():
-                assert np.abs(got[key] - ref).max() <= 4 * EPS * scale, key
+                cases.append((oracle._cat_rows([g])[0], re, a, im, b, g))
+        for _ in range(4):
+            # any real x nodes, and y nodes and weights with the rule's mirror symmetry
+            half, weight = rng.uniform(0.0, 3.0, size=40), rng.uniform(size=40)
+            im, b = np.concatenate([-half[::-1], half]), np.concatenate([weight[::-1], weight])
+            c = rng.normal(size=(2, 2))
+            cases.append((c, rng.normal(size=80), rng.uniform(size=80), im, b, rng.uniform(0.3, 5.0)))
+        for c, re, a, im, b, g in cases:
+            for kappa, phases in ((1.0, oracle._SIGMA_PHASES), (1.0 / math.sqrt(2.0), oracle._SPLIT_PHASES)):
+                fx = one_set_factors(re, im, g, kappa)[0]
+                cat = c
+                if kappa != 1.0:
+                    fx, cat = split_rows(fx), qlinalg._kron(c, c)
+                y = one_set_y_sums(im, b, g, kappa)
+                stacks = oracle._node_blocks(*(x[None] for x in (cat, fx, y, a)))
+                got = {key: block[0] for key, block in stacks.items()}
+                refs = per_pair_node_blocks(cat, fx, a, im, b, g, kappa, phases)
+                assert sorted(got) == sorted(refs)
+                scale = max(np.abs(ref).max() for ref in refs.values())
+                for key, ref in refs.items():
+                    assert got[key].dtype == np.float64
+                    assert np.abs(got[key] - ref).max() <= 4 * EPS * scale, key
 
 
 def bits(a):
@@ -525,7 +577,7 @@ class TestQuadratureOracle:
         # of the zero-displacement separability
         block = one_set(oracle._sandwich_block, 10.0, 0.0, 2.0, 80)[1, -1]
         assert np.max(np.abs(block - block.T)) < 1e-14
-        assert np.max(np.abs(block.imag)) < 1e-14
+        assert np.all(block.imag == 0.0)
 
     def test_kernel_reconstruction(self):
         v, d, g = 10.0, 5.0, 2.0
@@ -563,6 +615,32 @@ class TestQuadratureOracle:
         np.testing.assert_array_max_ulp(x, ref_x, maxulp=2)
         np.testing.assert_array_max_ulp(w, ref_w, maxulp=2)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("order", [*oracle._STORED_ORDERS, 81, 100])
+    def test_rules_are_mirror_symmetric(self, order):
+        # the y sums drop the sines on this symmetry: im odd and b even over the nodes
+        if order in oracle._STORED_ORDERS:
+            x, w = oracle._stored_rule(order)
+        else:
+            x, w = np.polynomial.hermite.hermgauss(order)
+        assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+        x, logw = oracle._gh_rule(order)
+        assert np.array_equal(x[::-1], -x) and np.array_equal(logw[::-1], logw)
+        for v, d in ((2.0, 0.0), (10.0, 3.0), (1000.0, -40.0)):
+            re, a, im, b = one_set_nodes(v, d, order)
+            assert np.array_equal(im[::-1], -im) and np.array_equal(b[::-1], b)
+
+    def test_blocks_are_real_and_the_result_complex(self):
+        # float64 from the nodes to the doubling check, complex128 on return
+        nodes = (1.0, 10.0, 1000.0), (1.5, 3.0, -40.0), (2.0, 1.0, 3.0)
+        for blocks in (oracle._sandwich_block, oracle._bs_term_matrices):
+            for block in blocks(*nodes, 80).values():
+                assert block.dtype == np.float64 and block.shape[0] == 3
+        for scheme in oracle.KERR_SCHEMES:
+            r = None if scheme == "direct_kerr" else [0.3] * 3
+            sign = None if scheme in ("kerr_micro_thermal", "direct_kerr") else [1, -1, 1]
+            out = oracle.quadrature_block(scheme, r, *nodes, sign)
+            assert out.dtype == np.complex128 and np.all(out.imag == 0.0), scheme
 
     def test_stored_orders_build_no_rule(self, monkeypatch):
         def refuse(order):

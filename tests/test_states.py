@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +200,14 @@ class TestAtomFieldParams:
             with pytest.raises(ValueError, match=re.escape(f"gt={gt!r} and n={n}")):
                 mx.AtomFieldParams(p=1.0, lam=0.5, gt=gt, n=n)
         assert mx.AtomFieldParams(p=1.0, lam=0.5, gt=1e308, n=1).gt == 1e308
+
+    def test_n_beyond_the_double_range(self):
+        # an int above the largest double has no float value to take the root of
+        biggest = int(sys.float_info.max)
+        for n in (10**400, biggest + 1, 2**1024):
+            with pytest.raises(ValueError, match="double range"):
+                mx.AtomFieldParams(p=0.5, lam=0.5, gt=0.0, n=n)
+        assert mx.AtomFieldParams(p=0.5, lam=0.5, gt=0.0, n=biggest).n == biggest
 
 
 class TestCatKernels:
