@@ -50,7 +50,6 @@ from .states import (
     coherent_overlap,
     field_purity,
     micro_state_matrix,
-    thermal_cat_kernels,
 )
 
 __version__ = "0.1.0"

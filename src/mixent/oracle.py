@@ -24,9 +24,9 @@ the integrand resolved for any V; scaling by the thermal width alone misses
 the overlap peaks entirely once V >> 1.  In these coordinates each integrand
 term reduces to exp(2 zeta x) with |zeta| <= 2 gamma, for which
 ``QUADRATURE_ORDER`` = 80 points per axis are accurate to far below the
-validation tolerances.  The rules of orders 80 and 160 are ``hermgauss``'s
-output stored bit for bit in ``_gauss_hermite.npy``, so no process builds
-them.  The grid is the product of one set of nodes per
+validation tolerances.  The only rules are those of orders 80 and 160,
+``hermgauss``'s output stored bit for bit in ``_gauss_hermite.npy``, so no
+process builds one.  The grid is the product of one set of nodes per
 real axis: node (i, j) is alpha = re_i + i im_j with weight a_i b_j.  As d
 and gamma are real, the thermal weight and every coherent overlap
 <sigma gamma|kappa alpha> split into a real x factor and the y factor
@@ -55,8 +55,9 @@ parameter (those of the schemes' block functions) and return the (N, 4, 4)
 stack; the public one-row oracles are the same functions at one row, so both
 give the same bits.  The ``jc`` block evolves all its rows as one stacked
 8x8 product U rho0 U^dagger.  The quadrature block dedupes its rows' (V, d, gamma)
-node sets with ``np.unique`` and evaluates the M distinct ones in chunks of
-at most ``_NODE_CHUNK``: the nodes, x factors and cosines as (M, ..., order)
+node sets with a dict keyed by the Python floats, in the order they first
+occur with the V = 1 sets first, and evaluates the M distinct ones in chunks
+of at most ``_NODE_CHUNK``: the nodes, x factors and cosines as (M, ..., order)
 arrays, the x sums as stacked matmuls and the cosine sums as stacked
 reductions.  The assembly runs over all N rows as
 stacked sums in the order above.  Each set's scalars
@@ -210,41 +211,26 @@ def jc_fock_block(p, lam, gt, n) -> np.ndarray:
     return rho1[np.arange(len(p))[:, None, None], idx[:, :, None], idx[:, None, :]]
 
 
-# Gauss-Hermite orders whose rule is stored: QUADRATURE_ORDER and its double.
-_STORED_ORDERS = (80, 160)
+# The Gauss-Hermite orders of the oracle, QUADRATURE_ORDER and its double,
+# and the file that stores their rules.
+_STORED_ORDERS = (QUADRATURE_ORDER, 2 * QUADRATURE_ORDER)
 _STORED_RULES = os.path.join(os.path.dirname(__file__), "_gauss_hermite.npy")
 
 
-def _stored_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``hermgauss(order)`` of an order in ``_STORED_ORDERS``, read from ``_gauss_hermite.npy``.
+@lru_cache(maxsize=2)
+def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and log(w) + x^2 of the Gauss-Hermite rule of an order in ``_STORED_ORDERS``.
 
     The file holds the x then the w of each stored order, in the order of
-    ``_STORED_ORDERS``, bit for bit as ``hermgauss`` returned them.  It is made by::
+    ``_STORED_ORDERS``, bit for bit as ``hermgauss`` returned them, so no
+    process builds a rule.  It is made by::
 
         np.save(path, np.concatenate([np.concatenate(hermgauss(n)) for n in _STORED_ORDERS]))
     """
     start = 2 * sum(_STORED_ORDERS[: _STORED_ORDERS.index(order)])
     x, w = np.load(_STORED_RULES)[start : start + 2 * order].reshape(2, order)
-    return x, w
-
-
-@lru_cache(maxsize=32)
-def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and log(w) + x^2 of the Gauss-Hermite rule of ``order``.
-
-    The stored orders are read from their file on first use, so no process
-    builds them; any other order calls ``hermgauss``.
-    """
-    if order in _STORED_ORDERS:
-        x, w = _stored_rule(order)
-    else:
-        x, w = np.polynomial.hermite.hermgauss(order)
-    # log(w) + x^2 stays O(1); exponentiating w and exp(x^2) separately would
-    # overflow near order 320.  Edge weights may underflow to 0 at very high
-    # orders; their -inf log just drops the node.
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    return x, logw + x * x
+    # log(w) + x^2 stays O(1) where w reaches 1.8e-129 (order 160)
+    return x, np.log(w) + x * x
 
 
 # The node caches are keyed by a chunk of at most _NODE_CHUNK node sets and the
@@ -400,7 +386,7 @@ def _row_blocks(blocks, nodes: tuple, inverse: np.ndarray, order: int) -> dict:
     """The blocks of each row, (N, n, n) per key: row k takes node set inverse[k].
 
     ``blocks`` runs on chunks of at most ``_NODE_CHUNK`` node sets, first of
-    those at V = 1 and then of the rest, which ``np.unique`` sorts after them.
+    those at V = 1 and then of the rest, which ``quadrature_block`` lists after them.
     """
     variances, displacements, gammas = nodes
     ones = variances.count(1.0)
@@ -474,16 +460,20 @@ def quadrature_block(scheme: str, r, V, d, gamma, sign) -> np.ndarray:
     :mod:`mixent.schemes` (r, V, d, gamma, sign); ``r`` is None for
     ``direct_kerr`` and ``sign`` None for ``kerr_micro_thermal`` and
     ``direct_kerr``.  They are not checked.  Rows with equal (V, d, gamma)
-    share one node set (d = -0.0 and 0.0 give the same nodes, so ``np.unique``
-    may merge them).  Each row is evaluated at ``QUADRATURE_ORDER`` and at twice
-    that order; if any row's entries move by more than ``DOUBLING_TOLERANCE``,
+    share one node set (d = -0.0 and 0.0 give the same nodes and are merged).
+    Each row is evaluated at ``QUADRATURE_ORDER`` and at twice that order; if
+    any row's entries move by more than ``DOUBLING_TOLERANCE``,
     :class:`OracleUnstableError` names the first such row.
     """
     if scheme not in KERR_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {KERR_SCHEMES}")
     order = QUADRATURE_ORDER
-    sets, inverse = np.unique(np.array([V, d, gamma], dtype=float).T, axis=0, return_inverse=True)
-    nodes = tuple(map(tuple, sets.T.tolist()))
+    rows = list(zip(*(np.asarray(column, dtype=float).tolist() for column in (V, d, gamma))))
+    # the distinct (V, d, gamma) in first-occurrence order, stably sorted to put V = 1 first
+    sets = sorted(dict.fromkeys(rows), key=lambda row: row[0] != 1.0)
+    index = {row: k for k, row in enumerate(sets)}
+    inverse = np.array([index[row] for row in rows])
+    nodes = tuple(zip(*sets))
     fine = _quad_once(scheme, r, sign, nodes, inverse, 2 * order)
     coarse = _quad_once(scheme, r, sign, nodes, inverse, order)
     dev = np.abs(coarse - fine)

@@ -27,7 +27,6 @@ __all__ = [
     "field_purity",
     "micro_state_matrix",
     "scaled_cat_kernels",
-    "thermal_cat_kernels",
 ]
 
 
@@ -280,15 +279,3 @@ def scaled_cat_kernels(t: ThermalParams, basis: CatBasis) -> tuple[CatKernels, f
         s, r, _, log_c = _scaled_kernels(*np.array([t.variance, t.displacement, basis.gamma]))
     return CatKernels(c=1.0, s=float(s), r=float(r)), float(log_c)
 
-
-def thermal_cat_kernels(t: ThermalParams, basis: CatBasis) -> CatKernels:
-    """Closed-form kernels at their true scale.
-
-    Safe far outside the naive exp * cosh range: the scale is assembled in
-    log space, so displacements of order 10^3 neither overflow nor produce
-    inf * 0 (the values simply underflow to zero once they pass the double
-    range; use :func:`scaled_cat_kernels` for scale-invariant work).
-    """
-    hat, log_c = scaled_cat_kernels(t, basis)
-    c = math.exp(log_c)
-    return CatKernels(c=c, s=hat.s * c, r=hat.r * c)

@@ -1,5 +1,6 @@
 """Fock-space and quadrature oracles: exactness, unitarity, self-convergence."""
 
+import io
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import mixent as mx
-from mixent import cli, oracle, qlinalg
+from mixent import cli, oracle, qlinalg, states
 from mixent.oracle import (
     OracleUnstableError,
     TruncationTailError,
@@ -16,7 +17,6 @@ from mixent.oracle import (
     quadrature_projected,
     thermal_fock_matrix,
 )
-from mixent.states import thermal_cat_kernels
 
 G2 = mx.CatBasis(2.0)
 EPS = np.finfo(float).eps
@@ -25,6 +25,12 @@ EPS = np.finfo(float).eps
 def one_set(blocks, v, d, g, order):
     """The blocks of a single node set from the stacked cache function ``blocks``."""
     return {key: block[0] for key, block in blocks((v,), (d,), (g,), order).items()}
+
+
+def stored_rule(order):
+    """The raw x and w of a stored Gauss-Hermite rule, read from the oracle's file."""
+    start = 2 * sum(oracle._STORED_ORDERS[: oracle._STORED_ORDERS.index(order)])
+    return np.load(oracle._STORED_RULES)[start : start + 2 * order].reshape(2, order)
 
 
 def one_set_nodes(v, d, order):
@@ -503,6 +509,46 @@ class TestBlockOracle:
                 one = quadrature_projected(scheme, **kw).entries
                 assert np.array_equal(bits(got[k]), bits(one)), (scheme, v[k], d[k], g[k])
 
+    @pytest.mark.parametrize("scheme", oracle.KERR_SCHEMES)
+    def test_column_types_give_the_same_bits(self, scheme):
+        # the node sets are keyed by Python floats, whatever carries the columns
+        v, d, g = [1.0, 10.0, 1.0, 100.0, 10.0], [2.0, 0.0, 3.0, -7.0, 0.0], [2.0, 1.0, 2.0, 3.0, 1.0]
+        r = None if scheme == "direct_kerr" else [0.5, 1.0, 0.0, 0.1, 0.5]
+        sign = None if scheme in ("kerr_micro_thermal", "direct_kerr") else [1, -1, 1, 1, -1]
+        floats = oracle.quadrature_block(scheme, r, v, d, g, sign)
+        numpy = oracle.quadrature_block(scheme, r, *(np.array(c) for c in (v, d, g)), sign)
+        ints = oracle.quadrature_block(scheme, r, *([int(x) for x in c] for c in (v, d, g)), sign)
+        assert np.array_equal(bits(numpy), bits(floats)) and np.array_equal(bits(ints), bits(floats))
+
+    @pytest.mark.parametrize("scheme", oracle.KERR_SCHEMES)
+    def test_signed_zero_displacements_share_a_node_set(self, scheme):
+        # d = -0.0 and 0.0 are one key, whichever comes first, and give the same
+        # nodes: the caches are cleared, as they too take -0.0 for 0.0
+        v, g = [10.0, 1.0, 10.0, 1.0], [2.0, 2.0, 2.0, 2.0]
+        r = None if scheme == "direct_kerr" else [0.5] * 4
+        sign = None if scheme in ("kerr_micro_thermal", "direct_kerr") else [1] * 4
+        got = []
+        for d in ([-0.0, -0.0, 0.0, 0.0], [0.0, 0.0, -0.0, -0.0]):
+            for cache in (oracle._thermal_nodes, oracle._sandwich_block, oracle._bs_term_matrices):
+                cache.cache_clear()
+            got.append(oracle.quadrature_block(scheme, r, v, d, g, sign))
+        assert np.array_equal(bits(got[0][:2]), bits(got[0][2:]))
+        assert np.array_equal(bits(got[0]), bits(got[1]))
+
+    def test_validate_all_reuses_the_node_sets_of_kerr_grid(self):
+        # the four cross-Kerr grids list the same node sets in the same order,
+        # so their chunks are the same cache keys from grid to grid
+        caches = (oracle._thermal_nodes, oracle._sandwich_block, oracle._bs_term_matrices)
+        for cache in caches:
+            cache.cache_clear()
+        misses = {}
+        for name in cli.VALIDATION_GRIDS:
+            assert cli.run_validation(name, out=io.StringIO()) == 0
+            misses[name] = [cache.cache_info().misses for cache in caches]
+        assert misses["kerr-grid"][0] > 0
+        assert misses["bs-grid"][0] == misses["kerr-grid"][0]  # no _thermal_nodes miss
+        assert misses["direct-grid"][1] == misses["kerr-grid"][1]  # no _sandwich_block miss
+
     def test_jc_block_equals_one_row_calls(self):
         rng = np.random.default_rng(47)
         for n in (0, 3, 10):
@@ -586,10 +632,11 @@ class TestQuadratureOracle:
         hi = block[0, 0].real / basis.n_plus**2
         lo = block[1, 1].real / basis.n_minus**2
         s = block[0, 1].real / (basis.n_plus * basis.n_minus)
-        k = thermal_cat_kernels(mx.ThermalParams(v, d), basis)
-        assert hi == pytest.approx(k.c + k.r, rel=1e-8)
-        assert lo == pytest.approx(k.c - k.r, rel=1e-8)
-        assert s == pytest.approx(k.s, rel=1e-8)
+        s_c, r_c, _, log_c = states._scaled_kernels(*np.array([v, d, g]))
+        c = math.exp(log_c)  # the kernels at their true scale
+        assert hi == pytest.approx(c + float(r_c) * c, rel=1e-8)
+        assert lo == pytest.approx(c - float(r_c) * c, rel=1e-8)
+        assert s == pytest.approx(float(s_c) * c, rel=1e-8)
 
     def test_self_convergence_default_grid(self):
         # every call compares order 80 vs 160; no raise means the entries
@@ -610,7 +657,7 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("order", oracle._STORED_ORDERS)
     def test_stored_rules_are_hermgauss(self, order):
-        x, w = oracle._stored_rule(order)
+        x, w = stored_rule(order)
         ref_x, ref_w = np.polynomial.hermite.hermgauss(order)
         np.testing.assert_array_max_ulp(x, ref_x, maxulp=2)
         np.testing.assert_array_max_ulp(w, ref_w, maxulp=2)
@@ -620,10 +667,12 @@ class TestQuadratureOracle:
     def test_rules_are_mirror_symmetric(self, order):
         # the y sums drop the sines on this symmetry: im odd and b even over the nodes
         if order in oracle._STORED_ORDERS:
-            x, w = oracle._stored_rule(order)
+            x, w = stored_rule(order)
         else:
             x, w = np.polynomial.hermite.hermgauss(order)
         assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+        if order not in oracle._STORED_ORDERS:
+            return  # the oracle has no rule of another order
         x, logw = oracle._gh_rule(order)
         assert np.array_equal(x[::-1], -x) and np.array_equal(logw[::-1], logw)
         for v, d in ((2.0, 0.0), (10.0, 3.0), (1000.0, -40.0)):
@@ -651,23 +700,20 @@ class TestQuadratureOracle:
         try:
             for order in oracle._STORED_ORDERS:
                 x, logw = oracle._gh_rule(order)
-                stored_x, stored_w = oracle._stored_rule(order)
+                stored_x, stored_w = stored_rule(order)
                 assert np.array_equal(x, stored_x)
                 assert np.array_equal(logw, np.log(stored_w) + stored_x * stored_x)
         finally:
             oracle._gh_rule.cache_clear()
 
-    def test_other_orders_call_hermgauss(self):
-        x, logw = oracle._gh_rule(12)
-        ref_x, ref_w = np.polynomial.hermite.hermgauss(12)
-        assert np.array_equal(x, ref_x)
-        assert np.array_equal(logw, np.log(ref_w) + ref_x * ref_x)
-
-    def test_unstable_grid_detected(self, monkeypatch):
-        monkeypatch.setattr(oracle, "QUADRATURE_ORDER", 1)
-        t = mx.ThermalParams(1000.0, 1.0)
-        with pytest.raises(OracleUnstableError):
-            quadrature_projected("direct_kerr", thermal=t, basis=G2)
+    def test_unstable_grid_detected(self):
+        # the doubling check at the shipped orders: at V = 1000, d = 0, gamma = 12
+        # order 80 is too coarse for direct_kerr
+        t = mx.ThermalParams(1000.0, 0.0)
+        with pytest.raises(OracleUnstableError) as error:
+            quadrature_projected("direct_kerr", thermal=t, basis=mx.CatBasis(12.0))
+        assert str(error.value).startswith("direct_kerr: quadrature self-convergence failed")
+        assert str(error.value).endswith("(V=1000.0, d=0.0, gamma=12.0)")
 
     def test_non_finite_entries_are_unstable(self, monkeypatch):
         # NaN - NaN is NaN, which no "greater than" comparison catches

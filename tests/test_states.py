@@ -9,7 +9,15 @@ import pytest
 
 import mixent as mx
 from mixent import states
-from mixent.states import atom_purity, field_purity, thermal_cat_kernels
+from mixent.states import atom_purity, field_purity
+
+
+def true_scale_kernels(t, basis):
+    """The kernels c, s, r at their true scale: ``states._scaled_kernels`` with c = exp(log c)."""
+    with np.errstate(over="ignore"):
+        s, r, _, log_c = states._scaled_kernels(*np.array([t.variance, t.displacement, basis.gamma]))
+    c = math.exp(log_c)
+    return states.CatKernels(c=c, s=float(s) * c, r=float(r) * c)
 
 
 def fock_overlap(a, b, n_max=80):
@@ -213,14 +221,14 @@ class TestAtomFieldParams:
 class TestCatKernels:
     def test_coherent_limit(self):
         for g in (1.0, 2.0, 3.0):
-            k = thermal_cat_kernels(mx.ThermalParams(1.0, 0.0), mx.CatBasis(g))
+            k = true_scale_kernels(mx.ThermalParams(1.0, 0.0), mx.CatBasis(g))
             assert k.c == pytest.approx(2 * math.exp(-g * g), rel=1e-14)
             assert k.s == 0.0
             assert k.r == pytest.approx(2 * math.exp(-g * g), rel=1e-14)
 
     def test_s_vanishes_at_zero_displacement(self):
         for v in (1.0, 3.0, 100.0):
-            k = thermal_cat_kernels(mx.ThermalParams(v, 0.0), mx.CatBasis(2.0))
+            k = true_scale_kernels(mx.ThermalParams(v, 0.0), mx.CatBasis(2.0))
             assert k.s == 0.0
 
     def test_symmetries_and_bound(self):
@@ -229,8 +237,8 @@ class TestCatKernels:
             v = rng.uniform(1.0, 500.0)
             d = rng.uniform(0.1, 50.0)
             g = rng.uniform(0.5, 3.0)
-            plus = thermal_cat_kernels(mx.ThermalParams(v, d), mx.CatBasis(g))
-            minus = thermal_cat_kernels(mx.ThermalParams(v, -d), mx.CatBasis(g))
+            plus = true_scale_kernels(mx.ThermalParams(v, d), mx.CatBasis(g))
+            minus = true_scale_kernels(mx.ThermalParams(v, -d), mx.CatBasis(g))
             assert plus.c == pytest.approx(minus.c, rel=1e-12)
             assert plus.r == pytest.approx(minus.r, rel=1e-12)
             assert plus.s == pytest.approx(-minus.s, rel=1e-12)
@@ -239,16 +247,16 @@ class TestCatKernels:
 
     def test_extreme_displacement_is_finite(self):
         # naive exp * cosh would overflow here
-        k = thermal_cat_kernels(mx.ThermalParams(1.0, 1000.0), mx.CatBasis(3.0))
+        k = true_scale_kernels(mx.ThermalParams(1.0, 1000.0), mx.CatBasis(3.0))
         assert all(math.isfinite(x) for x in k)
         assert k.c >= 0.0
-        big = thermal_cat_kernels(mx.ThermalParams(1000.0, 500.0), mx.CatBasis(3.0))
+        big = true_scale_kernels(mx.ThermalParams(1000.0, 500.0), mx.CatBasis(3.0))
         assert all(math.isfinite(x) for x in big)
         assert big.c > 0.0  # representable, far below 1
 
     def test_explicit_value(self):
         v, d, g = 10.0, 5.0, 2.0
-        k = thermal_cat_kernels(mx.ThermalParams(v, d), mx.CatBasis(g))
+        k = true_scale_kernels(mx.ThermalParams(v, d), mx.CatBasis(g))
         pref = 4.0 / (v + 1)
         arg = -2.0 * (g * g + d * d) / (v + 1)
         assert k.c == pytest.approx(pref * math.exp(arg) * math.cosh(4 * g * d / (v + 1)), rel=1e-13)
