@@ -47,7 +47,6 @@ from .states import (
     MicroState,
     ThermalParams,
     atom_purity,
-    coherent_overlap,
     field_purity,
     micro_state_matrix,
 )

@@ -4,9 +4,10 @@ Two routes, deliberately different from the constructors in
 :mod:`mixent.schemes`:
 
 * :func:`jc_fock_projected` builds the atom (x) thermal-field product state
-  on the Fock window b..b+3, b = max(n-1, 0), evolves it literally as
-  U rho U^dagger with a dense exchange propagator and slices out the
-  projected 4x4 block, never touching the closed-form entries.  The
+  on the Fock window b..b+3, b = max(n-1, 0), and evolves it literally with
+  a dense exchange propagator: the projected 4x4 block is (P U) rho (P U)^dagger
+  with P U the four rows of U on the projected levels, never touching the
+  closed-form entries.  The
   propagator is block diagonal over the doublets {|e,k>, |g,k+1>}, and the
   block involves only the doublets n-1, n and n+1, which the window holds
   whole; the two edge states, whose partners lie outside it, are frozen.  So
@@ -54,15 +55,21 @@ Each oracle is a block function over N rows, like the constructors:
 parameter (those of the schemes' block functions) and return the (N, 4, 4)
 stack; the public one-row oracles are the same functions at one row, so both
 give the same bits.  The ``jc`` block evolves all its rows as one stacked
-8x8 product U rho0 U^dagger.  The quadrature block dedupes its rows' (V, d, gamma)
-node sets with a dict keyed by the Python floats, in the order they first
-occur with the V = 1 sets first, and evaluates the M distinct ones in chunks
-of at most ``_NODE_CHUNK``: the nodes, x factors and cosines as (M, ..., order)
-arrays, the x sums as stacked matmuls and the cosine sums as stacked
-reductions.  The assembly runs over all N rows as
-stacked sums in the order above.  Each set's scalars
-(u, the scale, the center, the log normalization, N+-) are Python floats from
-``math``, as at one row; only the (M, order) arrays use numpy's ufuncs.
+product (P U) rho0 (P U)^dagger of 4x8, 8x8 and 8x4 matrices.  The quadrature
+block dedupes its rows' (V, d, gamma) node sets with a dict keyed by the
+Python floats, in the order they first occur with the V = 1 sets first, and
+evaluates the M distinct ones in chunks of at most ``_NODE_CHUNK``: the
+nodes, x factors and cosines as (M, ..., order) arrays, the x sums as stacked
+matmuls and the cosine sums as stacked reductions.  The cosines are taken on
+half the nodes and mirrored, as im is odd over them; every sum still runs
+over all nodes in node order.  A V = 1 set is a point mass, one node at any
+order, so its chunks are evaluated once, at order 1, for both orders.  The
+assembly forms per node set everything that does not depend on r or sign:
+for ``bs`` and ``tt`` the even and odd parts, for ``direct_kerr`` the whole
+matrix.  Each row takes its set's parts and adds its r sign terms last, in
+the order of the formulas above.  Each set's scalars (u, the scale, the
+center, the log normalization, N+-) are Python floats from ``math``, as at
+one row; only the (M, order) arrays use numpy's ufuncs.
 
 Every quadrature result is re-evaluated at twice the order; entries that move
 by more than ``DOUBLING_TOLERANCE`` raise :class:`OracleUnstableError`, which
@@ -195,8 +202,9 @@ def jc_fock_block(p, lam, gt, n) -> np.ndarray:
 
     The columns are those of ``schemes.jc_block``; they are not checked.  n
     is carried as floats, so any n the parameters accept is evaluated.  Every
-    row is an 8x8 evolution on its own four-level window, and the block is
-    one stacked dense product U rho0 U^dagger.
+    row is an evolution on its own four-level window, and the block is one
+    stacked dense product (P U) rho0 (P U)^dagger of the four rows P U of each
+    8x8 propagator that land on the projected levels.
     """
     p, lam, gt, n = (np.asarray(column, dtype=float) for column in (p, lam, gt, n))
     base = np.maximum(n - 1.0, 0.0)
@@ -204,11 +212,10 @@ def jc_fock_block(p, lam, gt, n) -> np.ndarray:
     rho0 = np.zeros((len(p), 8, 8), dtype=np.complex128)
     # diag(1-p, p) (x) diag(weights): the products on np.kron's diagonal
     _diagonal(rho0, 0)[:] = np.concatenate([(1.0 - p)[:, None] * weights, p[:, None] * weights], 1)
-    u = _jc_unitaries(gt, base, 4)
-    rho1 = u @ rho0 @ np.conjugate(u).transpose(0, 2, 1)
-    # field level n sits at window offset min(n, 1)
+    # the projected rows P U of each propagator: field level n sits at window offset min(n, 1)
     idx = np.minimum(n, 1.0).astype(int)[:, None] + _JC_BLOCK
-    return rho1[np.arange(len(p))[:, None, None], idx[:, :, None], idx[:, None, :]]
+    pu = _jc_unitaries(gt, base, 4)[np.arange(len(p))[:, None], idx]
+    return pu @ rho0 @ np.conjugate(pu).transpose(0, 2, 1)
 
 
 # The Gauss-Hermite orders of the oracle, QUADRATURE_ORDER and its double,
@@ -236,7 +243,8 @@ def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 # The node caches are keyed by a chunk of at most _NODE_CHUNK node sets and the
 # order; one order-160 entry of _thermal_nodes is at most about 160 KB.  The
 # kerr-, tt- and direct-grid of ``mixent validate all`` have the same node
-# sets: three chunks per order, which eight entries keep from grid to grid.
+# sets: one V = 1 chunk for both orders and two chunks per order, which eight
+# entries keep from grid to grid.
 @lru_cache(maxsize=8)
 def _thermal_nodes(variances: tuple, displacements: tuple, order: int):
     """Per-axis quadrature nodes and positive weights of M node sets, each an (M, n) array.
@@ -302,8 +310,13 @@ def _y_sums(im: np.ndarray, b: np.ndarray, gammas: np.ndarray, kappa: float, pha
     steps = np.abs(np.subtract.outer(phases, phases)) // 2
     weight = b * np.exp(-im * im)
     t = np.arange(2.0, 2.0 * steps.max() + 1.0, 2.0)  # T_0 takes no cosine
-    phase = (t * gammas[:, None])[:, :, None] * (kappa * im)[:, None, :]
-    sums = [weight.sum(axis=-1)[:, None], (np.cos(phase) * weight[:, None, :]).sum(axis=-1)]
+    # im is odd over the nodes, so the cosines of the last n - half nodes are
+    # those of the first n - half reversed: only half are evaluated
+    n = im.shape[-1]
+    half = (n + 1) // 2
+    cos = np.cos((t * gammas[:, None])[:, :, None] * (kappa * im[:, None, :half]))
+    cos = np.concatenate([cos, cos[:, :, : n - half][:, :, ::-1]], axis=-1)
+    sums = [weight.sum(axis=-1)[:, None], (cos * weight[:, None, :]).sum(axis=-1)]
     return np.concatenate(sums, axis=1)[:, steps]
 
 
@@ -382,43 +395,53 @@ def _bs_term_matrices(variances: tuple, displacements: tuple, gammas: tuple, ord
 _NODE_CHUNK = 32
 
 
-def _row_blocks(blocks, nodes: tuple, inverse: np.ndarray, order: int) -> dict:
-    """The blocks of each row, (N, n, n) per key: row k takes node set inverse[k].
+def _set_blocks(blocks, nodes: tuple, order: int) -> dict:
+    """The blocks of each distinct node set, (M, n, n) per key, in the order of ``nodes``.
 
     ``blocks`` runs on chunks of at most ``_NODE_CHUNK`` node sets, first of
-    those at V = 1 and then of the rest, which ``quadrature_block`` lists after them.
+    those at V = 1 and then of the rest, which ``quadrature_block`` lists after
+    them.  A V = 1 set is a one-node point mass at every order, so its chunks
+    are evaluated, and cached, at order 1 and serve both orders.
     """
     variances, displacements, gammas = nodes
     ones = variances.count(1.0)
     parts = [
-        blocks(variances[i:j], displacements[i:j], gammas[i:j], order)
-        for start, stop in ((0, ones), (ones, len(variances)))
+        blocks(variances[i:j], displacements[i:j], gammas[i:j], chunk_order)
+        for start, stop, chunk_order in ((0, ones, 1), (ones, len(variances), order))
         for i in range(start, stop, _NODE_CHUNK)
         for j in [min(i + _NODE_CHUNK, stop)]
     ]
-    return {key: np.concatenate([part[key] for part in parts])[inverse] for key in parts[0]}
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _quad_kerr_micro_thermal(b, r, sign):
+# Each assembly takes the blocks of the M node sets, (M, n, n) per key, and
+# forms per node set whatever does not depend on r or sign; row k takes the
+# parts of node set inverse[k] and applies its r and sign last, with the
+# operations of the formula in its order.
+
+
+def _quad_kerr_micro_thermal(b, r, sign, inverse):
     r = np.array(r)[:, None, None]
-    top = np.stack([b[1, 1], r * b[1, -1]], axis=1)
-    bottom = np.stack([r * b[-1, 1], b[-1, -1]], axis=1)
+    top = np.stack([b[1, 1][inverse], r * b[1, -1][inverse]], axis=1)
+    bottom = np.stack([r * b[-1, 1][inverse], b[-1, -1][inverse]], axis=1)
     blocks = np.stack([top, bottom], axis=1)
     return 0.5 * blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
 
 
-def _signed_r(r, sign) -> np.ndarray:
-    return np.array([s * x for s, x in zip(sign, r)])[:, None, None]
+def _signed_rows(even, odd, r, sign, inverse) -> np.ndarray:
+    """even + sign r odd of each row, from the even and odd parts of its node set."""
+    signed_r = np.array([s * x for s, x in zip(sign, r)])[:, None, None]
+    return even[inverse] + signed_r * odd[inverse]
 
 
-def _quad_bs(b, r, sign):
-    return b[1, 1] + b[-1, -1] + _signed_r(r, sign) * (b[1, -1] + b[-1, 1])
+def _quad_bs(b, r, sign, inverse):
+    return _signed_rows(b[1, 1] + b[-1, -1], b[1, -1] + b[-1, 1], r, sign, inverse)
 
 
-def _quad_tt(b, r, sign):
+def _quad_tt(b, r, sign, inverse):
     blocks = np.stack([b[1, 1], b[-1, -1], b[1, -1], b[-1, 1]], axis=1)
     k = _kron(blocks, blocks)
-    return k[:, 0] + k[:, 1] + _signed_r(r, sign) * (k[:, 2] + k[:, 3])
+    return _signed_rows(k[:, 0] + k[:, 1], k[:, 2] + k[:, 3], r, sign, inverse)
 
 
 # U|a>|b> spreads into the four parity combinations (+,+), (-,+), (+,-) with
@@ -429,14 +452,14 @@ _DIRECT_TERMS = [(ket, bra) for ket in _DIRECT_SIGNS for bra in _DIRECT_SIGNS]
 _DIRECT_WEIGHTS = np.array([_DIRECT_SIGNS[ket] * _DIRECT_SIGNS[bra] for ket, bra in _DIRECT_TERMS])
 
 
-def _quad_direct_kerr(b, r, sign):
+def _quad_direct_kerr(b, r, sign, inverse):
     first = np.stack([b[w1, w1p] for (w1, _), (w1p, _) in _DIRECT_TERMS], axis=1)
     second = np.stack([b[w2, w2p] for (_, w2), (_, w2p) in _DIRECT_TERMS], axis=1)
     terms = _DIRECT_WEIGHTS[:, None, None] * _kron(first, second)
     out = np.zeros((len(terms), 4, 4), dtype=terms.dtype)
     for t in range(len(_DIRECT_TERMS)):  # summed from zero in term order, one rounding per term
         out += terms[:, t]
-    return out
+    return out[inverse]
 
 
 _ASSEMBLY = {
@@ -450,7 +473,7 @@ _ASSEMBLY = {
 def _quad_once(scheme, r, sign, nodes, inverse, order):
     """A scheme's (N, 4, 4) matrices at one order; row k integrates over node set inverse[k]."""
     blocks = _bs_term_matrices if scheme == "bs" else _sandwich_block
-    return _ASSEMBLY[scheme](_row_blocks(blocks, nodes, inverse, order), r, sign)
+    return _ASSEMBLY[scheme](_set_blocks(blocks, nodes, order), r, sign, inverse)
 
 
 def quadrature_block(scheme: str, r, V, d, gamma, sign) -> np.ndarray:

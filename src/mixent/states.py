@@ -23,24 +23,10 @@ __all__ = [
     "MicroState",
     "ThermalParams",
     "atom_purity",
-    "coherent_overlap",
     "field_purity",
     "micro_state_matrix",
     "scaled_cat_kernels",
 ]
-
-
-def coherent_overlap(a, b):
-    """Overlap <a|b> = exp[-(|a|^2 + |b|^2)/2 + conj(a) b] of coherent states.
-
-    Accepts scalars or numpy arrays (broadcasting); |result| <= 1 always.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out = np.exp(-(np.abs(a) ** 2 + np.abs(b) ** 2) / 2.0 + np.conj(a) * b)
-    if out.ndim == 0:
-        return complex(out)
-    return out
 
 
 def _real_scalar(value, name: str) -> float:
@@ -129,12 +115,6 @@ class CatBasis:
     @property
     def n_minus(self) -> float:
         return self._norms[1]
-
-    def coherent_projection(self, alpha):
-        """(<+|alpha>, <-|alpha>) for a scalar or array of amplitudes."""
-        up = coherent_overlap(self.gamma, alpha)
-        dn = coherent_overlap(-self.gamma, alpha)
-        return self.n_plus * (up + dn), self.n_minus * (up - dn)
 
 
 @dataclass(frozen=True)

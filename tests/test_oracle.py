@@ -18,6 +18,8 @@ from mixent.oracle import (
     thermal_fock_matrix,
 )
 
+from coherent import coherent_overlap, coherent_projection
+
 G2 = mx.CatBasis(2.0)
 EPS = np.finfo(float).eps
 
@@ -236,8 +238,8 @@ def reference_sandwich_block(variance, displacement, gamma, order, w, wp):
     """One 2x2 block <s| integral[P |w a><w' a|] |s'> as a literal sum over the 2-D grid."""
     alpha, weight = grid_thermal_nodes(variance, displacement, order)
     basis = mx.CatBasis(gamma)
-    left = np.vstack(basis.coherent_projection(w * alpha))  # rows: <+|, <-|
-    right = np.vstack(basis.coherent_projection(wp * alpha))
+    left = np.vstack(coherent_projection(basis, w * alpha))  # rows: <+|, <-|
+    right = np.vstack(coherent_projection(basis, wp * alpha))
     return (left * weight) @ right.conj().T
 
 
@@ -271,8 +273,8 @@ def einsum_bs_terms(variance, displacement, gamma, order):
     alpha, weight = grid_thermal_nodes(variance, displacement, order)
     basis = mx.CatBasis(gamma)
     delta = alpha / math.sqrt(2.0)
-    op = np.vstack(basis.coherent_projection(delta))
-    om = np.vstack(basis.coherent_projection(-delta))
+    op = np.vstack(coherent_projection(basis, delta))
+    om = np.vstack(coherent_projection(basis, -delta))
     combos = ((op, op, om, om), (om, om, op, op), (op, om, om, op), (om, op, op, om))
     return [
         np.einsum("n,an,bn,cn,dn->abcd", weight, a, b, c.conj(), d.conj()).reshape(4, 4)
@@ -307,7 +309,7 @@ class TestAxisFactors:
                 for w, (fx, fy) in ((1, (fx, fy)), (-1, (fx[::-1], fy[::-1]))):
                     for row, sigma in enumerate((1, -1)):
                         got = fx[row][:, None] * fy[row][None, :]
-                        ref = mx.coherent_overlap(sigma * g, w * kappa * alpha).reshape(got.shape)
+                        ref = coherent_overlap(sigma * g, w * kappa * alpha).reshape(got.shape)
                         dev = np.abs(got - ref).max()
                         assert dev <= 1e-12, (v, d, g, order, kappa, w, sigma, dev)
 
@@ -548,6 +550,57 @@ class TestBlockOracle:
         assert misses["kerr-grid"][0] > 0
         assert misses["bs-grid"][0] == misses["kerr-grid"][0]  # no _thermal_nodes miss
         assert misses["direct-grid"][1] == misses["kerr-grid"][1]  # no _sandwich_block miss
+
+    def test_kerr_grid_evaluates_its_v1_node_sets_once(self):
+        # a V = 1 node set is a one-node point mass at every order: its chunk
+        # is one _sandwich_block miss for both orders, the others one per order
+        grid = cli._grid_columns("kerr-grid")
+        sets = list(dict.fromkeys(zip(grid["V"], grid["d"], grid["gamma"])))
+        ones = [row for row in sets if row[0] == 1.0]
+        assert 0 < len(ones) <= oracle._NODE_CHUNK < len(sets) - len(ones) <= 2 * oracle._NODE_CHUNK
+        caches = (oracle._thermal_nodes, oracle._sandwich_block, oracle._bs_term_matrices)
+        for cache in caches:
+            cache.cache_clear()
+        v, d, g = (list(column) for column in zip(*ones))
+        oracle.quadrature_block("kerr_micro_thermal", [1.0] * len(v), v, d, g, None)
+        assert oracle._sandwich_block.cache_info().misses == 1
+        for cache in caches:
+            cache.cache_clear()
+        cli.validate_grid("kerr-grid")
+        assert oracle._sandwich_block.cache_info().misses == 1 + 2 * 2
+
+    @pytest.mark.parametrize("scheme", oracle.KERR_SCHEMES)
+    def test_v1_rows_are_the_same_bits_at_both_orders(self, scheme):
+        # so their doubling deviation is exactly 0
+        v, d, g = [1.0] * 4, [0.0, 1.5, -2.0, 1.5], [2.0, 1.0, 0.4, 3.0]
+        r, sign = [0.0, 1.0, 0.3, 1.0], [1, -1, -1, 1]
+        nodes = ((1.0,) * 4, tuple(d), tuple(g))
+        coarse, fine = (
+            oracle._quad_once(scheme, r, sign, nodes, np.arange(4), order) for order in oracle._STORED_ORDERS
+        )
+        assert np.array_equal(bits(coarse), bits(fine))
+
+    def test_signed_zeros_survive_the_row_step(self):
+        # at d = 0 the odd blocks hold exact zeros; rows sharing that node set
+        # with r in {0, 1} and both signs take their set's parts at the end and
+        # must be their one-row calls bit for bit, -0.0 included
+        negative_zeros = 0
+        for v in (1.0, 10.0):
+            r, sign = [0.0, 0.0, 1.0, 1.0], [1, -1, 1, -1]
+            for scheme in oracle.KERR_SCHEMES:
+                rows_r = None if scheme == "direct_kerr" else r
+                rows_sign = None if scheme in ("kerr_micro_thermal", "direct_kerr") else sign
+                got = oracle.quadrature_block(scheme, rows_r, [v] * 4, [0.0] * 4, [2.0] * 4, rows_sign)
+                for k in range(4):
+                    kw = {"thermal": mx.ThermalParams(v, 0.0), "basis": mx.CatBasis(2.0)}
+                    if rows_r is not None:
+                        kw["micro"] = mx.MicroState(r[k])
+                    if rows_sign is not None:
+                        kw["sign"] = sign[k]
+                    one = quadrature_projected(scheme, **kw).entries
+                    assert np.array_equal(bits(got[k]), bits(one)), (scheme, v, r[k], sign[k])
+                negative_zeros += int(np.sum((got.real == 0.0) & np.signbit(got.real)))
+        assert negative_zeros > 0
 
     def test_jc_block_equals_one_row_calls(self):
         rng = np.random.default_rng(47)

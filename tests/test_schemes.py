@@ -19,6 +19,8 @@ from mixent.schemes import (
     tt_scheme_projected,
 )
 
+from coherent import coherent_projection
+
 G2 = mx.CatBasis(2.0)
 
 
@@ -138,8 +140,8 @@ class TestKerrMicroThermal:
         weights = {(0, 0): 1.0, (1, 1): 1.0, (0, 1): r, (1, 0): r}
         expected = np.zeros((4, 4), dtype=complex)
         for (i, j), w in weights.items():
-            bra_side = G2.coherent_projection(kets[i])
-            ket_side = G2.coherent_projection(kets[j])
+            bra_side = coherent_projection(G2, kets[i])
+            ket_side = coherent_projection(G2, kets[j])
             for s in range(2):
                 for sp in range(2):
                     expected[2 * i + s, 2 * j + sp] = (
@@ -193,8 +195,8 @@ class TestBeamSplitterScheme:
         r, d, sign = 0.6, 1.8, 1
         kernel = bs_projected_kernel(mx.MicroState(r), mx.ThermalParams(1.0, d), G2, sign)
         delta = d / math.sqrt(2.0)
-        plus = G2.coherent_projection(delta)
-        minus = G2.coherent_projection(-delta)
+        plus = coherent_projection(G2, delta)
+        minus = coherent_projection(G2, -delta)
         terms = [
             (1.0, plus, plus, minus, minus),
             (1.0, minus, minus, plus, plus),
@@ -582,8 +584,8 @@ class TestDirectKerrScheme:
         # V = 1, d = 2: the input is |d>|d> and the evolved state is pure
         d = 2.0
         out = direct_kerr_projected(mx.ThermalParams(1.0, d), G2)
-        up = G2.coherent_projection(d)
-        dn = G2.coherent_projection(-d)
+        up = coherent_projection(G2, d)
+        dn = coherent_projection(G2, -d)
         amp = np.zeros(4, dtype=complex)
         for s1 in range(2):
             for s2 in range(2):
