@@ -28,9 +28,6 @@ from .qlinalg import (
     purity,
 )
 from .schemes import (
-    CAT_PAIR_LABELS,
-    JC_BASIS_LABELS,
-    KERR_BASIS_LABELS,
     SchemeOutput,
     bs_projected_kernel,
     bs_scheme_projected,

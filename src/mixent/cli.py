@@ -354,7 +354,10 @@ def run_sweep(spec: SweepSpec):
         header += ["oracle_npt", "max_dev"]
     lines = [CSV_SCHEMA, ",".join(header)]
     failures = []
-    xs = np.linspace(float(start), float(stop), int(count)).tolist()
+    try:
+        xs = np.linspace(float(start), float(stop), int(count)).tolist()
+    except (MemoryError, ValueError):  # numpy refuses a size past intp with ValueError
+        raise SpecError(f"sweep count {count} is too large: its rows cannot be allocated") from None
     if spec.out:
         _check_out(spec.out)
     for first in range(0, len(xs), SWEEP_BLOCK):

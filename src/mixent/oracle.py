@@ -67,9 +67,7 @@ order, so its chunks are evaluated once, at order 1, for both orders.  The
 assembly forms per node set everything that does not depend on r or sign:
 for ``bs`` and ``tt`` the even and odd parts, for ``direct_kerr`` the whole
 matrix.  Each row takes its set's parts and adds its r sign terms last, in
-the order of the formulas above.  Each set's scalars (u, the scale, the
-center, the log normalization, N+-) are Python floats from ``math``, as at
-one row; only the (M, order) arrays use numpy's ufuncs.
+the order of the formulas above.  Every per-node-set value is a numpy column.
 
 Every quadrature result is re-evaluated at twice the order; entries that move
 by more than ``DOUBLING_TOLERANCE`` raise :class:`OracleUnstableError`, which
@@ -161,20 +159,13 @@ def _jc_unitaries(gt: np.ndarray, base: np.ndarray, levels: int) -> np.ndarray:
     """
     theta = gt[:, None] * np.sqrt(base[:, None] + np.arange(1.0, levels))  # doublet base+j-1
     u = np.zeros((len(gt), 2 * levels, 2 * levels), dtype=np.complex128)
-    diagonal = _diagonal(u, 0)
-    diagonal[:, [0, -1]] = 1.0  # |g,base> and |e,base+levels-1>
-    diagonal[:, 1:levels] = diagonal[:, levels:-1] = np.cos(theta)  # |g,k+1> and |e,k>
+    diagonal = np.arange(2 * levels)
+    u[:, diagonal, diagonal] = 1.0  # kept at |g,base> and |e,base+levels-1>, overwritten below
+    g, e = np.arange(1, levels), np.arange(levels, 2 * levels - 1)  # |g,k+1> and |e,k>
+    u[:, g, g] = u[:, e, e] = np.cos(theta)
     # -i sin between |e,k> and |g,k+1>, with real part +0.0
-    offset = levels - 1
-    _diagonal(u, offset).imag[:, 1:-1] = _diagonal(u, -offset).imag[:, 1:-1] = -np.sin(theta)
+    u.imag[:, g, e] = u.imag[:, e, g] = -np.sin(theta)
     return u
-
-
-def _diagonal(stack: np.ndarray, offset: int) -> np.ndarray:
-    """Writable view of diagonal ``offset`` (above the main one if positive) of each matrix of a stack."""
-    size = stack.shape[-1]
-    start = offset if offset >= 0 else -offset * size
-    return stack.reshape(len(stack), -1)[:, start :: size + 1][:, : size - abs(offset)]
 
 
 def jc_fock_projected(params: AtomFieldParams) -> BipartiteMatrix:
@@ -210,8 +201,9 @@ def jc_fock_block(p, lam, gt, n) -> np.ndarray:
     base = np.maximum(n - 1.0, 0.0)
     weights = _thermal_weights(lam[:, None], base[:, None] + np.arange(4.0))
     rho0 = np.zeros((len(p), 8, 8), dtype=np.complex128)
+    diagonal = np.arange(8)
     # diag(1-p, p) (x) diag(weights): the products on np.kron's diagonal
-    _diagonal(rho0, 0)[:] = np.concatenate([(1.0 - p)[:, None] * weights, p[:, None] * weights], 1)
+    rho0[:, diagonal, diagonal] = np.concatenate([(1.0 - p)[:, None] * weights, p[:, None] * weights], 1)
     # the projected rows P U of each propagator: field level n sits at window offset min(n, 1)
     idx = np.minimum(n, 1.0).astype(int)[:, None] + _JC_BLOCK
     pu = _jc_unitaries(gt, base, 4)[np.arange(len(p))[:, None], idx]
@@ -260,8 +252,12 @@ def _thermal_nodes(variances: tuple, displacements: tuple, order: int):
     if variances[0] == 1.0:
         ones = np.ones_like(d)
         return d, ones, np.zeros_like(d), ones
-    rows = map(_axis_row, variances, displacements)
-    u, scale, center, log_axis = (np.array(column)[:, None] for column in zip(*rows))
+    v = np.array(variances)[:, None]
+    u = 2.0 / (v - 1.0)
+    scale = 1.0 / np.sqrt(u + 1.0)
+    center = u * d / (u + 1.0)
+    # log(2/(pi (V-1))) as a difference: pi (V-1) overflows near V = 5.7e307
+    log_axis = 0.5 * (math.log(2.0 / math.pi) - np.log(v - 1.0)) + np.log(scale)
     x, logw = _gh_rule(order)
     re = center + scale * x
     im = scale * x
@@ -270,17 +266,10 @@ def _thermal_nodes(variances: tuple, displacements: tuple, order: int):
     return re, a, im, b
 
 
-def _axis_row(variance: float, displacement: float) -> tuple:
-    """u, scale, center and the log axis weight of one node set, in Python floats with ``math``."""
-    u = 2.0 / (variance - 1.0)
-    scale = 1.0 / math.sqrt(u + 1.0)
-    center = u * displacement / (u + 1.0)
-    # log(2/(pi (V-1))) as a difference: pi (V-1) overflows near V = 5.7e307
-    log_axis = 0.5 * (math.log(2.0 / math.pi) - math.log(variance - 1.0)) + math.log(scale)
-    return u, scale, center, log_axis
-
-
-_SIGMA = np.array([[1.0], [-1.0]])
+# the single-mode ket rows sigma = +1, -1; sigma is also their y phase in
+# units of gamma kappa im, and s1 - s2 that of the split rows (s1, s2)
+_SIGMA_PHASES = np.array([1, -1])
+_SPLIT_PHASES = np.array([0, 2, -2, 0])
 
 
 def _x_factors(re: np.ndarray, gammas: np.ndarray, kappa: float) -> np.ndarray:
@@ -291,7 +280,7 @@ def _x_factors(re: np.ndarray, gammas: np.ndarray, kappa: float) -> np.ndarray:
     each of modulus <= 1 for any gamma.  The factors of -kappa alpha are the
     rows reversed, as <sigma g|-b> = <-sigma g|b>.
     """
-    return np.exp(-0.5 * (kappa * re[:, None, :] - _SIGMA * gammas[:, None, None]) ** 2)
+    return np.exp(-0.5 * (kappa * re[:, None, :] - _SIGMA_PHASES[:, None] * gammas[:, None, None]) ** 2)
 
 
 def _y_sums(im: np.ndarray, b: np.ndarray, gammas: np.ndarray, kappa: float, phases: np.ndarray) -> np.ndarray:
@@ -331,11 +320,6 @@ def _cat_rows(gammas) -> np.ndarray:
 
 # rows of the kets at w = +1 and w = -1: the w = -1 factors are the w = +1 rows reversed
 _ROWS = {1: slice(None), -1: slice(None, None, -1)}
-
-# the y phase of each ket row, in units of gamma kappa im: sigma for the
-# single-mode rows sigma = +1, -1 and s1 - s2 for the split rows (s1, s2)
-_SIGMA_PHASES = np.array([1, -1])
-_SPLIT_PHASES = np.array([0, 2, -2, 0])
 
 
 def _node_blocks(c: np.ndarray, fx: np.ndarray, y: np.ndarray, a) -> dict:
@@ -430,7 +414,7 @@ def _quad_kerr_micro_thermal(b, r, sign, inverse):
 
 def _signed_rows(even, odd, r, sign, inverse) -> np.ndarray:
     """even + sign r odd of each row, from the even and odd parts of its node set."""
-    signed_r = np.array([s * x for s, x in zip(sign, r)])[:, None, None]
+    signed_r = np.multiply(sign, r)[:, None, None]
     return even[inverse] + signed_r * odd[inverse]
 
 

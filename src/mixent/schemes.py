@@ -91,9 +91,6 @@ from .states import (  # noqa: F401
 )
 
 __all__ = [
-    "JC_BASIS_LABELS",
-    "KERR_BASIS_LABELS",
-    "CAT_PAIR_LABELS",
     "SchemeOutput",
     "bs_projected_kernel",
     "bs_scheme_projected",
@@ -103,10 +100,6 @@ __all__ = [
     "tt_projected_kernel",
     "tt_scheme_projected",
 ]
-
-JC_BASIS_LABELS = ("g,n", "e,n", "g,n+1", "e,n+1")
-KERR_BASIS_LABELS = ("0,+", "0,-", "1,+", "1,-")
-CAT_PAIR_LABELS = ("+,+", "+,-", "-,+", "-,-")
 
 # Conditioning probabilities below this are treated as an impossible
 # measurement outcome rather than a state.

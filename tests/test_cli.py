@@ -315,6 +315,17 @@ class TestSpecValidation:
         message = "sweep span -1.7e+308 .. 1.7e+308 overflows: stop - start is not finite"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("count", [10**15, 10**30])
+    def test_unallocatable_count_exit_2(self, count, tmp_path, capsys):
+        # 8 PB of rows at 10**15 is past any 64-bit address space, so the
+        # allocation fails at once; 10**30 is past numpy's largest array size
+        out = tmp_path / "curve.csv"
+        argv = ["sweep", "--scheme", "direct_kerr", "--set", "V=2", "--set", "gamma=2"]
+        assert cli.main(argv + ["--sweep", f"d:0:1:{count}", "--out", str(out)]) == 2
+        message = f"sweep count {count} is too large: its rows cannot be allocated"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_and_unknown_parameters(self):
         with pytest.raises(cli.SpecError):
             cli.run_sweep(make_spec(fixed={"r": 1.0, "V": 10.0}))

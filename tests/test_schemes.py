@@ -314,17 +314,25 @@ def mpmath_bs_kernel(mpmath, r, v, d, gamma, sign):
     """
     r, v, d, g = (mpmath.mpf(x) for x in (r, v, d, gamma))
     v_eff, d_eff = (v + 1) / 2, d / mpmath.sqrt(2)
-    norms = [1 / mpmath.sqrt(2 * (1 + s * mpmath.exp(-2 * g * g))) for s in (1, -1)]
-    grid = (-2 * g, 0, 2 * g)
-    gauss = {
-        (i, j): mpmath.exp(
+
+    def integral(a, b):
+        return mpmath.exp(
             (-2 * d_eff**2 + d_eff * (a + b)) / v_eff
             + a * b * (v_eff - 1) / (2 * v_eff)
             - 2 * g * g
         ) / v_eff
-        for i, a in enumerate(grid)
-        for j, b in enumerate(grid)
-    }
+
+    return mpmath_bs_sum(mpmath, r, g, integral, sign)
+
+
+def mpmath_bs_sum(mpmath, r, g, integral, sign):
+    """The beam-splitter kernel as the sixteen-component sum of the nine Gaussian integrals.
+
+    ``integral(a, b)`` is the integral at a, b in {-2g, 0, 2g}.
+    """
+    grid = (-2 * g, 0, 2 * g)
+    gauss = {(i, j): integral(a, b) for i, a in enumerate(grid) for j, b in enumerate(grid)}
+    norms = [1 / mpmath.sqrt(2 * (1 + s * mpmath.exp(-2 * g * g))) for s in (1, -1)]
     weights = (1, 1, sign * r, sign * r)
     e = (1, -1)  # components |gamma>, |-gamma> as multiples of gamma
     csign = ((1, 1), (1, -1))
@@ -864,15 +872,23 @@ class TestVanishingPurity:
 
     @staticmethod
     def limit_npt(mpmath, scheme, r, gamma, t, sign=1):
-        """50-digit NPT of a K scheme's state at lam = (V - 1)/(V + 1) = 1 with d = t (V + 1).
+        """50-digit NPT of a scheme's state at lam = (V - 1)/(V + 1) = 1 with d = t (V + 1).
 
         K depends on V and d only through y = 4 gamma d/(V + 1) and
         r/c = exp(-2 gamma^2 (V - 1)/(V + 1))/cosh y, so it tends to
         K_oo = [[N+^2 (1 + rho), N+ N- tanh y], [N+ N- tanh y, N-^2 (1 - rho)]]
         with y = 4 gamma t and rho = exp(-2 gamma^2)/cosh y, up to the factor c.
+        ``bs`` depends on them only through d'/v and (v - 1)/v, with v = (V + 1)/2
+        and d' = d/sqrt(2), which tend to sqrt(2) t and 1; so up to a common
+        factor its nine integrals tend to exp(sqrt(2) t (a + b) + a b/2 - 2 gamma^2).
         """
         with mpmath.workdps(50):
             g, t, r = (mpmath.mpf(x) for x in (gamma, t, r))
+            if scheme == "bs":
+                def integral(a, b):
+                    return mpmath.exp(mpmath.sqrt(2) * t * (a + b) + a * b / 2 - 2 * g * g)
+
+                return mpmath_npt(mpmath, mpmath_bs_sum(mpmath, r, g, integral, sign))
             y = 4 * g * t
             rho = mpmath.exp(-2 * g * g) / mpmath.cosh(y)
             k = mpmath_cat_block(mpmath, g, 1, mpmath.tanh(y), rho)
@@ -880,20 +896,24 @@ class TestVanishingPurity:
 
     def test_npt_tends_to_the_limit_state(self):
         # at d = t (V + 1) the NPT converges like 1/V to that of the limit
-        # state; V stops near 1e150, where d^2 is still finite
+        # state; V stops near 1e150, where d^2 is still finite.  bs comes
+        # within 0.105/V at worst, the others within 0.1/V
         mpmath = pytest.importorskip("mpmath")
         build = {
             ("kerr_micro_thermal", 1): kerr_micro_thermal_projected,
+            ("bs", 1): lambda m, t, b: bs_scheme_projected(m, t, b, 1),
+            ("bs", -1): lambda m, t, b: bs_scheme_projected(m, t, b, -1),
             ("tt", 1): lambda m, t, b: tt_scheme_projected(m, t, b, 1),
             ("tt", -1): lambda m, t, b: tt_scheme_projected(m, t, b, -1),
             ("direct_kerr", 1): lambda m, t, b: direct_kerr_projected(t, b),
         }
         for (scheme, sign), gamma, r, t in product(build, (1.0, 2.0), (0.5, 1.0), (0.5, 1.0, 2.0)):
             ref = self.limit_npt(mpmath, scheme, r, gamma, t, sign)
+            bound = 0.2 if scheme == "bs" else 0.1
             for v in (10.0**k for k in range(2, 151, 2)):
                 basis, thermal = mx.CatBasis(gamma), mx.ThermalParams(v, t * (v + 1.0))
                 got = build[scheme, sign](mx.MicroState(r), thermal, basis).npt_normalized
-                assert abs(got - ref) <= 0.1 / v + 1e-12, (scheme, sign, gamma, r, t, v, got, ref)
+                assert abs(got - ref) <= bound / v + 1e-12, (scheme, sign, gamma, r, t, v, got, ref)
         kerr = self.limit_npt(mpmath, "kerr_micro_thermal", 1.0, 2.0, 2.0)
         assert kerr == pytest.approx(0.99999994373, abs=1e-11)
 

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,10 @@ class TestAtomFieldParams:
         assert atom_purity(0.5) == 0.5
         assert field_purity(0.0) == 1.0
         assert field_purity(1.0 - 1e-3) == pytest.approx(1e-3 / (2 - 1e-3))
+        for p, lam in ((1.0, 0.0), (0.5, 0.5), (0.3, 0.999), (0.0, 1.0 - 1e-12)):
+            params = mx.AtomFieldParams(p=p, lam=lam, gt=0.0)
+            assert params.atom_purity == atom_purity(p)
+            assert params.field_purity == field_purity(lam)
 
     def test_photon_weights_sum_to_one(self):
         params = mx.AtomFieldParams(p=1.0, lam=0.7, gt=0.0, n=0)
@@ -221,6 +226,27 @@ class TestAtomFieldParams:
 
 
 class TestCatKernels:
+    def test_scaled_cat_kernels_is_scaled_kernels_at_one_row(self):
+        rng = np.random.default_rng(31)
+        v = 1.0 + rng.exponential(50.0, 40)
+        v[:5] = 1.0
+        d = rng.normal(0.0, 20.0, 40)
+        d[5:8] = 0.0
+        g = rng.uniform(1e-3, 5.0, 40)
+        s, r, _, log_c = states._scaled_kernels(v, d, g)
+        for k in range(40):
+            kernels, log = states.scaled_cat_kernels(mx.ThermalParams(v[k], d[k]), mx.CatBasis(g[k]))
+            assert kernels == states.CatKernels(c=1.0, s=s[k], r=r[k])
+            assert log == log_c[k]
+
+    def test_scaled_cat_kernels_past_the_double_range(self):
+        # 4 gamma d/(V+1) overflows: s/c saturates at 1, r/c and log c stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels, log_c = states.scaled_cat_kernels(mx.ThermalParams(1.0, 1.3e154), mx.CatBasis(1.3e154))
+        assert kernels == states.CatKernels(c=1.0, s=1.0, r=0.0)
+        assert log_c == 0.0
+
     def test_coherent_limit(self):
         for g in (1.0, 2.0, 3.0):
             k = true_scale_kernels(mx.ThermalParams(1.0, 0.0), mx.CatBasis(g))
