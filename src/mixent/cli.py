@@ -24,14 +24,17 @@ probability, is 0.  Under ``--validate`` such rows still carry the oracle
 columns, from the unnormalized kernel.  The library constructors raise
 :class:`~mixent.qlinalg.DegenerateStateError` for these points instead.
 
-A sweep runs in blocks of ``SWEEP_BLOCK`` rows: it checks a block's parameters
-at its smallest and largest swept value, calls the scheme's block function
-once and scores the states of its result with one stacked NPT.  Under
-``--validate`` the kernels of the same result are compared with the block's
-oracle matrices, which come from one call of the oracle's block function; a
-validation grid is one block.  Where a block has a bad parameter its rows are
-built one at a time, each with its oracle, so the first faulty row decides the
-error.  The ``--out`` path is checked before the first row without opening or
+A sweep checks its parameters once, at its smallest and largest swept value:
+every parameter rule is an interval in that value, so two good ends make a
+good sweep.  It runs in blocks of ``SWEEP_BLOCK`` rows: each calls the
+scheme's block function once and scores the states of its result with one
+stacked NPT.  Under ``--validate`` the kernels of the same result are compared
+with the block's oracle matrices, which come from one call of the oracle's
+block function; a validation grid is one block.  Where an end is bad the rows
+before the first bad one run as blocks and that row's error is raised after
+them, so a bad parameter never hides a fault at an earlier row, however the
+blocks split.
+The ``--out`` path is checked before the first row without opening or
 creating anything, and opened once, to write the CSV, when the rows are done;
 a run that fails before that write creates nothing and leaves what was there
 as it was.
@@ -74,7 +77,7 @@ class SweepSpec:
     fixed: dict
     sweep: tuple  # (name, start, stop, count)
     out: str | None = None
-    validate_tol: float | None = None
+    validate_tol: float | str | None = None  # None: no oracle check; else as _parse_tol reads it
 
 
 class SpecError(ValueError):
@@ -121,13 +124,6 @@ def _cat_args(v):
     return args
 
 
-def _bs_args(v):
-    """``_cat_args`` and the bs gamma floor, which sweeps check with the other rules."""
-    args = _cat_args(v)
-    schemes._check_bs_gamma(args["basis"].gamma)
-    return args
-
-
 @dataclass(frozen=True)
 class _SchemeDef:
     """How the CLI evaluates and validates one scheme.
@@ -170,7 +166,7 @@ SCHEMES = {
     ),
     "bs": _SchemeDef(
         ("r", "V", "d", "gamma", "sign"),
-        _bs_args,
+        _cat_args,
         lambda *columns: schemes.bs_scheme_block(*columns),
         lambda *columns: oracle.quadrature_block("bs", *columns),
         _KERR_TOL,
@@ -261,7 +257,7 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
         raise SpecError(f"{name!r} is both fixed and swept")
     convert = {"sign": _as_sign, "n": lambda v: _as_int(v, "n")}
     fixed = {k: convert[k](v) if k in convert else v for k, v in spec.fixed.items()}
-    return replace(spec, fixed=fixed)
+    return replace(spec, fixed=fixed, validate_tol=_parse_tol(spec.validate_tol, sdef.tolerance))
 
 
 def _closed_vs_oracle(sdef: _SchemeDef, columns: list, result):
@@ -280,36 +276,25 @@ def _closed_vs_oracle(sdef: _SchemeDef, columns: list, result):
 SWEEP_BLOCK = 256
 
 
-def _columns(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> list:
-    """The parameter columns of the rows at ``xs``, in the order of ``sdef.params``.
-
-    The real parameters are converted as the parameter dataclasses store
-    them; ``_check_spec`` has converted ``n`` and ``sign``.
-    """
-    name = spec.sweep[0]
-    fixed = {k: v if k in ("n", "sign") else complex(v).real for k, v in spec.fixed.items()}
-    return [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
-
-
-def _check_rows(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> None:
-    """Raise what the first bad row of a block raises, if it has one.
+def _first_bad_row(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> tuple:
+    """The index of the sweep's first row whose parameters do not build, and its error.
 
     Every parameter rule is an interval in the swept value, and a sweep's
-    values ascend, so the block is good if its first and last values build.
-    If not, its rows are built in order until one raises; under
-    ``--validate`` each row runs the block oracle at that one row, so an
-    unstable oracle at an earlier row raises before a bad parameter at a
-    later one.
+    values ascend, so the sweep is good, ``(len(xs), None)``, if its first and
+    last values build; only if one does not are the rows built in order until
+    one raises.
     """
     name = spec.sweep[0]
     try:
         for x in (xs[0], xs[-1]):
             sdef.args({**spec.fixed, name: x})
+        return len(xs), None
     except ValueError:
-        for x in xs:
-            sdef.args({**spec.fixed, name: x})
-            if spec.validate_tol is not None:
-                sdef.oracle(*_columns(spec, sdef, [x]))
+        for k, x in enumerate(xs):
+            try:
+                sdef.args({**spec.fixed, name: x})
+            except ValueError as exc:
+                return k, exc
         raise
 
 
@@ -318,10 +303,12 @@ def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: list, first: int):
 
     A row with no state (a zero-probability conditioning outcome) is the zero
     matrix at scale NaN: its ``npt`` and ``trace`` are NaN, its kernel is still
-    checked by the oracle.
+    checked by the oracle.  The real parameters are converted as the parameter
+    dataclasses store them; ``_check_spec`` has converted ``n`` and ``sign``.
     """
-    _check_rows(spec, sdef, xs)
-    params = _columns(spec, sdef, xs)
+    name = spec.sweep[0]
+    fixed = {k: v if k in ("n", "sign") else complex(v).real for k, v in spec.fixed.items()}
+    params = [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
     result = sdef.block(*params)
     normalized, factors = schemes.block_states(*result)
     states = normalized * factors[:, None, None]
@@ -360,10 +347,13 @@ def run_sweep(spec: SweepSpec):
         raise SpecError(f"sweep count {count} is too large: its rows cannot be allocated") from None
     if spec.out:
         _check_out(spec.out)
-    for first in range(0, len(xs), SWEEP_BLOCK):
-        block, failed = _sweep_block(spec, sdef, xs[first : first + SWEEP_BLOCK], first)
+    good, error = _first_bad_row(spec, sdef, xs)
+    for first in range(0, good, SWEEP_BLOCK):
+        block, failed = _sweep_block(spec, sdef, xs[first : min(first + SWEEP_BLOCK, good)], first)
         lines += block
         failures += failed
+    if error is not None:
+        raise error
     csv_text = "\n".join(lines) + "\n"
     if spec.out:
         try:
@@ -440,18 +430,20 @@ def validate_grid(name: str, tol: float | None = None):
     return float(deviations[worst]), {k: column[worst] for k, column in grid.items()}, tol
 
 
-def run_validation(preset: str, tol: float | None = None, out=None) -> int:
+def run_validation(preset: str, tol: float | str | None = None, out=None) -> int:
+    """Check one named grid or ``all``, at ``tol`` as :func:`_parse_tol` reads it; the exit code."""
     out = out if out is not None else sys.stdout
     names = list(VALIDATION_GRIDS) if preset == "all" else [preset]
     for name in names:
         if name not in VALIDATION_GRIDS:
             raise SpecError(f"unknown validation preset {name!r}")
+    tol = _parse_tol(tol)
     code = 0
     for name in names:
         dev, at, used_tol = validate_grid(name, tol)
-        status = "PASS" if dev <= used_tol else "FAIL"
+        status = "PASS" if dev <= used_tol else "FAIL"  # a NaN deviation fails
         print(f"{name}: max deviation {dev:.3e} (tol {used_tol:.0e}) {status}", file=out)
-        if dev > used_tol:
+        if status == "FAIL":
             print(f"  worst case: {at}", file=out)
             code = 3
     return code
@@ -510,7 +502,7 @@ def _read_config(path: str) -> dict:
 
 
 def _parse_tol(value, default=None) -> float | None:
-    """A validation tolerance from the command line or a config file.
+    """A validation tolerance from the command line, a config file or a :class:`SweepSpec`.
 
     ``None`` (no validation asked for) stays None and "default" (bare
     ``--validate``) gives ``default``.  Anything else must be a finite number
@@ -522,7 +514,7 @@ def _parse_tol(value, default=None) -> float | None:
         return default
     try:
         tol = float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         raise SpecError(f"tolerance must be a number, got {value!r}") from None
     if not 0.0 <= tol < math.inf:
         raise SpecError(f"tolerance must be finite and >= 0, got {value!r}")
@@ -538,14 +530,13 @@ def _spec_from_args(args) -> SweepSpec:
         options[key] = from_file if flag is None else flag  # the flag wins
     fixed = _parse_set(f"{k}={v}" for k, v in config.items())
     fixed.update(_parse_set(args.set))
-    scheme, validate = options["scheme"], options["validate"]
-    if scheme is None:
+    if options["scheme"] is None:
         raise SpecError("no scheme given (use --scheme or a config file)")
     if options["sweep"] is None:
         raise SpecError("no sweep given (use --sweep name:start:stop:count)")
     sweep = _parse_sweep(options["sweep"])
-    spec = _check_spec(SweepSpec(scheme=scheme, fixed=fixed, sweep=sweep, out=options["out"]))
-    return replace(spec, validate_tol=_parse_tol(validate, SCHEMES[scheme].tolerance))
+    spec = SweepSpec(options["scheme"], fixed, sweep, options["out"], options["validate"])
+    return _check_spec(spec)
 
 
 @functools.cache  # one parser per process, built on first use so that import stays cheap
@@ -569,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="closed form vs oracle on a named grid")
     val.add_argument("grid", choices=sorted(VALIDATION_GRIDS) + ["all"])
-    val.add_argument("--tol", type=float, default=None, help="tolerance override")
+    val.add_argument("--tol", default=None, help="tolerance override")
 
     preset = sub.add_parser("preset", help="list or run figure presets")
     psub = preset.add_subparsers(dest="preset_command", required=True)
@@ -587,7 +578,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            return run_validation(args.grid, _parse_tol(args.tol))
+            return run_validation(args.grid, args.tol)
         if args.command == "preset" and args.preset_command == "list":
             for name in sorted(PRESETS):
                 spec = PRESETS[name]
@@ -606,7 +597,7 @@ def main(argv=None) -> int:
                 base,
                 fixed={**base.fixed, **_parse_set(args.set)},
                 out=args.out or f"{args.name}.csv",
-                validate_tol=_parse_tol(args.validate, SCHEMES[base.scheme].tolerance),
+                validate_tol=args.validate,
             )
         code, csv_text, failures = run_sweep(spec)
         if not spec.out:

@@ -209,11 +209,20 @@ def test_criterion_10_purity_ladder():
         dev = mx.max_abs_deviation(jc_projected(at).matrix, mx.jc_fock_projected(at))
         ok &= best >= 0.995 and dev <= 1e-10
         details.append(f"jc purity {mx.field_purity(lam):.1e}: {best:.5f}")
-    for v in (1e3, 1e6, 1e9, 1e12, 1e15):
-        best = max(
-            direct_kerr_projected(mx.ThermalParams(v, float(d)), G2).npt_normalized
-            for d in np.linspace(1.9 * v, 2.2 * v, 61)
-        )
-        ok &= best >= 0.9999
-        details.append(f"direct purity {1.0 / v:.0e}: {best:.5f}")
+    # the cross-Kerr schemes at r = 1, bs and tt at sign +, on the same d grid
+    micro = mx.MicroState(1.0)
+    cross_kerr = {
+        "direct": lambda t: direct_kerr_projected(t, G2),
+        "kerr_micro_thermal": lambda t: kerr_micro_thermal_projected(micro, t, G2),
+        "tt": lambda t: tt_scheme_projected(micro, t, G2, 1),
+        "bs": lambda t: bs_scheme_projected(micro, t, G2, 1),
+    }
+    for name, construct in cross_kerr.items():
+        for v in (1e3, 1e6, 1e9, 1e12, 1e15):
+            best = max(
+                construct(mx.ThermalParams(v, float(d))).npt_normalized
+                for d in np.linspace(1.9 * v, 2.2 * v, 61)
+            )
+            ok &= best >= 0.9999
+            details.append(f"{name} purity {1.0 / v:.0e}: {best:.5f}")
     report("criterion-10 NPT at vanishing purity", ok, "; ".join(details))

@@ -1,5 +1,6 @@
 """CLI: sweeps, CSV format, presets, validation, exit codes."""
 
+import io
 import json
 import math
 import os
@@ -432,6 +433,29 @@ class TestMain:
             assert cli.main(argv) == 2, argv
             assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
+    def test_validate_tol_is_read_as_validate_reads_it(self, capsys):
+        # one error line and exit 2, as for --validate=TOL, not argparse's usage error
+        assert cli.main(["validate", "jc-grid", "--tol", "abc"]) == 2
+        assert capsys.readouterr().err == "error: tolerance must be a number, got 'abc'\n"
+        assert cli.main(["validate", "jc-grid", "--tol", "-1"]) == 2
+        assert capsys.readouterr().err == "error: tolerance must be finite and >= 0, got '-1'\n"
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_library_sweep_bad_tolerance(self, tol):
+        # a NaN tolerance passed every row: d > nan is false
+        fixed, sweep = {"V": 10.0, "gamma": 2.0}, ("d", 0.0, 20.0, 3)
+        spec = make_spec(scheme="direct_kerr", fixed=fixed, sweep=sweep, validate_tol=tol)
+        with pytest.raises(cli.SpecError, match="tolerance must be finite and >= 0"):
+            cli.run_sweep(spec)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_library_validation_bad_tolerance(self, tol):
+        # a NaN tolerance printed FAIL but returned 0
+        out = io.StringIO()
+        with pytest.raises(cli.SpecError, match="tolerance must be finite and >= 0"):
+            cli.run_validation("direct-grid", tol, out=out)
+        assert out.getvalue() == ""
+
     def test_validated_jc_sweep_at_lam_one_tenth(self, capsys):
         # at lam = 10^-k the thermal tail of a budgeted truncation lands on
         # the budget itself; the oracle must need no budget
@@ -577,6 +601,25 @@ class TestMain:
         assert err.endswith("(V=1000.0, d=0.0, gamma=12.0)\n") and err.count("\n") == 1
         assert cli.main(argv + ["--sweep", "r:-0.5:1:5"]) == 2  # bad at r = -0.5, unstable after
         assert capsys.readouterr().err == "error: r must lie in [0, 1], got -0.5\n"
+
+    @pytest.mark.parametrize("block", [256, 4])
+    def test_first_faulty_row_decides_wherever_blocks_split(self, block, monkeypatch, capsys):
+        # rows with d > 1e153 get a non-Hermitian state and the last row's d
+        # has no finite square: the earlier fault decides, whether the sweep is
+        # one block or the bad row's block is split from the faulty rows
+        block_function = schemes.direct_kerr_block
+
+        def non_hermitian_past_1e153(V, d, gamma):
+            normalized, log_scales, probs = block_function(V, d, gamma)
+            normalized[np.asarray(d) > 1e153, 0, 1] += 1.0
+            return normalized, log_scales, probs
+
+        monkeypatch.setattr(schemes, "direct_kerr_block", non_hermitian_past_1e153)
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        argv = ["sweep", "--scheme", "direct_kerr", "--set", "V=10", "--set", "gamma=2"]
+        assert cli.main(argv + ["--sweep", "d:0:1.5e154:10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hermiticity defect") and err.count("\n") == 1, err
 
     def test_validated_sweep_memory_is_bounded(self, monkeypatch):
         # a validated sweep's peak memory is set by its block, not by its
