@@ -52,6 +52,7 @@ import errno
 import functools
 import itertools
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -238,10 +239,13 @@ def _check_spec(spec: SweepSpec) -> SweepSpec:
         raise SpecError(
             f"cannot sweep {name!r} for scheme {spec.scheme}; sweepable: {sdef.sweepable}"
         )
-    if count < 2:
-        raise SpecError(f"sweep count must be >= 2, got {count}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise SpecError(f"sweep bounds must be finite, got {start} .. {stop}")
+    integral = isinstance(count, numbers.Integral) or (
+        isinstance(count, numbers.Real) and float(count).is_integer()
+    )
+    if not integral or count < 2:
+        raise SpecError(f"sweep count must be an integer >= 2, got {count!r}")
+    if not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (start, stop)):
+        raise SpecError(f"sweep bounds must be finite real numbers, got {start!r} .. {stop!r}")
     if not start < stop:
         raise SpecError(f"sweep needs start < stop, got {start} .. {stop}")
     if not math.isfinite(float(stop) - float(start)):
@@ -311,9 +315,9 @@ def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: list, first: int):
     params = [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
     result = sdef.block(*params)
     normalized, factors = schemes.block_states(*result)
-    states = normalized * factors[:, None, None]
-    traces = np.trace(states, axis1=1, axis2=2).real
-    columns = [xs, qlinalg._npt_stack(normalized).tolist(), traces.tolist()]
+    npts = qlinalg._npt_stack(normalized).tolist()  # first, so a non-finite row raises before inf * 0
+    traces = np.trace(normalized * factors[:, None, None], axis1=1, axis2=2).real
+    columns = [xs, npts, traces.tolist()]
     failed = []
     if spec.validate_tol is not None:
         refs, deviations = _closed_vs_oracle(sdef, params, result)
@@ -419,15 +423,14 @@ VALIDATION_GRIDS = {
 }
 
 
-def validate_grid(name: str, tol: float | None = None):
-    """Closed form vs oracle over one named grid; returns (max_dev, worst, tol)."""
+def validate_grid(name: str):
+    """Closed form vs oracle over one named grid; returns (max_dev, worst, the scheme's tolerance)."""
     sdef = SCHEMES[VALIDATION_GRIDS[name]]
-    tol = sdef.tolerance if tol is None else tol
     grid = _grid_columns(name)
     columns = [grid[k] for k in sdef.params]
     deviations = _closed_vs_oracle(sdef, columns, sdef.block(*columns))[1]
     worst = int(np.argmax(deviations))  # the first of equal maxima
-    return float(deviations[worst]), {k: column[worst] for k, column in grid.items()}, tol
+    return float(deviations[worst]), {k: column[worst] for k, column in grid.items()}, sdef.tolerance
 
 
 def run_validation(preset: str, tol: float | str | None = None, out=None) -> int:
@@ -440,7 +443,8 @@ def run_validation(preset: str, tol: float | str | None = None, out=None) -> int
     tol = _parse_tol(tol)
     code = 0
     for name in names:
-        dev, at, used_tol = validate_grid(name, tol)
+        dev, at, scheme_tol = validate_grid(name)
+        used_tol = scheme_tol if tol is None else tol
         status = "PASS" if dev <= used_tol else "FAIL"  # a NaN deviation fails
         print(f"{name}: max deviation {dev:.3e} (tol {used_tol:.0e}) {status}", file=out)
         if status == "FAIL":
@@ -535,8 +539,7 @@ def _spec_from_args(args) -> SweepSpec:
     if options["sweep"] is None:
         raise SpecError("no sweep given (use --sweep name:start:stop:count)")
     sweep = _parse_sweep(options["sweep"])
-    spec = SweepSpec(options["scheme"], fixed, sweep, options["out"], options["validate"])
-    return _check_spec(spec)
+    return SweepSpec(options["scheme"], fixed, sweep, options["out"], options["validate"])
 
 
 @functools.cache  # one parser per process, built on first use so that import stays cheap

@@ -92,10 +92,6 @@ class BipartiteMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def hermiticity_defect(self) -> float:
-        """Largest entrywise deviation from m == m^dagger."""
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
     def scaled(self, factor: float) -> "BipartiteMatrix":
         return BipartiteMatrix(self.dim_a, self.dim_b, self.entries * factor)
 
@@ -107,15 +103,16 @@ def partial_transpose(m: BipartiteMatrix, which: str = "B") -> BipartiteMatrix:
     is a pure reindexing, so applying it twice returns the input bit-exactly;
     trace and Hermiticity are preserved.
     """
-    da, db = m.dim_a, m.dim_b
-    blocks = m.entries.reshape(da, db, da, db)
-    if which == "B":
-        out = blocks.transpose(0, 3, 2, 1)
-    elif which == "A":
-        out = blocks.transpose(2, 1, 0, 3)
-    else:
+    pt = _partial_transposes(m.entries[None], m.dim_a, m.dim_b, which)
+    return BipartiteMatrix(m.dim_a, m.dim_b, pt[0])
+
+
+def _partial_transposes(stack: np.ndarray, dim_a: int, dim_b: int, which: str = "B") -> np.ndarray:
+    """The partial transpose on factor ``which`` of each matrix of a stack: the one reindexing."""
+    if which not in ("A", "B"):
         raise ValueError(f"factor selector must be 'A' or 'B', got {which!r}")
-    return BipartiteMatrix(da, db, out.reshape(da * db, da * db))
+    pt = stack.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2).reshape(stack.shape)
+    return pt if which == "B" else pt.swapaxes(1, 2)  # on A: the transpose of that on B
 
 
 def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,21 +127,27 @@ def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(arr)
 
 
-def _symmetrized_entries(a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise NumericInputError("matrix has non-finite entries")
-    adjoint = a.conj().T
-    defect = float(np.max(np.abs(a - adjoint)))
-    if defect >= HERMITICITY_TOL:
+def _hermitian_parts(stack: np.ndarray) -> np.ndarray:
+    """(a + a^dagger)/2 of each matrix a of a stack, the one Hermiticity check: the first matrix
+    that is not finite or has a defect >= ``HERMITICITY_TOL`` raises (callers ignore inf - inf).
+    """
+    adjoint = stack.conj().swapaxes(1, 2)
+    defects = np.abs(stack - adjoint)
+    if not defects.max(initial=0.0) < HERMITICITY_TOL:  # NaN fails too
+        worst = defects.max(axis=(1, 2))
+        bad = int(np.argmax(~(worst < HERMITICITY_TOL)))
+        if not np.isfinite(stack[bad]).all():
+            raise NumericInputError("matrix has non-finite entries")
         raise HermiticityError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
+            f"hermiticity defect {worst[bad]:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
         )
-    return (a + adjoint) / 2.0
+    return (stack + adjoint) / 2.0
 
 
+@np.errstate(invalid="ignore")
 def min_eigenvalue(m: BipartiteMatrix) -> float:
     """Smallest eigenvalue, after silent symmetrization."""
-    return float(hermitian_eigensystem(_symmetrized_entries(m.entries))[0][0])
+    return float(hermitian_eigensystem(_hermitian_parts(m.entries[None])[0])[0][0])
 
 
 def npt(m: BipartiteMatrix) -> float:
@@ -174,19 +177,13 @@ def _npt_stack(entries, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
     size = dim_a * dim_b
     if stack.ndim != 3 or stack.shape[1:] != (size, size):
         raise InvalidShapeError(f"expected an (N, {size}, {size}) stack, got shape {stack.shape}")
-    pt = stack.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2)
-    pt = pt.reshape(stack.shape)
+    pt = _partial_transposes(stack, dim_a, dim_b)
     tr = pt.trace(axis1=1, axis2=2).real
     whole = np.minimum.reduce(tr, initial=math.inf) > 1e-300  # NaN fails too
     if not whole:
         usable = tr > 1e-300
         pt, tr = pt[usable], tr[usable]
-    scaled = pt * (1.0 / tr)[:, None, None]
-    adjoint = scaled.conj().swapaxes(1, 2)
-    defects = np.abs(scaled - adjoint)
-    if not defects.max(initial=0.0) < HERMITICITY_TOL:  # the first bad row raises
-        _symmetrized_entries(scaled[np.argmax(~(defects.max(axis=(1, 2)) < HERMITICITY_TOL))])
-    w = np.linalg.eigvalsh((scaled + adjoint) / 2.0)
+    w = np.linalg.eigvalsh(_hermitian_parts(pt * (1.0 / tr)[:, None, None]))
     # w ascends and sums to 1, so max |w| = max(-w[0], w[-1]) with w[-1] > 0, and the
     # bound (a power of 2 below 1) times it is below -w[0] iff the bound times w[-1] is,
     # or, doubled exactly, 2 bound w[-1] below -2 w[0]; w[0] >= -1/2 for a unit-trace
@@ -209,9 +206,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
+@np.errstate(invalid="ignore")
 def purity(m: BipartiteMatrix) -> float:
     """Tr[(m / Tr m)^2] of a Hermitian matrix with positive trace."""
-    a = _symmetrized_entries(m.entries)
+    a = _hermitian_parts(m.entries[None])[0]
     tr = float(np.trace(a).real)
     if not tr > 1e-300:
         raise DegenerateStateError(f"purity needs a positive trace, got {tr}")
@@ -220,7 +218,7 @@ def purity(m: BipartiteMatrix) -> float:
 
 
 def max_abs_deviation(a: BipartiteMatrix, b: BipartiteMatrix) -> float:
-    """Largest entrywise |a - b|, the metric used by every oracle check."""
+    """Largest entrywise |a - b| of two matrices, the metric that the oracle checks apply to each row."""
     if (a.dim_a, a.dim_b) != (b.dim_a, b.dim_b):
         raise InvalidShapeError("cannot compare matrices with different factors")
     return float(np.max(np.abs(a.entries - b.entries)))

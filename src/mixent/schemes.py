@@ -151,7 +151,7 @@ def block_states(normalized, log_scales, probs) -> tuple:
     return np.where(degenerate[:, None, None], 0.0, normalized), factors
 
 
-# A value past the double range overflows to inf; the cat block functions do not warn of it.
+# A value past the double range overflows to inf; the block functions do not warn of it.
 _PAST_RANGE = np.errstate(over="ignore")
 
 
@@ -190,17 +190,24 @@ def jc_projected(params: AtomFieldParams) -> SchemeOutput:
     return _output(*jc_block([params.p], [params.lam], [params.gt], [params.n]))
 
 
+@_PAST_RANGE
 def jc_block(p, lam, gt, n):
-    """``jc_projected`` for N rows: the (N, 4, 4) states, log scales 0 and probabilities 1."""
+    """``jc_projected`` for N rows: the normalized (N, 4, 4) states, log scales and probabilities 1."""
     p, lam, gt, n = _carriers(p, lam, gt, n)
     q = 1.0 - p
     # C_k, S_k at gt sqrt(k + 1) for k = n - 1, n, n + 1
     a0, a1, a2 = gt * np.sqrt(n), gt * np.sqrt(n + 1.0), gt * np.sqrt(n + 2.0)
     c0, c1, c2 = np.cos(a0), np.cos(a1), np.cos(a2)
     s0, s1, s2 = np.sin(a0), np.sin(a1), np.sin(a2)
-    # P_k = (1-lam) lam^k, k = n - 1 .. n + 2; at n = 0, P_{-1} = P_0 meets S_{-1} = 0
-    k = np.maximum(np.array([n - 1.0, n, n + 1.0, n + 2.0]), 0.0)
+    # P_k = (1-lam) lam^k, k = n - 1 .. n + 2, as (1-lam) lam^(k-b) at the log scale b log(lam),
+    # b = n - e, which stays finite however far lam^b underflows: e = min(n, 1), as n - (n - 1.0)
+    # is not 1 past 2^53, and at lam = 0, e = min(n, 2) and log(0 + 1) = 0 leave n > 1 every
+    # weight 0^(k-b) = 0.  At n = 0, P_{-1} = P_0 meets S_{-1} = 0
+    at_zero = 1.0 * (lam == 0.0)
+    e = np.minimum(n, 1.0 + at_zero)
+    k = np.maximum(np.array([e - 1.0, e, e + 1.0, e + 2.0]), 0.0)
     w0, w1, w2, w3 = (1.0 - lam) * np.power(np.array([lam] * 4), k)
+    log_scales = (n - e) * np.log(lam + at_zero) + 0.0  # + 0.0: b = 0 gives 0.0, not -0.0
     # excited branch weight p, ground branch weight q; |e,n> <-> |g,n+1> coherence
     coherence = p * w1 * c1 * s1 - q * w2 * c1 * s1
     d0, d1 = p * w0 * (s0 * s0) + q * w1 * (c0 * c0), p * w1 * (c1 * c1) + q * w2 * (s1 * s1)
@@ -210,7 +217,7 @@ def jc_block(p, lam, gt, n):
     entries.real[::5] = d0, d1, d2, d3
     entries.imag[6], entries.imag[9] = coherence, -coherence
     states = np.ascontiguousarray(entries.T).reshape(-1, 4, 4)
-    return states, np.zeros(len(states)), np.ones(len(states))
+    return states, np.array(log_scales, ndmin=1), np.ones(len(states))
 
 
 def _cat_kernel(V, d, gamma):
@@ -290,11 +297,6 @@ _BS_FLIP = np.array([0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 0.0])[:, None]
 BS_GAMMA_FLOOR = 1e-2
 
 
-def _check_bs_gamma(g: float) -> None:
-    if g < BS_GAMMA_FLOOR:
-        raise ValueError(f"bs needs gamma >= {BS_GAMMA_FLOOR:g}, got {g!r}")
-
-
 @_PAST_RANGE
 def bs_scheme_block(r, V, d, gamma, sign):
     """``bs_scheme_projected`` for N rows: normalized kernels, log scales and outcome probabilities.
@@ -315,7 +317,8 @@ def bs_scheme_block(r, V, d, gamma, sign):
     sum of terms >= 0.  Nothing cancels at any displacement and variance.
     Raises ``ValueError`` for gamma below ``BS_GAMMA_FLOOR``.
     """
-    _check_bs_gamma(min(gamma))
+    if min(gamma) < BS_GAMMA_FLOOR:
+        raise ValueError(f"bs needs gamma >= {BS_GAMMA_FLOOR:g}, got {min(gamma)!r}")
     r, V, d, gamma, sign = _carriers(r, V, d, gamma, sign)
     v, u, scale = (V + 1.0) / 2.0, abs(d) / math.sqrt(2.0), -2.0 * gamma
     sgn, flip = np.copysign(1.0, d), gamma * ((v - 1.0) / v)

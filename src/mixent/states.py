@@ -190,12 +190,6 @@ class AtomFieldParams:
     def field_purity(self) -> float:
         return field_purity(self.lam)
 
-    def photon_weight(self, k: int) -> float:
-        """(1 - lam) lam^k for k >= 0, zero for negative k."""
-        if k < 0:
-            return 0.0
-        return (1.0 - self.lam) * self.lam**k
-
 
 def atom_purity(p: float) -> float:
     """2 (p - 1/2)^2 + 1/2: 1 for a pure atom, 1/2 when maximally mixed."""

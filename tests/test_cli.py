@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,23 @@ class TestSpecValidation:
         message = f"sweep count {count} is too large: its rows cannot be allocated"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_library_sweep_non_integral_count(self, tmp_path):
+        # the CLI parses an int count; a library spec is checked the same way
+        out = tmp_path / "curve.csv"
+        spec = cli.SweepSpec("jc", {"p": 1.0, "lam": 0.5, "n": 0}, ("gt", 0.0, 1.0, 2.5), str(out))
+        with pytest.raises(cli.SpecError, match="sweep count must be an integer >= 2, got 2.5"):
+            cli.run_sweep(spec)
+        assert not out.exists()
+        for count in (3.0, np.int64(3), np.float64(3.0)):
+            code, csv_text, _ = cli.run_sweep(replace(spec, sweep=("gt", 0.0, 1.0, count), out=None))
+            assert code == 0 and len(csv_text.splitlines()) == 5, count
+
+    @pytest.mark.parametrize("bounds", [("0", 1.0), (0.0, "1"), (None, 1.0), (0.0, 1j)])
+    def test_library_sweep_bound_not_a_real_number(self, bounds):
+        spec = cli.SweepSpec("jc", {"p": 1.0, "lam": 0.5, "n": 0}, ("gt", *bounds, 3))
+        with pytest.raises(cli.SpecError, match="sweep bounds must be finite real numbers"):
+            cli.run_sweep(spec)
 
     def test_missing_and_unknown_parameters(self):
         with pytest.raises(cli.SpecError):
@@ -692,6 +710,18 @@ class TestMain:
         "tt": (["r=1", "V=10", "gamma=2", "sign=+"], "d:0:1e160:3", "displacement must have"),
         "direct_kerr": (["V=10", "gamma=2"], "d:0:1e160:3", "displacement must have"),
     }
+
+    @pytest.mark.parametrize("scheme,fixed", [("direct_kerr", []), ("tt", ["r=0.5", "sign=1"])])
+    def test_non_finite_state_exit_2_without_warning(self, scheme, fixed, tmp_path, capsys):
+        # K (x) K leaves the double range at gamma = 1e-100, V = 1, d near 1e150, where the
+        # state's factor underflows to 0: the row is refused before inf * 0 can warn
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--scheme", scheme, "--sweep", "d:1e149:1e150:2", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + [f"--set={item}" for item in ["gamma=1e-100", "V=1", *fixed]]) == 2
+        assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("scheme", sorted(OVERFLOWING))
     def test_overflowing_parameter_exit_2(self, scheme, tmp_path, capsys):

@@ -27,7 +27,7 @@ G2 = mx.CatBasis(2.0)
 def assert_state_invariants(out):
     """Hermitian, PSD within tolerance, trace in (0, 1]."""
     m = out.matrix
-    assert m.hermiticity_defect() < 1e-12
+    assert np.max(np.abs(m.entries - m.entries.conj().T)) < 1e-12
     tr = out.trace
     assert 0.0 < tr <= 1.0 + 1e-10
     assert mx.min_eigenvalue(m.scaled(1.0 / tr)) >= -1e-10
@@ -83,6 +83,50 @@ class TestJcProjected:
         out = jc_projected(mx.AtomFieldParams(p=0.0, lam=0.0, gt=0.3, n=3))
         assert math.isnan(out.npt_normalized)
         assert np.max(np.abs(out.matrix.entries)) == 0.0
+
+    @staticmethod
+    def tail_draws(rng, count):
+        """p, lam, gt, n with n from 2 to 20 and log-uniform up to 1e300, lam in (0, 1), p and gt uniform.
+
+        lam is uniform, log-uniform down to 1e-300 or within 1e-12 of 1, a third each.
+        """
+        p = [rng.uniform() for _ in range(count)]
+        lam = [
+            float(rng.choice([rng.uniform(), 10.0 ** -rng.uniform(0.0, 300.0), 1.0 - 10.0 ** -rng.uniform(0.0, 12.0)]))
+            for _ in range(count)
+        ]
+        gt = [rng.uniform(0.0, 8.0 * math.pi) for _ in range(count)]
+        n = [int(rng.integers(2, 21)) if i % 2 else int(10.0 ** rng.uniform(math.log10(2.0), 300.0)) for i in range(count)]
+        return p, lam, gt, n
+
+    def test_npt_over_the_whole_n_domain(self):
+        # lam^(n-1) leaves the double range from n near 1000 at lam = 0.5, and sooner at
+        # smaller lam; NaN is allowed only at an exact zero state, here the rows at lam = 0
+        p, lam, gt, n = self.tail_draws(np.random.default_rng(3401), 2000)
+        lam[::10] = [0.0] * len(lam[::10])
+        normalized, factors = schemes.block_states(*schemes.jc_block(p, lam, gt, n))
+        npts = qlinalg._npt_stack(normalized)
+        zero = np.array(lam) == 0.0
+        assert np.isnan(npts[zero]).all() and not np.isnan(npts[~zero]).any()
+        assert (normalized[zero] == 0.0).all()
+        assert ((npts[~zero] >= 0.0) & (npts[~zero] <= 1.0)).all(), (npts.min(), npts.max())
+        kernel_traces = np.trace(normalized[~zero], axis1=1, axis2=2).real
+        traces = kernel_traces * factors[~zero]
+        assert ((traces >= 0.0) & (traces <= 1.0)).all(), (traces.min(), traces.max())
+        lowest = np.linalg.eigvalsh(normalized[~zero] / kernel_traces[:, None, None])[:, 0]
+        assert lowest.min() >= -1e-12, lowest.min()
+
+    @pytest.mark.parametrize(
+        "n,expected", [(3, 0.0638408826048279), (1000, 0.0042949023794906), (2000, 0.0064075720547501)]
+    )
+    def test_far_tail_against_mpmath(self, n, expected):
+        # the trace is 7.1e-302 at n = 1000 and underflows to 0 at n = 2000
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = mpmath_npt(mpmath, mpmath_jc_state(mpmath, 1.0, 0.5, 0.5, n))
+        assert ref == pytest.approx(expected, abs=1e-15)
+        out = jc_projected(mx.AtomFieldParams(1.0, 0.5, 0.5, n))
+        assert abs(out.npt_normalized - ref) <= 1e-12, (n, out.npt_normalized, ref)
 
     @pytest.mark.parametrize("lam", [0.5, 0.9, 0.999999])
     def test_ppt_boundary_in_excited_population(self, lam):
@@ -349,13 +393,37 @@ def mpmath_bs_sum(mpmath, r, g, integral, sign):
     return state
 
 
+def mpmath_jc_state(mpmath, p, lam, gt, n):
+    """The ``jc`` state of ``jc_projected``'s docstring at its true scale, in ``mpmath`` arithmetic."""
+    p, lam, gt = (mpmath.mpf(x) for x in (p, lam, gt))
+    q = 1 - p
+
+    def weight(k):
+        return (1 - lam) * lam**k if k >= 0 else mpmath.mpf(0)
+
+    def cos(k):
+        return mpmath.cos(gt * mpmath.sqrt(k + 1))
+
+    def sin(k):
+        return mpmath.sin(gt * mpmath.sqrt(k + 1))
+
+    state = mpmath.matrix(4, 4)
+    state[0, 0] = p * weight(n - 1) * sin(n - 1) ** 2 + q * weight(n) * cos(n - 1) ** 2
+    state[1, 1] = p * weight(n) * cos(n) ** 2 + q * weight(n + 1) * sin(n) ** 2
+    state[2, 2] = p * weight(n) * sin(n) ** 2 + q * weight(n + 1) * cos(n) ** 2
+    state[3, 3] = p * weight(n + 1) * cos(n + 1) ** 2 + q * weight(n + 2) * sin(n + 1) ** 2
+    state[1, 2] = 1j * (p * weight(n) - q * weight(n + 1)) * cos(n) * sin(n)
+    state[2, 1] = -state[1, 2]
+    return state
+
+
 def mpmath_npt(mpmath, state):
-    """NPT of a 4x4 ``mpmath`` matrix by ``eigsy`` of its trace-normalized partial transpose."""
+    """NPT of a 4x4 Hermitian ``mpmath`` matrix by ``eighe`` of its trace-normalized partial transpose."""
     pt = mpmath.matrix(4, 4)
     for i1, i2, j1, j2 in product(range(2), repeat=4):
         pt[2 * i1 + i2, 2 * j1 + j2] = state[2 * i1 + j2, 2 * j1 + i2]
     trace = sum(pt[i, i] for i in range(4))
-    lowest = min(mpmath.eigsy(pt / trace, eigvals_only=True))
+    lowest = min(mpmath.eighe(pt / trace, eigvals_only=True))
     return float(-2 * lowest) if lowest < 0 else 0.0
 
 
@@ -861,10 +929,14 @@ class TestBlockCarriers:
             columns = self.columns(name, self.point_draws(rng, 4000))
         self.assert_rows_match(name, columns)
 
-    @pytest.mark.parametrize("name", sorted(set(BLOCKS) - {"jc"}))
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
     def test_joint_extreme_domain(self, name):
-        cat = TestSchemeOutputInvariants.joint_draws(np.random.default_rng(2702), 4000)
-        self.assert_rows_match(name, self.columns(name, cat))
+        rng = np.random.default_rng(2702)
+        if name == "jc":
+            columns = TestJcProjected.tail_draws(rng, 4000)
+        else:
+            columns = self.columns(name, TestSchemeOutputInvariants.joint_draws(rng, 4000))
+        self.assert_rows_match(name, columns)
 
 
 class TestVanishingPurity:

@@ -193,12 +193,6 @@ class TestAtomFieldParams:
             assert params.atom_purity == atom_purity(p)
             assert params.field_purity == field_purity(lam)
 
-    def test_photon_weights_sum_to_one(self):
-        params = mx.AtomFieldParams(p=1.0, lam=0.7, gt=0.0, n=0)
-        total = sum(params.photon_weight(k) for k in range(400))
-        assert total == pytest.approx(1.0, abs=1e-12)
-        assert params.photon_weight(-1) == 0.0
-
     def test_domain(self):
         with pytest.raises(ValueError):
             mx.AtomFieldParams(p=1.2, lam=0.0, gt=0.0)
