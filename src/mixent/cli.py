@@ -24,16 +24,18 @@ probability, is 0.  Under ``--validate`` such rows still carry the oracle
 columns, from the unnormalized kernel.  The library constructors raise
 :class:`~mixent.qlinalg.DegenerateStateError` for these points instead.
 
-A sweep checks its parameters once, at its smallest and largest swept value:
-every parameter rule is an interval in that value, so two good ends make a
-good sweep.  It runs in blocks of ``SWEEP_BLOCK`` rows: each calls the
-scheme's block function once and scores the states of its result with one
-stacked NPT.  Under ``--validate`` the kernels of the same result are compared
-with the block's oracle matrices, which come from one call of the oracle's
-block function; a validation grid is one block.  Where an end is bad the rows
-before the first bad one run as blocks and that row's error is raised after
-them, so a bad parameter never hides a fault at an earlier row, however the
-blocks split.
+A sweep runs in blocks of ``SWEEP_BLOCK`` rows.  Each block builds the
+parameters of its first and last row (every parameter rule is an interval in
+the swept value, so two good ends make a good block), calls the scheme's block
+function once and scores the states of its result with one stacked NPT.  Under
+``--validate`` the kernels of the same result are compared with the block's
+oracle matrices, which come from one call of the oracle's block function; a
+validation grid is one block.  A block that raises runs again one row at a
+time, and the first faulty row's error is raised, whatever its kind (a bad
+parameter, a non-finite state, an unstable oracle); so the error does not
+depend on where the blocks split.  Only a failing sweep pays for this: a
+validated 256-row block whose last row is bad fails after about 0.1 s instead
+of 0.01 s.
 The ``--out`` path is checked before the first row without opening or
 creating anything, and opened once, to write the CSV, when the rows are done;
 a run that fails before that write creates nothing and leaves what was there
@@ -280,37 +282,19 @@ def _closed_vs_oracle(sdef: _SchemeDef, columns: list, result):
 SWEEP_BLOCK = 256
 
 
-def _first_bad_row(spec: SweepSpec, sdef: _SchemeDef, xs: list) -> tuple:
-    """The index of the sweep's first row whose parameters do not build, and its error.
-
-    Every parameter rule is an interval in the swept value, and a sweep's
-    values ascend, so the sweep is good, ``(len(xs), None)``, if its first and
-    last values build; only if one does not are the rows built in order until
-    one raises.
-    """
-    name = spec.sweep[0]
-    try:
-        for x in (xs[0], xs[-1]):
-            sdef.args({**spec.fixed, name: x})
-        return len(xs), None
-    except ValueError:
-        for k, x in enumerate(xs):
-            try:
-                sdef.args({**spec.fixed, name: x})
-            except ValueError as exc:
-                return k, exc
-        raise
-
-
 def _sweep_block(spec: SweepSpec, sdef: _SchemeDef, xs: list, first: int):
     """CSV lines of the rows ``first, first + 1, ...`` at ``xs``, and their failures.
 
-    A row with no state (a zero-probability conditioning outcome) is the zero
-    matrix at scale NaN: its ``npt`` and ``trace`` are NaN, its kernel is still
-    checked by the oracle.  The real parameters are converted as the parameter
-    dataclasses store them; ``_check_spec`` has converted ``n`` and ``sign``.
+    The parameters of the first and last row are built first, so a bad one
+    raises before any evaluation.  A row with no state (a zero-probability
+    conditioning outcome) is the zero matrix at scale NaN: its ``npt`` and
+    ``trace`` are NaN, its kernel is still checked by the oracle.  The real
+    parameters are converted as the parameter dataclasses store them;
+    ``_check_spec`` has converted ``n`` and ``sign``.
     """
     name = spec.sweep[0]
+    for x in (xs[0], xs[-1]):
+        sdef.args({**spec.fixed, name: x})
     fixed = {k: v if k in ("n", "sign") else complex(v).real for k, v in spec.fixed.items()}
     params = [xs if k == name else [fixed[k]] * len(xs) for k in sdef.params]
     result = sdef.block(*params)
@@ -351,13 +335,16 @@ def run_sweep(spec: SweepSpec):
         raise SpecError(f"sweep count {count} is too large: its rows cannot be allocated") from None
     if spec.out:
         _check_out(spec.out)
-    good, error = _first_bad_row(spec, sdef, xs)
-    for first in range(0, good, SWEEP_BLOCK):
-        block, failed = _sweep_block(spec, sdef, xs[first : min(first + SWEEP_BLOCK, good)], first)
+    for first in range(0, len(xs), SWEEP_BLOCK):
+        rows = xs[first : first + SWEEP_BLOCK]
+        try:
+            block, failed = _sweep_block(spec, sdef, rows, first)
+        except (ValueError, oracle.OracleUnstableError):
+            for k, x in enumerate(rows, first):
+                _sweep_block(spec, sdef, [x], k)  # the first faulty row raises
+            raise
         lines += block
         failures += failed
-    if error is not None:
-        raise error
     csv_text = "\n".join(lines) + "\n"
     if spec.out:
         try:

@@ -375,7 +375,10 @@ def _bs_term_matrices(variances: tuple, displacements: tuple, gammas: tuple, ord
 
 
 # Node sets per call of a node cache: this bounds the (sets, order) arrays that
-# one call holds, whatever the block size.
+# one call holds, whatever the block size.  It buys memory, not speed: over 55
+# cold `validate all` passes in one process (2 vCPU, numpy 2.4.6) the median
+# pass took 4.9-5.1 ms at 32 and 4.75-4.9 ms unchunked, about 3% less; at 8 it
+# took 9.9 ms, as a grid's chunks then outnumber a node cache's eight entries.
 _NODE_CHUNK = 32
 
 
@@ -460,6 +463,7 @@ def _quad_once(scheme, r, sign, nodes, inverse, order):
     return _ASSEMBLY[scheme](_set_blocks(blocks, nodes, order), r, sign, inverse)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the doubling check fails every non-finite entry
 def quadrature_block(scheme: str, r, V, d, gamma, sign) -> np.ndarray:
     """``quadrature_projected`` of N rows, from one column per parameter: an (N, 4, 4) stack.
 

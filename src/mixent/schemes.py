@@ -42,8 +42,9 @@ and each scheme is a fixed sandwich of K, written once over a leading axis of ro
 
 A block function takes one list per parameter, in the CLI's parameter order,
 holding N rows of Python floats (ints for ``n`` and ``sign``); it does not check
-them.  It returns one result, ``(normalized, log_scales, probs)``: the
-kernel-normalized (N, 4, 4) stack and 1-D arrays of the N log scales and the N
+them, except that ``bs_scheme_block`` raises ``ValueError`` for a gamma below
+``BS_GAMMA_FLOOR``.  It returns one result, ``(normalized, log_scales, probs)``:
+the kernel-normalized (N, 4, 4) stack and 1-D arrays of the N log scales and the N
 probabilities of the measurement outcome, 2 +- 2 r sigma^m for ``bs`` (m = 1)
 and ``tt`` (m = 2) and 1 for the other three.  Everything else is derived from it here:
 ``block_kernels`` gives the kernels normalized * exp(log_scale), which the

@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import mixent as mx
 from mixent import cli
@@ -17,6 +18,8 @@ from mixent.schemes import (
     kerr_micro_thermal_projected,
     tt_scheme_projected,
 )
+
+from test_schemes import mpmath_bs_npt, mpmath_cat_state, mpmath_npt
 
 G2 = mx.CatBasis(2.0)
 
@@ -193,6 +196,27 @@ def test_criterion_9_preset_determinism(tmp_path):
     report("criterion-9 preset fig2a byte-identical", identical, f"{first.stat().st_size} bytes")
 
 
+MICRO = mx.MicroState(1.0)
+LADDER_SCHEMES = {
+    "direct": lambda t: direct_kerr_projected(t, G2),
+    "kerr_micro_thermal": lambda t: kerr_micro_thermal_projected(MICRO, t, G2),
+    "tt +": lambda t: tt_scheme_projected(MICRO, t, G2, 1),
+    "bs +": lambda t: bs_scheme_projected(MICRO, t, G2, 1),
+    "tt -": lambda t: tt_scheme_projected(MICRO, t, G2, -1),
+    "bs -": lambda t: bs_scheme_projected(MICRO, t, G2, -1),
+}
+
+
+def ladder_best(construct, v):
+    """The best NPT of a criterion-10 ladder rung, d in linspace(1.9 V, 2.2 V, 61), and its d."""
+    values = {
+        float(d): construct(mx.ThermalParams(v, float(d))).npt_normalized
+        for d in np.linspace(1.9 * v, 2.2 * v, 61)
+    }
+    at = max(values, key=values.get)
+    return values[at], at
+
+
 def test_criterion_10_purity_ladder():
     # the paper's claim: entanglement survives as the purity of the mixed
     # inputs goes to zero; d has to scale with V, since at fixed d the NPT
@@ -209,20 +233,24 @@ def test_criterion_10_purity_ladder():
         dev = mx.max_abs_deviation(jc_projected(at).matrix, mx.jc_fock_projected(at))
         ok &= best >= 0.995 and dev <= 1e-10
         details.append(f"jc purity {mx.field_purity(lam):.1e}: {best:.5f}")
-    # the cross-Kerr schemes at r = 1, bs and tt at sign +, on the same d grid
-    micro = mx.MicroState(1.0)
-    cross_kerr = {
-        "direct": lambda t: direct_kerr_projected(t, G2),
-        "kerr_micro_thermal": lambda t: kerr_micro_thermal_projected(micro, t, G2),
-        "tt": lambda t: tt_scheme_projected(micro, t, G2, 1),
-        "bs": lambda t: bs_scheme_projected(micro, t, G2, 1),
-    }
-    for name, construct in cross_kerr.items():
+    # the cross-Kerr schemes at r = 1, bs and tt at both signs, on the same d grid
+    for name, construct in LADDER_SCHEMES.items():
         for v in (1e3, 1e6, 1e9, 1e12, 1e15):
-            best = max(
-                construct(mx.ThermalParams(v, float(d))).npt_normalized
-                for d in np.linspace(1.9 * v, 2.2 * v, 61)
-            )
+            best, _ = ladder_best(construct, v)
             ok &= best >= 0.9999
             details.append(f"{name} purity {1.0 / v:.0e}: {best:.5f}")
     report("criterion-10 NPT at vanishing purity", ok, "; ".join(details))
+
+
+def test_criterion_10_sign_minus_against_mpmath():
+    # the best ladder points of tt and bs at sign - against the 50-digit sums
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for v in (1e3, 1e6):
+        best, d = ladder_best(LADDER_SCHEMES["tt -"], v)
+        with mpmath.workdps(50):
+            ref = mpmath_npt(mpmath, mpmath_cat_state(mpmath, "tt", 1.0, v, d, 2.0, -1))
+        worst = max(worst, abs(best - ref))
+        best, d = ladder_best(LADDER_SCHEMES["bs -"], v)
+        worst = max(worst, abs(best - mpmath_bs_npt(mpmath, 1.0, v, d, 2.0, -1)))
+    report("criterion-10 sign - best points vs 50-digit sums <= 1e-12", worst <= 1e-12, f"{worst:.1e}")

@@ -639,6 +639,35 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: hermiticity defect") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("block", [256, 4, 2, 1])
+    def test_oracle_fault_before_a_state_fault_decides(self, block, monkeypatch, capsys):
+        # at gamma = 1e-100 the oracle fails its doubling check at every row and
+        # the states of rows 1 and 2 are not finite: row 0's oracle fault decides
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        argv = ["sweep", "--scheme", "direct_kerr", "--set", "gamma=1e-100", "--set", "V=1"]
+        assert cli.main(argv + ["--sweep", "d:0.5:1e150:3", "--validate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("oracle error: direct_kerr: quadrature self-convergence failed")
+        assert err.endswith("(V=1.0, d=0.5, gamma=1e-100)\n") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("block", [256, 2, 1])
+    def test_state_fault_before_an_oracle_fault_decides(self, block, monkeypatch, capsys):
+        # at V = 10, gamma = 12 the oracle fails its doubling check at d = 10
+        # (row 2) only; a patched block function makes row 0's state non-Hermitian
+        block_function = schemes.direct_kerr_block
+
+        def non_hermitian_below_1(V, d, gamma):
+            normalized, log_scales, probs = block_function(V, d, gamma)
+            normalized[np.asarray(d) < 1.0, 0, 1] += 1.0
+            return normalized, log_scales, probs
+
+        monkeypatch.setattr(schemes, "direct_kerr_block", non_hermitian_below_1)
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        argv = ["sweep", "--scheme", "direct_kerr", "--set", "V=10", "--set", "gamma=12"]
+        assert cli.main(argv + ["--sweep", "d:0:20:5", "--validate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hermiticity defect") and err.count("\n") == 1, err
+
     def test_validated_sweep_memory_is_bounded(self, monkeypatch):
         # a validated sweep's peak memory is set by its block, not by its
         # length, and every oracle cache is bounded; 64-row blocks keep it short

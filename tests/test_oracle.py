@@ -775,6 +775,18 @@ class TestQuadratureOracle:
         with pytest.raises(OracleUnstableError, match="nan"):
             quadrature_projected("direct_kerr", thermal=t, basis=G2)
 
+    @pytest.mark.parametrize("scheme", ["bs", "tt", "direct_kerr"])
+    @pytest.mark.parametrize("variance", [1.0, 10.0])
+    def test_tiny_gamma_is_unstable_without_warning(self, scheme, variance):
+        # at gamma = 1e-100 the odd-cat norm squared is about 1/(4 gamma^2): the
+        # Kronecker products and the sums overflow, which must not warn (the
+        # suite turns RuntimeWarning into an error); the doubling check fails them
+        r, sign = (None, None) if scheme == "direct_kerr" else ([0.5], [1])
+        with pytest.raises(OracleUnstableError) as error:
+            oracle.quadrature_block(scheme, r, [variance], [0.5], [1e-100], sign)
+        assert str(error.value).startswith(f"{scheme}: quadrature self-convergence failed")
+        assert str(error.value).endswith(f"(V={variance}, d=0.5, gamma=1e-100)")
+
     def test_missing_parameters_rejected(self):
         t = mx.ThermalParams(2.0, 0.0)
         with pytest.raises(ValueError):
