@@ -36,9 +36,10 @@ and each scheme is a fixed sandwich of K, written once over a leading axis of ro
 * ``kerr_micro_thermal``: Z (mu (x) K) Z, with mu = 1/2 [[1, r], [r, 1]] and
   Z = diag(1, 1, 1, -1) the controlled parity;
 * ``direct_kerr``: Z (K (x) K) Z;
-* ``tt``: (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)), pi = (1, -1, -1, 1);
-* ``bs``: D S (c (x) X) S^T D, with X the nine Gaussian integrals of the split
-  state, c = [[1, +-r], [+-r, 1]], D = diag(N (x) N) and S a fixed 4x6 matrix.
+* ``tt``: (K (x) K) o W(+-r), with the heralding weights
+  W(x) = 1 + pi pi^T + x (pi 1^T + 1 pi^T), pi = (1, -1, -1, 1);
+* ``bs``: (D A X A^T D) o W(+-r), the same weights, with X the nine Gaussian
+  integrals of the split state, D = diag(N (x) N) and A a fixed 4x3 matrix.
 
 A block function takes one list per parameter, in the CLI's parameter order,
 holding N rows of Python floats (ints for ``n`` and ``sign``); it does not check
@@ -58,7 +59,8 @@ one row (every constructor) and as 1-D arrays at more.  Arithmetic gives the
 same bits on both, and each numpy ufunc the same on a scalar as on an array;
 numpy's powers do not, so ``jc``'s lam^k is a power of an array on both and
 squares are products.  Stacks are C-contiguous, so sums over them run in one
-order.  An overflow (a value past the double range) is not warned (``_PAST_RANGE``).
+order.  An overflow (a value past the double range) is not warned (``_PAST_RANGE``),
+nor in ``tt`` the NaN of an overflowed entry times a zero weight.
 
 Nothing cancels in K or the ``bs`` grid: c - r, O(gamma^2) at small gamma, is a
 sum of two terms >= 0; log c and the ``bs`` log scale are completed squares.
@@ -236,9 +238,9 @@ _Z = np.array([1.0, 1.0, 1.0, -1.0])
 _PI = np.array([1.0, -1.0, -1.0, 1.0])
 # Z . Z as one product (flipping a sign twice or once is exact either way), and its half
 _ZZ, _HALF_ZZ = _Z[:, None] * _Z, 0.5 * (_Z[:, None] * _Z)
-# the tt weights 1 + pi pi^T +- r (pi 1^T + 1 pi^T)
-_TT_EVEN = 1.0 + _PI[:, None] * _PI
-_TT_ODD = _PI[:, None] + _PI
+# the heralding weights W(+-r) = 1 + pi pi^T +- r (pi 1^T + 1 pi^T) of bs and tt (_heralded)
+_HERALD_EVEN = 1.0 + _PI[:, None] * _PI
+_HERALD_ODD = _PI[:, None] + _PI
 # [[1, x], [x, 1]] = _EYE + x _SWAP
 _EYE, _SWAP = np.eye(2), np.eye(2)[::-1]
 
@@ -278,18 +280,10 @@ def kerr_micro_thermal_block(r, V, d, gamma):
     return kernels, np.array(log_c, ndmin=1), np.ones(len(kernels))
 
 
-# S = (C (x) C)[R, R J] of the beam-splitter kernel D S (c (x) X) S^T D
-# (bs_scheme_block): C = [[1, 1], [1, -1]] holds the cat coefficients of
-# (|g>, |-g>), R sums the coherent components (i1, i3) onto their grid point
-# a = g (e1 - e3), and J flips the grid.
-_BS_S = np.array(
-    [
-        [1.0, 2.0, 1.0, 1.0, 2.0, 1.0],
-        [1.0, 0.0, -1.0, -1.0, 0.0, 1.0],
-        [-1.0, 0.0, 1.0, 1.0, 0.0, -1.0],
-        [-1.0, 2.0, -1.0, -1.0, 2.0, -1.0],
-    ]
-)
+# A = (C (x) C) R of the beam-splitter kernel (D A X A^T D) o W (bs_scheme_block):
+# C = [[1, 1], [1, -1]] holds the cat coefficients of (|g>, |-g>) and R sums the
+# coherent components (i1, i3) onto their grid point a = g (e1 - e3).
+_BS_A = np.array([[1.0, 2.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 0.0, 1.0], [-1.0, 2.0, -1.0]])
 # alpha + beta and 1 - alpha beta at the grid points (a, b) = 2 g (alpha, beta), (9, 1) columns
 _BS_SUM = np.array([-2.0, -1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 2.0])[:, None]
 _BS_FLIP = np.array([0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 0.0])[:, None]
@@ -308,9 +302,12 @@ def bs_scheme_block(r, V, d, gamma, sign):
     then give Gaussian integrals
     (1/v) exp[(-2 d'^2 + d' (a+b))/v + a b (v-1)/(2v) - 2 g^2] at only nine
     points (a, b) = 2 g (alpha, beta) in {-2 g, 0, 2 g}^2, the grid X.  With
-    c = [[1, +-r], [+-r, 1]] the term weights and D = diag(N (x) N) the cat
-    norms, the kernel is D S (c (x) X) S^T D (``_BS_S``).  The outcome
-    probability is 2 +- 2 r sigma (``_outcome_probs``).
+    D = diag(N (x) N) the cat norms and A (``_BS_A``) the cat coefficients of
+    the components summed onto their grid points, the four terms (weights 1,
+    1, +-r, +-r) are M, Pi M Pi, +-r M Pi and +-r Pi M, with M = A X A^T and
+    Pi = diag(pi): on the flipped grid of the other output the rows of A are
+    pi o A.  So the kernel is (D A X A^T D) o W(+-r), with the weights W of
+    ``tt`` (``_heralded``), and the outcome probability is 2 +- 2 r sigma.
 
     The largest exponent, at a = b = 2 g sgn(d'), is the completed square
     -2 (|d'| - g)^2/v - log v, the log scale; each other one lies below it by
@@ -328,11 +325,9 @@ def bs_scheme_block(r, V, d, gamma, sign):
     # >= 0, so an exponent past the double range is -inf, never inf - inf
     x = np.exp(scale * ((u / v) * (2.0 - sgn * _BS_SUM) + flip * _BS_FLIP))
     log_scales = -2.0 * ((u - gamma) * (u - gamma) / v) - np.log(v)
-    probs = _outcome_probs(r, V, d, sign, 1)
     dd = _stack([n_plus * n_plus, n_plus * n_minus, n_minus * n_plus, n_minus * n_minus], (4,))
-    kron = qlinalg._kron(_EYE + np.multiply.outer(sign * r, _SWAP), x.T.reshape(-1, 3, 3))
-    out = dd[:, :, None] * (_BS_S @ kron @ _BS_S.T) * dd[:, None, :]
-    return out.astype(np.complex128), np.array(log_scales, ndmin=1), probs
+    kernels = dd[:, :, None] * (_BS_A @ x.T.reshape(-1, 3, 3) @ _BS_A.T) * dd[:, None, :]
+    return _heralded(kernels, log_scales, r, V, d, sign, 1)
 
 
 def bs_projected_kernel(
@@ -359,10 +354,15 @@ def bs_scheme_projected(
     return _output(*bs_scheme_block(*_pair_columns(m, t, basis, sign)))
 
 
-def _outcome_probs(r, V, d, sign, modes):
-    """The traces 2 +- 2 r sigma^modes, sigma = exp(-2 d^2/V)/V, of a cat-pair scheme's kernels."""
+def _heralded(kernels, log_scales, r, V, d, sign, modes):
+    """The result of ``bs`` (modes 1) or ``tt`` (modes 2): kernels o W(sign r), log scales, probs.
+
+    The outcome probabilities are 2 +- 2 r sigma^modes, sigma = exp(-2 d^2/V)/V.
+    """
+    weights = _HERALD_EVEN + np.multiply.outer(sign * r, _HERALD_ODD)
     sigma = np.exp(-2.0 * (d * d) / V) / V
-    return np.array(2.0 + sign * 2.0 * r * (sigma * sigma if modes == 2 else sigma), ndmin=1)
+    probs = np.array(2.0 + sign * 2.0 * r * (sigma * sigma if modes == 2 else sigma), ndmin=1)
+    return (kernels * weights).astype(np.complex128), np.array(log_scales, ndmin=1), probs
 
 
 def tt_projected_kernel(
@@ -374,8 +374,7 @@ def tt_projected_kernel(
     single-mode cat sandwich blocks: B(+,+) (x) B(+,+) + B(-,-) (x) B(-,-)
     +- r (B(+,-) (x) B(+,-) + B(-,+) (x) B(-,+)).  With B(w, w') = P_w K P_w'
     every term is K (x) K with the signs of pi on its rows, its columns or
-    both, so the kernel is (K (x) K) o (1 + pi pi^T +- r (pi 1^T + 1 pi^T)),
-    pi = (1, -1, -1, 1).
+    both, so the kernel is (K (x) K) o W(+-r) (module docstring).
     """
     result = tt_scheme_block(*_pair_columns(m, t, basis, sign))
     return BipartiteMatrix(2, 2, block_kernels(*result)[0])
@@ -392,15 +391,13 @@ def tt_scheme_projected(
     return _output(*tt_scheme_block(*_pair_columns(m, t, basis, sign)))
 
 
-@_PAST_RANGE
+# inf times a zero of W is NaN where K (x) K overflows (tiny gamma, huge d): the scorer refuses it
+@np.errstate(over="ignore", invalid="ignore")
 def tt_scheme_block(r, V, d, gamma, sign):
-    """``tt_scheme_projected`` for N rows: (K (x) K) o weights, 2 log c, outcome probabilities."""
+    """``tt_scheme_projected`` for N rows: (K (x) K) o W, 2 log c, outcome probabilities."""
     r, V, d, gamma, sign = _carriers(r, V, d, gamma, sign)
     k, log_c = _cat_kernel(V, d, gamma)
-    probs = _outcome_probs(r, V, d, sign, 2)
-    weights = _TT_EVEN + np.multiply.outer(sign * r, _TT_ODD)
-    kernels = (qlinalg._kron(k, k) * weights).astype(np.complex128)
-    return kernels, np.array(2.0 * log_c, ndmin=1), probs
+    return _heralded(qlinalg._kron(k, k), 2.0 * log_c, r, V, d, sign, 2)
 
 
 def direct_kerr_projected(t: ThermalParams, basis: CatBasis) -> SchemeOutput:

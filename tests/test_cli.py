@@ -385,6 +385,58 @@ class TestMain:
         code = cli.main(["sweep", "--scheme", "jc", "--set", "p", "--sweep", "gt:0:1:5"])
         assert code == 2
 
+    DIRECT = ["sweep", "--scheme", "direct_kerr", "--set", "gamma=2"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--scheme", "tt", "--set", "sign=x"], "sign must be + or -, got 'x'"),
+            pytest.param(
+                DIRECT + ["--set", "V=2", "--sweep", "d:0:1:3", "--out", "/dev/full"],
+                "cannot write /dev/full: No space left on device",
+                marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full"),
+            ),
+            (DIRECT + ["--set", "V=abc", "--sweep", "d:0:1:3"], "cannot parse value for 'V': 'abc'"),
+            (DIRECT + ["--set", "V=2", "--sweep", "d:0:1"], "--sweep expects name:start:stop:count, got 'd:0:1'"),
+            (DIRECT + ["--set", "V=2", "--sweep", "d:a:1:3"], "cannot parse sweep range 'd:a:1:3'"),
+            (["sweep", "--config", "{dir}/bare.cfg"], "{dir}/bare.cfg:2: expected key=value, got 'V 2'"),
+            (["sweep", "--config", "{dir}/missing.cfg"], "cannot read config {dir}/missing.cfg: "),
+            (["sweep", "--set", "V=2", "--sweep", "d:0:1:3"], "no scheme given (use --scheme or a config file)"),
+            (DIRECT + ["--set", "V=2"], "no sweep given (use --sweep name:start:stop:count)"),
+            (DIRECT + ["--set", "V=inf", "--sweep", "d:0:1:3"], "variance must be finite, got inf"),
+        ],
+        ids=[
+            "sign", "dev-full", "set-value", "sweep-fields", "sweep-range", "config-line",
+            "config-missing", "no-scheme", "no-sweep", "infinite-variance",
+        ],
+    )
+    def test_input_error_exit_2(self, argv, message, tmp_path, capsys):
+        (tmp_path / "bare.cfg").write_text("scheme=direct_kerr\nV 2\n")
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + message.format(dir=tmp_path)), captured.err
+        assert captured.err.count("\n") == 1 and captured.out == "", captured
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: cli.run_validation("nope"), cli.SpecError, "unknown validation preset 'nope'"),
+            (lambda: oracle.thermal_fock_matrix(1.0, 5), ValueError, r"lam must lie in \[0, 1\)"),
+            (lambda: mx.BipartiteMatrix(0, 2, np.eye(2)), mx.InvalidShapeError, "factor dimensions"),
+            (lambda: mx.hermitian_eigensystem(np.ones((2, 3))), mx.InvalidShapeError, "square matrix"),
+            (
+                lambda: mx.max_abs_deviation(mx.BipartiteMatrix(2, 2, np.eye(4)), mx.BipartiteMatrix(1, 4, np.eye(4))),
+                mx.InvalidShapeError,
+                "different factors",
+            ),
+        ],
+        ids=["validation-name", "fock-lam", "factor-dims", "non-square", "different-factors"],
+    )
+    def test_library_input_error(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_argparse_usage_exit_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["validate", "not-a-grid"])

@@ -1,6 +1,7 @@
 """Closed-form projected states: structure, zeros, pure-state limits."""
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import mixent as mx
 from mixent import qlinalg, schemes
-from mixent.qlinalg import DegenerateStateError
+from mixent.qlinalg import DegenerateStateError, NumericInputError
 from mixent.schemes import (
     bs_projected_kernel,
     bs_scheme_projected,
@@ -300,6 +301,29 @@ class TestBeamSplitterScheme:
             ).npt_normalized
             ref = mpmath_bs_npt(mpmath, r, v, d, gamma, sign)
             assert abs(got - ref) <= 1e-8, (gamma, v, d, r, sign, got, ref)
+
+    @pytest.mark.parametrize("gamma, npt_bound", [(0.03, 2e-10), (0.1, 2e-12)])
+    def test_seeded_draws_match_high_precision_sum(self, gamma, npt_bound):
+        # The 50-digit sums vanish between the parity sectors of pi, where the
+        # heralding weights W are zero, and so must the closed form's entries.
+        # The NPT bounds are over 3x the largest errors seen on these draws,
+        # 6.4e-11 at gamma = 0.03 and 5.8e-13 at 0.1.
+        mpmath = pytest.importorskip("mpmath")
+        off_sector = schemes._PI[:, None] != schemes._PI
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            r, v, d = rng.uniform(0.0, 1.0), 1.0 + 10.0 ** rng.uniform(-3.0, 2.0), 3.0 * rng.normal()
+            for sign in (1, -1):
+                normalized, log_scales, _ = schemes.bs_scheme_block([r], [v], [d], [gamma], [sign])
+                with mpmath.workdps(50):
+                    ref = mpmath_bs_kernel(mpmath, r, v, d, gamma, sign)
+                    ref_npt = mpmath_npt(mpmath, ref)
+                    ref = np.array(ref.tolist(), dtype=float) / math.exp(log_scales[0])
+                at = (r, v, d, gamma, sign)
+                scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+                assert (abs(normalized[0] - ref)[off_sector] <= 1e-30 * scale[off_sector]).all(), at
+                got = qlinalg._npt_stack(normalized)[0]
+                assert abs(got - ref_npt) <= npt_bound, (at, got, ref_npt)
 
 
 # Mode sandwich sign patterns (u1, u2, u3, u4) of the four beam-splitter terms
@@ -852,6 +876,28 @@ class TestSchemeOutputInvariants:
             assert lowest.min() >= -1e-12, (name, lowest.min())
             npts = qlinalg._npt_stack(normalized)
             assert ((npts >= 0.0) & (npts <= 1.0)).all(), (name, npts.min(), npts.max())
+
+    def test_tt_and_direct_kerr_over_joint_domain_without_warnings(self):
+        # K (x) K leaves the double range at a tiny gamma with a huge d; such a
+        # call raises, and tt's inf times a zero weight of W must not warn
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            v = 10.0 ** rng.uniform(0.0, 300.0) if rng.uniform() < 0.7 else 1.0 + 10.0 ** rng.uniform(-6.0, 1.0)
+            d = 10.0 ** rng.uniform(-3.0, 153.5) * rng.choice([1.0, -1.0])
+            gamma, r, sign = 10.0 ** rng.uniform(-154.0, 3.0), rng.uniform(0.0, 1.0), int(rng.choice([1, -1]))
+            t, basis = mx.ThermalParams(v, d), mx.CatBasis(gamma)
+            calls = (
+                lambda: tt_scheme_projected(mx.MicroState(r), t, basis, sign),
+                lambda: direct_kerr_projected(t, basis),
+            )
+            for call in calls:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        npt = call().npt_normalized
+                    except (NumericInputError, DegenerateStateError):
+                        continue
+                assert 0.0 <= npt <= 1.0, (r, v, d, gamma, sign, npt)
 
     def test_npt_vanishes_without_micro_coherence(self):
         # r = 0 makes the state separable: its NPT is an exact zero, also near
